@@ -181,3 +181,21 @@ def multiplicative_table(limit: int, ppv, max_value_bound: int | None = None) ->
         else:
             vals[p::p] *= ppv(p, 1)
     return vals
+
+
+def dirichlet_sweep(coef: np.ndarray, base: np.ndarray, N: int, power: int = 1) -> np.ndarray:
+    """int64 table h[0..N] with h[n] = sum over d^power * e = n of coef[d] base[e].
+
+    One slice add per nonzero coef[d], d >= 1 (coef[0] is ignored); base
+    must cover 1..N. power = 1 is the Dirichlet product, power = 2 the
+    square-divisor expansion. Callers guard int64 range.
+    """
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in (np.flatnonzero(coef[1:]) + 1).tolist():
+        q = d ** power
+        if q > N:
+            break
+        c = int(coef[d])
+        part = base[1 : N // q + 1]
+        out[q::q] += part if c == 1 else c * part
+    return out

@@ -28,15 +28,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import prime_array, sieve_primes, multiplicative_table
 from .divisor_functions import sigma_S_prime_power, sigma_S_table, tau_S_table
 from .errors import ConsistencyError, LimitError
-from .mobius import zeta_S, zeta_S_derivative
-from .sets import SSet, parse_sset
+from .mobius import euler_factors, zeta_S, zeta_S_derivative
+from .sets import SSet, _is_prime, parse_sset
 
 EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
 PRODUCT_CUTOFF = 20_000_000  # primes kept in maximal-order products
@@ -221,9 +220,10 @@ class MaximalConstant:
         return self.value
 
 
-@lru_cache(maxsize=4)
-def _prime_floats(cutoff: int) -> np.ndarray:
-    return prime_array(cutoff).astype(np.float64)
+def _log1p_arg(rule, ps: np.ndarray) -> np.ndarray:
+    """-p^(-2 s(p)): log1p of it is the log of the local factor (0 if all-in)."""
+    s = rule.least_excluded()
+    return np.zeros_like(ps) if s is None else -ps ** (-2.0 * s)
 
 
 def sigma_maximal_constant(S: SSet, cutoff: int = PRODUCT_CUTOFF) -> MaximalConstant:
@@ -240,30 +240,19 @@ def sigma_maximal_constant(S: SSet, cutoff: int = PRODUCT_CUTOFF) -> MaximalCons
         raise ValueError("cutoff too small for the tail bound")
     m = S.mult
     eg = math.exp(EULER_GAMMA)
-
-    over_s = {p: r.least_excluded() for p, r in m.overrides.items()}
     s0 = m.default_rule.least_excluded()
 
     if s0 is None:
         # default all-in: only the finitely many override primes contribute
-        log_v = 0.0
-        for p, s in sorted(over_s.items()):
-            if s is not None:
-                log_v += math.log1p(-float(p) ** (-2.0 * s))
-        v = math.exp(log_v)
-        uni = None
-        return MaximalConstant(sset_spec=S.spec, value=eg * v,
-                               err_bound=eg * v * 1e-13, uniform_s=uni, cutoff=None)
-
-    if any(p > cutoff for p in over_s):
+        ps = np.array(sorted(m.overrides), dtype=np.float64)
+    elif any(p > cutoff for p in m.overrides):
         raise LimitError("override prime beyond product cutoff")
-    ps = _prime_floats(cutoff)
-    log_v = float(np.log1p(-ps ** (-2.0 * s0)).sum())
-    for p, s in sorted(over_s.items()):
-        log_v -= math.log1p(-float(p) ** (-2.0 * s0))
-        if s is not None:
-            log_v += math.log1p(-float(p) ** (-2.0 * s))
-    v = math.exp(log_v)
+    else:
+        ps = prime_array(cutoff).astype(np.float64)
+    v = math.exp(float(np.log1p(euler_factors(m, ps, _log1p_arg)).sum()))
+    if s0 is None:
+        return MaximalConstant(sset_spec=S.spec, value=eg * v,
+                               err_bound=eg * v * 1e-13, uniform_s=None, cutoff=None)
 
     # dropped factors all lie in (exp(-t), 1): certified one-sided tail
     c = float(cutoff)
@@ -271,7 +260,7 @@ def sigma_maximal_constant(S: SSet, cutoff: int = PRODUCT_CUTOFF) -> MaximalCons
             + 8.0 * c ** (-2.0 * s0)) / (1.0 - c ** (-2.0 * s0))
     err = v * (math.expm1(tail) + 1e-12)
 
-    uni = s0 if all(s == s0 for s in over_s.values()) else None
+    uni = s0 if all(r.least_excluded() == s0 for r in m.overrides.values()) else None
     return MaximalConstant(sset_spec=S.spec, value=eg * v, err_bound=eg * err,
                            uniform_s=uni, cutoff=cutoff)
 
@@ -324,7 +313,7 @@ def witness_sequence(S: SSet, epsilon: float, k: int) -> WitnessSequence:
         t += 1
         if t > 10**6:
             raise LimitError(f"epsilon {epsilon} needs threshold beyond 1e6")
-        if _is_prime_small(t):
+        if _is_prime(t):
             prod_le *= 1.0 - float(t) ** -2.0
 
     small = sieve_primes(t)
@@ -381,15 +370,6 @@ def _check_local_bound(m, fac, sig_ratio: float) -> None:
             log_bound += math.log(sum(float(p) ** -i for i in range(2 * s)))
     if sig_ratio > math.exp(log_bound) * (1.0 + 1e-9):
         raise ConsistencyError("witness ratio exceeds its local-factor bound")
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, math.isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

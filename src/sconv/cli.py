@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .arith import multiplicative_table
+from .arith import dirichlet_sweep, multiplicative_table
 from .asymptotics import (
     asymptotic_report,
     sigma_maximal_constant,
@@ -86,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write a machine artifact to this path")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="artifact format (default csv)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker hint; results are identical for any value")
 
     p = argparse.ArgumentParser(prog="sconv",
                                 description="S-convolutions of arithmetical functions")
@@ -280,12 +278,7 @@ def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
                 else f"first failure at n={int(bad[0]) + 1}"))
 
     p1 = np.asarray(phi_S_table(S, N).values)  # rho_S * phi, self-checked vs direct
-    ms_signed = mu_set_table(S, N)
-    p2 = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        md = int(ms_signed[d])
-        if md:
-            p2[d::d] += md * np.arange(1, N // d + 1, dtype=np.int64)
+    p2 = dirichlet_sweep(mu_set_table(S, N), np.arange(N + 1, dtype=np.int64), N)  # mu_S * E
     bad = np.flatnonzero(p1[1:] != p2[1:])
     out.append(("phi_forms", len(bad) == 0,
                 f"mu_S*E and rho_S*phi agree to {N}" if len(bad) == 0
@@ -465,6 +458,8 @@ def _cmd_maxorder(args) -> int:
         raise ParseError("--k must lie in 2..15 for witness sequences")
     if not 0.0 < args.epsilon < 1.0:
         raise ParseError("--epsilon must lie in (0, 1)")
+    if not args.tol >= 0.0:
+        raise ParseError("--tol must be >= 0")
     mc = sigma_maximal_constant(S)
     print(f"limsup constant for {S.spec}: {mc.value:.10f} (err <= {mc.err_bound:.3g})")
     status = 0
@@ -531,8 +526,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     try:
         return _DISPATCH[args.command](args)
     except ParseError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, eval_multiplicative, factorize, guard_int64, multiplicative_table
+from .arith import dirichlet_sweep, divisors, eval_multiplicative, guard_int64, multiplicative_table
 from .convolve import ArithFunc, s_convolve_at
 from .errors import ConsistencyError, LimitError
 from .sets import SSet, rho, rho_table
@@ -211,20 +211,25 @@ def _self_check(name: str, S: SSet, values, direct, N: int) -> None:
             raise ConsistencyError(f"{name} table self-check failed at n={n}: {got} != {want}")
 
 
+def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
+                          direct=None) -> FunctionTable:
+    """Table of sum_{d^2 | n} c(d) f(n/d^2) on 1..N, with c = coef(S, sqrt N)
+    (times d when weighted) and f(p^a) = ppv(p, a); self-checked against
+    direct(n) when given."""
+    root = math.isqrt(N)
+    c = coef(S, root)
+    if weighted:
+        c = c * np.arange(root + 1, dtype=np.int64)
+    out = dirichlet_sweep(c, multiplicative_table(N, ppv), N, power=2)
+    if direct is not None:
+        _self_check(name, S, out, direct, N)
+    return FunctionTable(name=name, sset_spec=S.spec, N=N, values=out.tolist())
+
+
 def tau_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     """Table of tau_S on 1..N by the square-divisor sieve over mu_S."""
-    root = math.isqrt(N)
-    ms = mu_set_table(S, root)
-    tau = multiplicative_table(N, lambda p, a: a + 1)
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, root + 1):
-        md = int(ms[d])
-        if md:
-            dd = d * d
-            out[dd :: dd] += md * tau[1 : N // dd + 1]
-    if self_check:
-        _self_check("tau_S", S, out, lambda n: tau_S_at(S, n), N)
-    return FunctionTable(name="tau_S", sset_spec=S.spec, N=N, values=out.tolist())
+    return _square_divisor_table("tau_S", S, N, mu_set_table, False, lambda p, a: a + 1,
+                                 (lambda n: tau_S_at(S, n)) if self_check else None)
 
 
 def sigma_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
@@ -234,28 +239,15 @@ def sigma_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     intermediate partial sums stay within a small multiple of that.
     """
     guard_int64(int(N * (2 + math.log(N)) * math.isqrt(N)), "sigma_S_table")
-    root = math.isqrt(N)
-    ms = mu_set_table(S, root)
-    sig = multiplicative_table(N, lambda p, a: (p ** (a + 1) - 1) // (p - 1))
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, root + 1):
-        md = int(ms[d])
-        if md:
-            dd = d * d
-            out[dd :: dd] += (md * d) * sig[1 : N // dd + 1]
-    if self_check:
-        _self_check("sigma_S", S, out, lambda n: sigma_S_at(S, n), N)
-    return FunctionTable(name="sigma_S", sset_spec=S.spec, N=N, values=out.tolist())
+    return _square_divisor_table("sigma_S", S, N, mu_set_table, True,
+                                 lambda p, a: (p ** (a + 1) - 1) // (p - 1),
+                                 (lambda n: sigma_S_at(S, n)) if self_check else None)
 
 
 def phi_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     """Table of phi_S on 1..N via the sweep phi_S = rho_S * phi."""
     rs = rho_table(S, N)
-    phi = multiplicative_table(N, lambda p, a: p ** a - p ** (a - 1))
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in np.flatnonzero(rs).tolist():
-        if d:
-            out[d::d] += phi[1 : N // d + 1]
+    out = dirichlet_sweep(rs, multiplicative_table(N, lambda p, a: p ** a - p ** (a - 1)), N)
     if self_check:
         def direct(n):
             g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
@@ -266,25 +258,9 @@ def phi_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
 
 def tau_S_table_via_rho(S: SSet, N: int) -> FunctionTable:
     """Second identity route for cross-checks: sieve over rho_S with tau*."""
-    root = math.isqrt(N)
-    rs = rho_table(S, root)
-    tau_star = multiplicative_table(N, lambda p, a: 2)
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, root + 1):
-        if rs[d]:
-            dd = d * d
-            out[dd :: dd] += tau_star[1 : N // dd + 1]
-    return FunctionTable(name="tau_S", sset_spec=S.spec, N=N, values=out.tolist())
+    return _square_divisor_table("tau_S", S, N, rho_table, False, lambda p, a: 2)
 
 
 def sigma_S_table_via_rho(S: SSet, N: int) -> FunctionTable:
     """Second identity route for cross-checks: sieve over rho_S with sigma*."""
-    root = math.isqrt(N)
-    rs = rho_table(S, root)
-    sig_star = multiplicative_table(N, lambda p, a: p ** a + 1)
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, root + 1):
-        if rs[d]:
-            dd = d * d
-            out[dd :: dd] += d * sig_star[1 : N // dd + 1]
-    return FunctionTable(name="sigma_S", sset_spec=S.spec, N=N, values=out.tolist())
+    return _square_divisor_table("sigma_S", S, N, rho_table, True, lambda p, a: p ** a + 1)

@@ -25,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, factorize, prime_array
+from .arith import dirichlet_sweep, divisors, factorize, multiplicative_table, prime_array
 from .errors import ConsistencyError, LimitError
-from .sets import SSet, Verdict, parse_sset, rho, rho_table
+from .sets import MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
 EULER_CUTOFF_CAP = 4_000_000        # prime cutoff cap for product evaluation
@@ -35,13 +35,7 @@ EULER_CUTOFF_CAP = 4_000_000        # prime cutoff cap for product evaluation
 
 def mu_table(limit: int) -> np.ndarray:
     """Ordinary Moebius function on 0..limit (int64; index 0 unused)."""
-    mu = np.ones(limit + 1, dtype=np.int64)
-    mu[0] = 0
-    for p in prime_array(limit).tolist():
-        mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
-    return mu
+    return multiplicative_table(limit, lambda p, a: -1 if a == 1 else 0)
 
 
 def mu_set_table(S: SSet, N: int) -> np.ndarray:
@@ -49,14 +43,7 @@ def mu_set_table(S: SSet, N: int) -> np.ndarray:
 
     Works for arbitrary S (table-backed sets need bound >= N).
     """
-    rs = rho_table(S, N)
-    mu = mu_table(N)
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in np.flatnonzero(rs).tolist():
-        if d == 0:
-            continue
-        out[d::d] += mu[1 : N // d + 1]
-    return out
+    return dirichlet_sweep(rho_table(S, N), mu_table(N), N)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -149,8 +136,10 @@ def mu_k_statistics(k: int, a_max: int) -> MuKStatistics:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 1 <= a_max <= 10**6:
-        raise LimitError("a_max must be in 1..1e6")
+    if a_max < 1:
+        raise ValueError("a_max must be >= 1")
+    if a_max > 10**6:
+        raise LimitError("a_max must be at most 1e6")
     vals: list[int] = [1]  # trailing window of values; vals covers dropped..a
     dropped = 0
     first: dict[int, int] = {}
@@ -233,35 +222,52 @@ def _is_full_set(S: SSet) -> bool:
     return m.default_rule.kind == "all" and all(r.kind == "all" for r in m.overrides.values())
 
 
-def _local_factor(rule, p: int, z: float) -> float:
-    """sum over a >= 0 of rho(p^a) p^(-az), closed form per rule kind."""
-    x = p ** (-z)
+def euler_factors(m: MultiplicativeSSet, primes: np.ndarray, local) -> np.ndarray:
+    """local(rule, ps) at every prime of the ascending float64 array primes.
+
+    local maps one exponent rule and a float64 array of primes to their
+    local factors. It runs once, vectorised, for the default rule; each
+    override prime present in primes is then patched in with its own rule.
+    """
+    out = local(m.default_rule, primes)
+    for p, rule in m.overrides.items():
+        i = int(np.searchsorted(primes, p))
+        if i < len(primes) and primes[i] == p:
+            out[i] = local(rule, primes[i : i + 1])[0]
+    return out
+
+
+def _local_factor(rule, ps: np.ndarray, z: float) -> np.ndarray:
+    """sum over a >= 0 of rho(p^a) p^(-az), closed form per rule kind.
+
+    np.float_power calls the C library pow per element, as Python's ** on
+    floats does, so each factor matches the scalar formula to the bit.
+    """
+    x = np.float_power(ps, -z)
     if rule.kind == "all":
         return 1.0 / (1.0 - x)
     if rule.kind == "none":
-        return 1.0
+        return np.ones_like(x)
     if rule.kind == "below":
-        return (1.0 - x ** rule.k) / (1.0 - x)
+        return (1.0 - np.float_power(x, rule.k)) / (1.0 - x)
     if rule.kind == "at_least":
-        return 1.0 + x ** rule.k / (1.0 - x)
-    return 1.0 + sum(x ** a for a in sorted(rule.members))
+        return 1.0 + np.float_power(x, rule.k) / (1.0 - x)
+    return 1.0 + sum(np.float_power(x, a) for a in sorted(rule.members))
 
 
 def _euler_product(S: SSet, z: float, tol: float) -> tuple[float, float, int]:
     """Truncated Euler product with a certified bound.
 
-    The neglected factors lie in [1, exp(t)] with
+    The product of euler_factors over the primes <= cutoff is V. The
+    neglected factors lie in [1, exp(t)] with
     t = sum_{p > P} p^(-z)/(1 - p^(-z)) <= (1/(1-2^(-z))) P^(1-z)/(z-1),
-    so the truncated value V satisfies zeta_S in [V, V e^t]. Cutoff doubles
+    so zeta_S lies in [V, V e^t]. The cutoff starts at 2^14 and doubles
     until V(e^t - 1) <= tol or the cap is hit; returns (V, bound, cutoff).
     """
-    m = S.mult
     cutoff = 1 << 14
     while True:
-        primes = prime_array(cutoff).tolist()
-        v = 1.0
-        for p in primes:
-            v *= _local_factor(m.rule_at(p), p, z)
+        ps = prime_array(cutoff).astype(np.float64)
+        v = float(np.prod(euler_factors(S.mult, ps, lambda rule, x: _local_factor(rule, x, z))))
         t = _crude_tail(cutoff, z) / (1.0 - 2.0 ** (-z))
         bound = v * math.expm1(t)
         if bound <= tol or cutoff >= EULER_CUTOFF_CAP:
@@ -362,12 +368,8 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 2e-5) -> float:
 
 def verify_mobius_identity(S: SSet, N: int) -> Verdict:
     """Check sum_{d | n} mu_S(d) = rho_S(n) for every n <= N."""
-    ms = mu_set_table(S, N)
+    lhs = dirichlet_sweep(mu_set_table(S, N), np.ones(N + 1, dtype=np.int64), N)
     rs = rho_table(S, N)
-    lhs = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        if ms[d]:
-            lhs[d::d] += ms[d]
     bad = np.flatnonzero(lhs[1:] != rs[1:])
     if len(bad):
         n = int(bad[0]) + 1

@@ -14,6 +14,7 @@ import pytest
 from sconv.arith import (
     FactorTable,
     chebyshev_theta,
+    dirichlet_sweep,
     divisors,
     eval_multiplicative,
     factorize,
@@ -127,3 +128,19 @@ def test_multiplicative_table_overflow_guard():
     cube = lambda p, a: p ** (3 * a)
     with pytest.raises(LimitError):
         multiplicative_table(10**7, cube, max_value_bound=(10**7) ** 3)
+
+
+def test_dirichlet_sweep_matches_brute():
+    rng = random.Random(7)
+    N = 300
+    base = np.array([0] + [rng.randint(-9, 9) for _ in range(N)], dtype=np.int64)
+    for power in (1, 2):
+        root = round(N ** (1 / power))
+        coef = np.array([5] + [rng.choice((0, 0, 1, -1, 3)) for _ in range(root)],
+                        dtype=np.int64)  # coef[0] must be ignored
+        h = dirichlet_sweep(coef, base, N, power)
+        assert h[0] == 0
+        for n in range(1, N + 1):
+            want = sum(int(coef[d]) * int(base[n // d ** power])
+                       for d in range(1, root + 1) if n % d ** power == 0)
+            assert h[n] == want, (power, n)

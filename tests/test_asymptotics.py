@@ -27,7 +27,7 @@ from sconv.asymptotics import (
     witness_sequence,
 )
 from sconv.errors import LimitError
-from sconv.sets import parse_sset
+from sconv.sets import ExponentRule, make_mult_sset, parse_sset
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 
@@ -227,6 +227,15 @@ def test_maximal_constant_cross_convolution():
     mc = sigma_maximal_constant(parse_sset("P{2,3}"))
     want = E_GAMMA_OVER_ZETA_2 * (4.0 / 3.0) * (9.0 / 8.0)
     assert abs(mc.value - want) <= mc.err_bound + 1e-9
+
+
+def test_maximal_constant_override_on_finite_default():
+    # finite {1, 3} gives s = 2 at every prime but 5, where at_least(2) gives s = 1
+    S = make_mult_sset(ExponentRule.finite({1, 3}), {5: ExponentRule.at_least(2)})
+    mc = sigma_maximal_constant(S)
+    want = E_GAMMA / (math.pi ** 4 / 90) * (1 - 5.0 ** -2) / (1 - 5.0 ** -4)
+    assert abs(mc.value - want) <= mc.err_bound
+    assert mc.uniform_s is None
 
 
 def test_closed_form_two_path_agreement():

@@ -52,13 +52,19 @@ def test_eval_phi_full_set(capsys):
 
 
 def test_eval_rejects_bad_range(capsys):
-    code, _ = run(capsys, ["eval", "--fn", "tau", "--range", "9..3"])
-    assert code == 2
+    # out-of-range arguments are usage errors (2), not resource limits (3)
+    for argv in (["eval", "--fn", "tau", "--range", "9..3"],
+                 ["mu-k-stats", "--k", "2", "--a-max", "0"],
+                 ["maxorder", "--sset", "Q2", "--mode", "sigma", "--tol", "-1"]):
+        code, _ = run(capsys, argv)
+        assert code == 2, argv
 
 
 def test_eval_range_cap(capsys):
-    code, _ = run(capsys, ["eval", "--fn", "tau", "--range", "1..20000000"])
-    assert code == 3
+    for argv in (["eval", "--fn", "tau", "--range", "1..20000000"],
+                 ["mu-k-stats", "--k", "2", "--a-max", "1000001"]):
+        code, _ = run(capsys, argv)
+        assert code == 3, argv
 
 
 def test_eval_bad_sset(capsys):
@@ -191,6 +197,7 @@ def test_mu_k_stats(capsys):
 
 
 def test_unknown_command_usage_error(capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["frobnicate"])
-    assert ei.value.code == 2
+    for argv in (["frobnicate"], ["eval", "--fn", "tau", "--n", "5", "--workers", "2"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2, argv

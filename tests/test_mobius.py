@@ -27,7 +27,7 @@ from sconv.mobius import (
     zeta_S,
     zeta_S_derivative,
 )
-from sconv.sets import parse_sset, rho
+from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 
@@ -263,6 +263,17 @@ def test_zeta_euler_cross_check_ran():
     ev = zeta_S(parse_sset("Q2"), 3.0)
     assert ev.euler_value is not None
     assert abs(ev.euler_value - ZETA_Q2_3) <= ev.euler_bound + 1e-12
+
+
+def test_zeta_euler_product_every_rule_kind():
+    # a finite default plus one override of each other kind, so every
+    # local-factor branch of the Euler product runs
+    S = make_mult_sset(ExponentRule.finite({1, 3}),
+                       {2: ExponentRule.below(3), 3: ExponentRule.at_least(2),
+                        5: ExponentRule.none_(), 7: ExponentRule.all_()})
+    for z, tol in [(2.0, 1e-6), (3.0, 1e-9)]:
+        ev = zeta_S(S, z, tol=tol)  # raises if series and product disagree
+        assert ev.euler_value is not None, z
 
 
 def test_zeta_guards():

@@ -17,12 +17,18 @@ from .errors import LimitError
 
 FACTOR_TABLE_LIMIT = 10**8  # one 32-bit word per index; beyond this, refuse
 _INT64_MAX = np.iinfo(np.int64).max
+_GATHER_BLOCK = 1 << 14  # entries per block of the large-prime gather in multiplicative_table
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array (bulk form; empty for limit < 2)."""
+    """Primes <= limit as an int64 array (bulk form; empty for limit < 2).
+
+    Raises LimitError above FACTOR_TABLE_LIMIT, before allocating the sieve.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    if limit > FACTOR_TABLE_LIMIT:
+        raise LimitError(f"prime sieve limit {limit} exceeds {FACTOR_TABLE_LIMIT}")
     comp = np.zeros(limit + 1, dtype=bool)
     comp[0:2] = True
     for p in range(2, math.isqrt(limit) + 1):
@@ -155,9 +161,13 @@ def guard_int64(bound: int, context: str) -> None:
 def multiplicative_table(limit: int, ppv, max_value_bound: int | None = None) -> np.ndarray:
     """int64 table t[0..limit] with t[n] = prod ppv(p, a) over p^a || n, t[1] = 1.
 
-    O(N log log N): primes up to sqrt(limit) get exact per-multiple exponents,
-    larger primes contribute a single slice multiply. Caller supplies
-    max_value_bound when values could conceivably approach int64 (checked).
+    O(N log log N). Every n <= limit has at most one prime factor above
+    sqrt(limit), and to exponent 1. Primes up to sqrt(limit) are applied
+    with exact per-multiple exponents, and their prime powers are collected
+    in an int32 array `smooth`; the cofactor n // smooth[n] is then 1 or the
+    one large prime q of n, so all larger primes are applied in a single
+    gather of ppv(q, 1). Caller supplies max_value_bound when values could
+    conceivably approach int64 (checked).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -167,19 +177,28 @@ def multiplicative_table(limit: int, ppv, max_value_bound: int | None = None) ->
         guard_int64(max_value_bound, "multiplicative_table")
     vals = np.ones(limit + 1, dtype=np.int64)
     vals[0] = 0
-    root = math.isqrt(limit)
-    for p in prime_array(limit).tolist():
-        if p <= root:
-            idx = np.arange(p, limit + 1, p, dtype=np.int64)
-            exps = np.ones(len(idx), dtype=np.int64)
-            step = p  # idx[j] divisible by p^(a+1) iff (j+1) % p^a == 0
-            while step * p <= limit:
-                exps[step - 1 :: step] += 1
-                step *= p
-            fv = np.array([ppv(p, a) for a in range(1, int(exps.max()) + 1)], dtype=np.int64)
-            vals[idx] *= fv[exps - 1]
-        else:
-            vals[p::p] *= ppv(p, 1)
+    smooth = np.ones(limit + 1, dtype=np.int32)  # FACTOR_TABLE_LIMIT < 2^31
+    primes = prime_array(limit)
+    n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for p in primes[:n_small].tolist():
+        # entry j of the slice [p::p] is (j+1) p, divisible by p^(a+1) iff (j+1) % p^a == 0
+        fac = np.full(limit // p, ppv(p, 1), dtype=np.int64)
+        pw = np.full(limit // p, p, dtype=np.int32)
+        a, step = 2, p
+        while step * p <= limit:
+            fac[step - 1 :: step] = ppv(p, a)
+            pw[step - 1 :: step] = step * p
+            step *= p
+            a += 1
+        vals[p::p] *= fac
+        smooth[p::p] *= pw
+    large = primes[n_small:]
+    f_large = np.array([ppv(q, 1) for q in large.tolist()], dtype=np.int64)
+    f1 = np.ones(limit + 1, dtype=np.int64)  # allocated once the lists above are freed
+    f1[large] = f_large
+    for lo in range(0, limit + 1, _GATHER_BLOCK):  # blocks bound the transient arrays
+        hi = min(lo + _GATHER_BLOCK, limit + 1)
+        vals[lo:hi] *= f1[np.arange(lo, hi, dtype=np.int32) // smooth[lo:hi]]
     return vals
 
 

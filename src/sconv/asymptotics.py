@@ -166,6 +166,8 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
         raise ValueError("x_max must be >= 100")
     if samples < 2:
         raise ValueError("need at least 2 sample points")
+    if samples > x_max:  # the points are distinct integers in [x0, x_max]
+        raise ValueError(f"samples {samples} above x_max {x_max}")
 
     if fn == "sigma_S":
         table = sigma_S_table(S, x_max)
@@ -176,7 +178,7 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
         a, b, cerr = _tau_constants(S)
         main = lambda x: a * float(x) * (math.log(x) + b)
 
-    csum = np.cumsum(np.asarray(table.values, dtype=np.int64))
+    csum = np.cumsum(table.values)
     x0 = max(64, int(round(x_max ** (1.0 / 3.0))))
     raw = np.unique(np.rint(np.geomspace(x0, x_max, samples)).astype(np.int64))
     xs = [int(x) for x in raw if x >= 2]

@@ -207,7 +207,7 @@ def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> list:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
         return [at(S, n) for n in range(lo, hi + 1)]
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
-    return tab(S, hi).values[lo : hi + 1]
+    return tab(S, hi).values[lo : hi + 1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +263,21 @@ def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
                 f"|mu_S| <= tau to {N}" if len(bad) == 0
                 else f"first failure at n={int(bad[0]) + 1}"))
 
-    t1 = np.asarray(tau_S_table(S, N).values)
-    t2 = np.asarray(tau_S_table_via_rho(S, N).values)
+    t1 = tau_S_table(S, N).values
+    t2 = tau_S_table_via_rho(S, N).values
     bad = np.flatnonzero(t1[1:] != t2[1:])
     out.append(("tau_identity", len(bad) == 0,
                 f"both square-divisor forms match to {N}" if len(bad) == 0
                 else f"first failure at n={int(bad[0]) + 1}: {int(t1[bad[0]+1])} vs {int(t2[bad[0]+1])}"))
 
-    s1 = np.asarray(sigma_S_table(S, N).values)
-    s2 = np.asarray(sigma_S_table_via_rho(S, N).values)
+    s1 = sigma_S_table(S, N).values
+    s2 = sigma_S_table_via_rho(S, N).values
     bad = np.flatnonzero(s1[1:] != s2[1:])
     out.append(("sigma_identity", len(bad) == 0,
                 f"both square-divisor forms match to {N}" if len(bad) == 0
                 else f"first failure at n={int(bad[0]) + 1}"))
 
-    p1 = np.asarray(phi_S_table(S, N).values)  # rho_S * phi, self-checked vs direct
+    p1 = phi_S_table(S, N).values  # rho_S * phi, self-checked vs direct
     p2 = dirichlet_sweep(mu_set_table(S, N), np.arange(N + 1, dtype=np.int64), N)  # mu_S * E
     bad = np.flatnonzero(p1[1:] != p2[1:])
     out.append(("phi_forms", len(bad) == 0,

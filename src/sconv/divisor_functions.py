@@ -165,17 +165,24 @@ class FunctionTable:
     """A dense 1-indexed table of one S-restricted function.
 
     Serializes to CSV (columns n, value) and JSON (object with metadata and
-    the value rows). values[0] is unused and kept 0.
+    the value rows). values is an int64 array; values[0] is unused and kept 0.
     """
 
     name: str
     sset_spec: str
     N: int
-    values: list
+    values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
         if len(self.values) != self.N + 1:
             raise ValueError("values must have length N + 1 (index 0 unused)")
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionTable):
+            return NotImplemented
+        return ((self.name, self.sset_spec, self.N) == (other.name, other.sset_spec, other.N)
+                and np.array_equal(self.values, other.values))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -223,7 +230,7 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
     out = dirichlet_sweep(c, multiplicative_table(N, ppv), N, power=2)
     if direct is not None:
         _self_check(name, S, out, direct, N)
-    return FunctionTable(name=name, sset_spec=S.spec, N=N, values=out.tolist())
+    return FunctionTable(name=name, sset_spec=S.spec, N=N, values=out)
 
 
 def tau_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
@@ -253,7 +260,7 @@ def phi_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
             g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
             return int(rs[g].sum()) if n <= N else phi_S_at(S, n)
         _self_check("phi_S", S, out, direct, N)
-    return FunctionTable(name="phi_S", sset_spec=S.spec, N=N, values=out.tolist())
+    return FunctionTable(name="phi_S", sset_spec=S.spec, N=N, values=out)
 
 
 def tau_S_table_via_rho(S: SSet, N: int) -> FunctionTable:

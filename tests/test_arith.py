@@ -123,6 +123,22 @@ def test_multiplicative_table_tau_spot():
         assert tab[n] == len(brute_divisors(n)), n
 
 
+def test_multiplicative_table_matches_pointwise_around_prime_squares():
+    # limits at and next to p^2 (2209 = 47^2) put the prime isqrt(limit) on
+    # the edge between exponent-tracked primes and the single large prime
+    ppvs = {
+        "rho_Q2": lambda p, a: 1 if a < 2 else 0,
+        "mu": lambda p, a: -1 if a == 1 else 0,
+        "signed": lambda p, a: 0 if a == 3 else (-1) ** (p + a) * (p + a),
+    }
+    for limit in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 2208, 2209, 2210):
+        for name, ppv in ppvs.items():
+            tab = multiplicative_table(limit, ppv)
+            assert len(tab) == limit + 1 and tab[0] == 0, (name, limit)
+            want = [eval_multiplicative(ppv, n) for n in range(1, limit + 1)]
+            assert tab[1:].tolist() == want, (name, limit)
+
+
 def test_multiplicative_table_overflow_guard():
     # each entry near n^3 pushes the certified bound past int64
     cube = lambda p, a: p ** (3 * a)

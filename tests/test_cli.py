@@ -176,11 +176,26 @@ def test_asymp_csv(capsys, tmp_path):
     assert len(lines) > 2
 
 
+def test_asymp_samples_cap(capsys):
+    code, _ = run(capsys, ["asymp", "--sset", "N", "--fn", "tau", "--n", "1000",
+                           "--samples", "1001"])
+    assert code == 2
+    code, _ = run(capsys, ["asymp", "--sset", "N", "--fn", "tau", "--n", "1000",
+                           "--samples", "1000"])
+    assert code == 0
+
+
 def test_maxorder_tau(capsys):
     code, out = run(capsys, ["maxorder", "--sset", "N", "--mode", "tau",
                              "--k", "100"])
     assert code == 0
     assert "0.85" in out  # ratio at k = 100
+
+
+def test_maxorder_tau_sieve_cap(capsys):
+    # the primorial sieve bound for k = 1e7 is about 1.9e8, above the table limit
+    code, _ = run(capsys, ["maxorder", "--sset", "N", "--mode", "tau", "--k", "10000000"])
+    assert code == 3
 
 
 def test_maxorder_sigma_uniform(capsys):

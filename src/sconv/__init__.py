@@ -14,7 +14,6 @@ numerical verification of their average and maximal orders.
 """
 
 from .arith import (
-    FactorTable,
     chebyshev_theta,
     divisors,
     eval_multiplicative,
@@ -108,7 +107,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArithFunc", "AsymptoticReport", "ConsistencyError", "DEFAULT_SEED",
-    "EULER_GAMMA", "ExponentRule", "FactorTable", "FunctionTable",
+    "EULER_GAMMA", "ExponentRule", "FunctionTable",
     "GeneralSSet", "LimitError", "MaximalConstant", "MuKGenerator",
     "MuKStatistics", "MultiplicativeSSet", "NAMED_FUNCTIONS", "ParseError",
     "PrimeClassification", "SSet", "Verdict", "WitnessSequence",

@@ -1,5 +1,6 @@
 """Exact integer primitives: prime sieves, factorization, divisor lists,
-multiplicative evaluation, and Chebyshev's theta.
+multiplicative evaluation, the prime-power values of tau, sigma, phi, mu,
+tau* and sigma* (package-internal), and Chebyshev's theta.
 
 Scalar code works with Python ints (arbitrary precision). Bulk tables are
 numpy int64 with explicit range guards, see multiplicative_table.
@@ -8,7 +9,6 @@ numpy int64 with explicit range guards, see multiplicative_table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,43 +42,6 @@ def sieve_primes(limit: int) -> list[int]:
     return prime_array(limit).tolist()
 
 
-@dataclass(frozen=True)
-class FactorTable:
-    """Smallest-prime-factor table for 1..limit, for repeated factorizations."""
-
-    limit: int
-    spf: np.ndarray  # int32; spf[n] = least prime dividing n, spf[1] = 0
-
-    @classmethod
-    def build(cls, limit: int) -> "FactorTable":
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        if limit > FACTOR_TABLE_LIMIT:
-            raise LimitError(f"factor table limit {limit} exceeds {FACTOR_TABLE_LIMIT}")
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        rest = np.flatnonzero(spf[2:] == 0) + 2  # untouched entries are prime
-        spf[rest] = rest
-        return cls(limit=limit, spf=spf)
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range 1..{self.limit}")
-        out = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            out.append((p, a))
-        return out
-
-
 @lru_cache(maxsize=1 << 16)
 def _factorize_small(n: int) -> tuple[tuple[int, int], ...]:
     out = []
@@ -105,23 +68,26 @@ def _factorize_small(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def factorize(n: int, table: FactorTable | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Canonical factorization of n >= 1 as [(p, a), ...], p ascending.
 
-    factorize(1) == []. Uses the given smallest-prime-factor table when n is
-    in range, else trial division (fine up to ~1e12 for occasional calls).
+    factorize(1) == []. Cached trial division by 2, 3 and 6k +- 1 (fine up
+    to ~1e12 for occasional calls); bulk work goes through the sieves.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if table is not None and n <= table.limit:
-        return table.factorize(n)
     return list(_factorize_small(n))
 
 
-def divisors(n: int, table: FactorTable | None = None) -> list[int]:
+def is_prime(n: int) -> bool:
+    """Primality by factorize; for the occasional scalar query."""
+    return n >= 2 and factorize(n)[0][0] == n
+
+
+def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, a in factorize(n, table):
+    for p, a in factorize(n):
         pk = 1
         ext = []
         for _ in range(a):
@@ -132,15 +98,51 @@ def divisors(n: int, table: FactorTable | None = None) -> list[int]:
     return divs
 
 
-def eval_multiplicative(ppv, n: int, table: FactorTable | None = None):
+def eval_multiplicative(ppv, n: int):
     """Value at n of the multiplicative function with f(p^a) = ppv(p, a).
 
     f(1) = 1 by convention. Exact: products of Python ints stay exact.
     """
     val = 1
-    for p, a in factorize(n, table):
+    for p, a in factorize(n):
         val *= ppv(p, a)
     return val
+
+
+# Prime-power values ppv(p, a), a >= 1, of the classical multiplicative
+# functions: the one definition of each, passed as is to eval_multiplicative
+# and multiplicative_table. They are package-internal per-prime callbacks,
+# not layer API: the kernel calls one per prime above sqrt N, and the layer
+# tracer (perfbench/traced_cli.py) records a timed span per public call.
+
+def _tau_pp(p: int, a: int) -> int:
+    """Divisor count: tau(p^a) = a + 1."""
+    return a + 1
+
+
+def _sigma_pp(p: int, a: int) -> int:
+    """Divisor sum: sigma(p^a) = 1 + p + ... + p^a."""
+    return (p ** (a + 1) - 1) // (p - 1)
+
+
+def _phi_pp(p: int, a: int) -> int:
+    """Euler's totient: phi(p^a) = p^a - p^(a-1)."""
+    return p ** a - p ** (a - 1)
+
+
+def _mu_pp(p: int, a: int) -> int:
+    """Moebius: mu(p) = -1, mu(p^a) = 0 for a >= 2."""
+    return -1 if a == 1 else 0
+
+
+def _tau_star_pp(p: int, a: int) -> int:
+    """Unitary divisor count: tau*(p^a) = 2, so tau*(n) = 2^omega(n)."""
+    return 2
+
+
+def _sigma_star_pp(p: int, a: int) -> int:
+    """Unitary divisor sum: sigma*(p^a) = 1 + p^a."""
+    return p ** a + 1
 
 
 def chebyshev_theta(x: float) -> float:

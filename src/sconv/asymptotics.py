@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import prime_array, sieve_primes, multiplicative_table
+from .arith import _sigma_pp, is_prime, multiplicative_table, prime_array, sieve_primes
 from .divisor_functions import sigma_S_prime_power, sigma_S_table, tau_S_table
 from .errors import ConsistencyError, LimitError
 from .mobius import euler_factors, zeta_S, zeta_S_derivative
-from .sets import SSet, _is_prime, parse_sset
+from .sets import SSet, parse_sset
 
 EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
 PRODUCT_CUTOFF = 20_000_000  # primes kept in maximal-order products
@@ -333,7 +333,7 @@ def witness_sequence(S: SSet, epsilon: float, k: int) -> WitnessSequence:
         t += 1
         if t > 10**6:
             raise LimitError(f"epsilon {epsilon} needs threshold beyond 1e6")
-        if _is_prime(t):
+        if is_prime(t):
             prod_le *= 1.0 - float(t) ** -2.0
 
     small = sieve_primes(t)
@@ -421,7 +421,7 @@ def gronwall_range_max(N: int = 10**6, start: int = 5041) -> tuple[float, int]:
         raise ValueError("start must be >= 16 for a stable ln ln")
     if N < start:
         raise ValueError("empty range")
-    sig = multiplicative_table(N, lambda p, a: (p ** (a + 1) - 1) // (p - 1))
+    sig = multiplicative_table(N, _sigma_pp)
     ns = np.arange(N + 1, dtype=np.float64)
     vals = sig[start:] / (ns[start:] * np.log(np.log(ns[start:])))
     i = int(np.argmax(vals))

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .arith import dirichlet_sweep, multiplicative_table
+from .arith import _tau_pp, dirichlet_sweep, multiplicative_table
 from .asymptotics import (
     asymptotic_report,
     sigma_maximal_constant,
@@ -257,7 +257,7 @@ def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
                 else f"first failure {v.witness}"))
 
     ms = np.abs(mu_set_table(S, N))
-    tau = multiplicative_table(N, lambda p, a: a + 1)
+    tau = multiplicative_table(N, _tau_pp)
     bad = np.flatnonzero(ms[1:] > tau[1:])
     out.append(("mu_bound", len(bad) == 0,
                 f"|mu_S| <= tau to {N}" if len(bad) == 0

@@ -15,7 +15,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, eval_multiplicative, factorize
+from .arith import (
+    _mu_pp,
+    _phi_pp,
+    _sigma_pp,
+    _sigma_star_pp,
+    _tau_pp,
+    _tau_star_pp,
+    divisors,
+    eval_multiplicative,
+)
 from .errors import ConsistencyError, LimitError
 from .sets import SSet, associativity_witness, is_associative, is_multiplicative, rho
 
@@ -83,23 +92,17 @@ class ArithFunc:
         return [0] + [self(n) for n in range(1, N + 1)]
 
 
-def _sigma_pp(p: int, a: int) -> int:
-    return (p ** (a + 1) - 1) // (p - 1)
-
-
 _NAMED = {
     "I": lambda: ArithFunc(lambda n: 1, name="I", completely_multiplicative=True),
     "E": lambda: ArithFunc(lambda n: n, name="E", completely_multiplicative=True),
     "delta": lambda: ArithFunc(lambda n: 1 if n == 1 else 0, name="delta",
                                completely_multiplicative=True),
-    "mu": lambda: ArithFunc.from_prime_powers(lambda p, a: -1 if a == 1 else 0, name="mu"),
-    "tau": lambda: ArithFunc.from_prime_powers(lambda p, a: a + 1, name="tau"),
+    "mu": lambda: ArithFunc.from_prime_powers(_mu_pp, name="mu"),
+    "tau": lambda: ArithFunc.from_prime_powers(_tau_pp, name="tau"),
     "sigma": lambda: ArithFunc.from_prime_powers(_sigma_pp, name="sigma"),
-    "tau_star": lambda: ArithFunc.from_prime_powers(lambda p, a: 2, name="tau_star"),
-    "sigma_star": lambda: ArithFunc.from_prime_powers(lambda p, a: p ** a + 1,
-                                                      name="sigma_star"),
-    "phi": lambda: ArithFunc.from_prime_powers(lambda p, a: p ** a - p ** (a - 1),
-                                               name="phi"),
+    "tau_star": lambda: ArithFunc.from_prime_powers(_tau_star_pp, name="tau_star"),
+    "sigma_star": lambda: ArithFunc.from_prime_powers(_sigma_star_pp, name="sigma_star"),
+    "phi": lambda: ArithFunc.from_prime_powers(_phi_pp, name="phi"),
 }
 
 NAMED_FUNCTIONS = tuple(sorted(_NAMED))
@@ -115,11 +118,7 @@ def s_divisors(S: SSet, n: int) -> list[int]:
 
 def s_convolve_at(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
     """(f * g)(n) restricted to S-divisor pairs."""
-    total = 0
-    for d in divisors(n):
-        if rho(S, math.gcd(d, n // d)):
-            total += f(d) * g(n // d)
-    return total
+    return sum(f(d) * g(n // d) for d in s_divisors(S, n))
 
 
 def s_convolve_table(S: SSet, f: ArithFunc, g: ArithFunc, N: int) -> list:
@@ -217,13 +216,9 @@ def _least_excluded_member(S: SSet) -> int | None:
         s = r.least_excluded()
         if s is not None:
             cands.append(p ** s)
-    if ms.default_rule.least_excluded() is not None:
-        p = 2
-        while p in ms.overrides:
-            p += 1
-            while factorize(p)[0][0] != p:
-                p += 1
-        cands.append(p ** ms.default_rule.least_excluded())
+    s = ms.default_rule.least_excluded()
+    if s is not None:
+        cands.append(ms.least_default_prime() ** s)
     return min(cands) if cands else None
 
 

@@ -32,8 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import dirichlet_sweep, divisors, eval_multiplicative, guard_int64, multiplicative_table
-from .convolve import ArithFunc, s_convolve_at
+from .arith import (
+    _phi_pp,
+    _sigma_pp,
+    _sigma_star_pp,
+    _tau_pp,
+    _tau_star_pp,
+    dirichlet_sweep,
+    divisors,
+    eval_multiplicative,
+    guard_int64,
+    multiplicative_table,
+)
+from .convolve import ArithFunc, s_convolve_at, s_divisors
 from .errors import ConsistencyError, LimitError
 from .sets import SSet, rho, rho_table
 from .mobius import mu_set_at, mu_set_table
@@ -48,12 +59,12 @@ PHI_DIRECT_CAP = 10**6  # beyond this, only the convolution forms
 
 def tau_S_at(S: SSet, n: int) -> int:
     """Count of S-divisors of n, by direct enumeration."""
-    return sum(1 for d in divisors(n) if rho(S, math.gcd(d, n // d)))
+    return len(s_divisors(S, n))
 
 
 def sigma_S_at(S: SSet, n: int) -> int:
     """Sum of S-divisors of n, by direct enumeration."""
-    return sum(d for d in divisors(n) if rho(S, math.gcd(d, n // d)))
+    return sum(s_divisors(S, n))
 
 
 def sigma_S_prime_power(S: SSet, p: int, e: int) -> int:
@@ -71,15 +82,14 @@ def sigma_S_prime_power(S: SSet, p: int, e: int) -> int:
 
 def _square_divisors(n: int) -> list[int]:
     """All d with d^2 | n."""
-    return [d for d in divisors(n) if (n // d) % d == 0 and n % (d * d) == 0]
+    return [d for d in divisors(n) if (n // d) % d == 0]
 
 
 def tau_S_via_identity(S: SSet, n: int) -> int:
     """tau_S(n) through both square-divisor expansions; they must agree."""
-    tau = lambda m: eval_multiplicative(lambda p, a: a + 1, m)
-    tau_star = lambda m: eval_multiplicative(lambda p, a: 2, m)
-    a = sum(mu_set_at(S, d) * tau(n // (d * d)) for d in _square_divisors(n))
-    b = sum(rho(S, d) * tau_star(n // (d * d)) for d in _square_divisors(n))
+    sq = _square_divisors(n)
+    a = sum(mu_set_at(S, d) * eval_multiplicative(_tau_pp, n // (d * d)) for d in sq)
+    b = sum(rho(S, d) * eval_multiplicative(_tau_star_pp, n // (d * d)) for d in sq)
     if a != b:
         raise ConsistencyError(f"tau_S identity forms disagree at n={n} over {S.spec!r}: {a} vs {b}")
     return a
@@ -87,10 +97,9 @@ def tau_S_via_identity(S: SSet, n: int) -> int:
 
 def sigma_S_via_identity(S: SSet, n: int) -> int:
     """sigma_S(n) through both square-divisor expansions; they must agree."""
-    sig = lambda m: eval_multiplicative(lambda p, a: (p ** (a + 1) - 1) // (p - 1), m)
-    sig_star = lambda m: eval_multiplicative(lambda p, a: p ** a + 1, m)
-    a = sum(mu_set_at(S, d) * d * sig(n // (d * d)) for d in _square_divisors(n))
-    b = sum(rho(S, d) * d * sig_star(n // (d * d)) for d in _square_divisors(n))
+    sq = _square_divisors(n)
+    a = sum(mu_set_at(S, d) * d * eval_multiplicative(_sigma_pp, n // (d * d)) for d in sq)
+    b = sum(rho(S, d) * d * eval_multiplicative(_sigma_star_pp, n // (d * d)) for d in sq)
     if a != b:
         raise ConsistencyError(f"sigma_S identity forms disagree at n={n} over {S.spec!r}: {a} vs {b}")
     return a
@@ -136,9 +145,8 @@ def phi_S_at(S: SSet, n: int) -> int:
     n <= 1e6, the direct gcd count; all routes must agree.
     """
     divs = divisors(n)
-    phi = lambda m: eval_multiplicative(lambda p, a: p ** a - p ** (a - 1), m)
     via_mu = sum(mu_set_at(S, d) * (n // d) for d in divs)
-    via_rho = sum(rho(S, d) * phi(n // d) for d in divs)
+    via_rho = sum(rho(S, d) * eval_multiplicative(_phi_pp, n // d) for d in divs)
     if via_mu != via_rho:
         raise ConsistencyError(f"phi_S convolution forms disagree at n={n}: {via_mu} vs {via_rho}")
     if n <= PHI_DIRECT_CAP:
@@ -235,7 +243,7 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
 
 def tau_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     """Table of tau_S on 1..N by the square-divisor sieve over mu_S."""
-    return _square_divisor_table("tau_S", S, N, mu_set_table, False, lambda p, a: a + 1,
+    return _square_divisor_table("tau_S", S, N, mu_set_table, False, _tau_pp,
                                  (lambda n: tau_S_at(S, n)) if self_check else None)
 
 
@@ -246,15 +254,14 @@ def sigma_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     intermediate partial sums stay within a small multiple of that.
     """
     guard_int64(int(N * (2 + math.log(N)) * math.isqrt(N)), "sigma_S_table")
-    return _square_divisor_table("sigma_S", S, N, mu_set_table, True,
-                                 lambda p, a: (p ** (a + 1) - 1) // (p - 1),
+    return _square_divisor_table("sigma_S", S, N, mu_set_table, True, _sigma_pp,
                                  (lambda n: sigma_S_at(S, n)) if self_check else None)
 
 
 def phi_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     """Table of phi_S on 1..N via the sweep phi_S = rho_S * phi."""
     rs = rho_table(S, N)
-    out = dirichlet_sweep(rs, multiplicative_table(N, lambda p, a: p ** a - p ** (a - 1)), N)
+    out = dirichlet_sweep(rs, multiplicative_table(N, _phi_pp), N)
     if self_check:
         def direct(n):
             g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
@@ -265,9 +272,9 @@ def phi_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
 
 def tau_S_table_via_rho(S: SSet, N: int) -> FunctionTable:
     """Second identity route for cross-checks: sieve over rho_S with tau*."""
-    return _square_divisor_table("tau_S", S, N, rho_table, False, lambda p, a: 2)
+    return _square_divisor_table("tau_S", S, N, rho_table, False, _tau_star_pp)
 
 
 def sigma_S_table_via_rho(S: SSet, N: int) -> FunctionTable:
     """Second identity route for cross-checks: sieve over rho_S with sigma*."""
-    return _square_divisor_table("sigma_S", S, N, rho_table, True, lambda p, a: p ** a + 1)
+    return _square_divisor_table("sigma_S", S, N, rho_table, True, _sigma_star_pp)

@@ -20,12 +20,21 @@ sum mu_S(n) n^(-z) = zeta_S(z) / zeta(z).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
-from .arith import dirichlet_sweep, divisors, factorize, multiplicative_table, prime_array
+from .arith import (
+    _mu_pp,
+    dirichlet_sweep,
+    divisors,
+    eval_multiplicative,
+    multiplicative_table,
+    prime_array,
+)
 from .errors import ConsistencyError, LimitError
 from .sets import MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
 
@@ -35,7 +44,7 @@ EULER_CUTOFF_CAP = 4_000_000        # prime cutoff cap for product evaluation
 
 def mu_table(limit: int) -> np.ndarray:
     """Ordinary Moebius function on 0..limit (int64; index 0 unused)."""
-    return multiplicative_table(limit, lambda p, a: -1 if a == 1 else 0)
+    return multiplicative_table(limit, _mu_pp)
 
 
 def mu_set_table(S: SSet, N: int) -> np.ndarray:
@@ -49,32 +58,34 @@ def mu_set_table(S: SSet, N: int) -> np.ndarray:
 @lru_cache(maxsize=1 << 16)
 def mu_at(n: int) -> int:
     """Ordinary Moebius function, pointwise."""
-    v = 1
-    for _, a in factorize(n):
-        if a > 1:
-            return 0
-        v = -v
-    return v
+    return eval_multiplicative(_mu_pp, n)
 
 
 def mu_set_at(S: SSet, n: int) -> int:
     """mu_S(n) pointwise; prime-power product for rule-based S, else the
     divisor sum rho_S * mu."""
     if S.mult is not None:
-        val = 1
-        for p, a in factorize(n):
-            val *= S.mult.rho_prime_power(p, a) - S.mult.rho_prime_power(p, a - 1)
-        return val
+        return eval_multiplicative(S.mult.mu_prime_power, n)
     return sum(rho(S, d) * mu_at(n // d) for d in divisors(n))
 
 
 # ---------------------------------------------------------------------------
 # the k-full Moebius function
 
+def _mu_k_sequence(k: int):
+    """Endless generator of mu_k(p^a) for a = 1, 2, ...; the recurrence
+    reads only the last k values, kept in a deque window."""
+    window = deque([1], maxlen=k)  # mu_k(p^(a-k)) .. mu_k(p^(a-1)), once full
+    for a in count(1):
+        v = -1 if a < 2 * k else window[-1] - window[0]
+        window.append(v)
+        yield v
+
+
 class MuKGenerator:
     """Prime-power values of mu_k; the value depends only on the exponent.
 
-    The cache extends geometrically on demand, so value(a) costs amortized
+    The cache extends on demand from _mu_k_sequence, so value(a) costs
     O(1) per new exponent. Exact ints; for k >= 3 the recurrence's roots
     leave the unit circle and values grow exponentially with a.
     """
@@ -84,17 +95,14 @@ class MuKGenerator:
             raise ValueError("k must be >= 1")
         self.k = k
         self._vals = [1]  # index a = 0
+        self._seq = _mu_k_sequence(k)
 
     def value(self, a: int) -> int:
         if a < 0:
             raise ValueError("exponent must be >= 0")
         v = self._vals
         while len(v) <= a:
-            b = len(v)
-            if b < 2 * self.k:
-                v.append(-1)
-            else:
-                v.append(v[b - 1] - v[b - self.k])
+            v.append(next(self._seq))
         return v[a]
 
 
@@ -111,10 +119,7 @@ def mu_k_prime_power(k: int, a: int) -> int:
 
 def mu_k_at(k: int, n: int) -> int:
     """mu_k(n) = product of mu_k(p^a) over p^a || n (multiplicative)."""
-    val = 1
-    for _, a in factorize(n):
-        val *= mu_k_prime_power(k, a)
-    return val
+    return eval_multiplicative(lambda p, a: mu_k_prime_power(k, a), n)
 
 
 @dataclass(frozen=True)
@@ -140,19 +145,9 @@ def mu_k_statistics(k: int, a_max: int) -> MuKStatistics:
         raise ValueError("a_max must be >= 1")
     if a_max > 10**6:
         raise LimitError("a_max must be at most 1e6")
-    vals: list[int] = [1]  # trailing window of values; vals covers dropped..a
-    dropped = 0
     first: dict[int, int] = {}
     runs: list[list[int]] = []  # [sign, length]
-    for a in range(1, a_max + 1):
-        if a < 2 * k:
-            v = -1
-        else:
-            v = vals[a - 1 - dropped] - vals[a - k - dropped]
-        vals.append(v)
-        if len(vals) > k + 1:
-            vals.pop(0)
-            dropped += 1
+    for a, v in enumerate(islice(_mu_k_sequence(k), a_max), start=1):
         if v not in first:
             first[v] = a
         s = (v > 0) - (v < 0)

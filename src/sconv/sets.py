@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import factorize, multiplicative_table
+from .arith import factorize, is_prime, multiplicative_table
 from .errors import ConsistencyError, LimitError, ParseError
 
 MAX_FINITE_EXPONENT = 64   # finite exponent rules inspected to this depth only
@@ -141,6 +141,17 @@ class MultiplicativeSSet:
             return 1
         return 1 if self.rule_at(p).contains(a) else 0
 
+    def mu_prime_power(self, p: int, a: int) -> int:
+        """mu_S(p^a) = rho_S(p^a) - rho_S(p^(a-1)), for a >= 1."""
+        return self.rho_prime_power(p, a) - self.rho_prime_power(p, a - 1)
+
+    def least_default_prime(self) -> int:
+        """Least prime without an override, i.e. governed by default_rule."""
+        p = 2
+        while p in self.overrides or not is_prime(p):
+            p += 1
+        return p
+
 
 @dataclass(frozen=True)
 class GeneralSSet:
@@ -165,10 +176,6 @@ class SSet:
     spec: str
     mult: MultiplicativeSSet | None = None
     general: GeneralSSet | None = None
-
-    @property
-    def is_general(self) -> bool:
-        return self.general is not None
 
 
 @dataclass(frozen=True)
@@ -210,10 +217,6 @@ _BUILTIN_MULT = {
     "N": lambda: MultiplicativeSSet(ExponentRule.all_()),
     "1": lambda: MultiplicativeSSet(ExponentRule.none_()),
 }
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n)[0][0] == n
 
 
 def _parse_int_list(body: str, what: str) -> list[int]:
@@ -287,7 +290,7 @@ def parse_sset(text: str, bound: int | None = None) -> SSet:
     if text.startswith("P{") and text.endswith("}"):
         primes = _parse_int_list(text[2:-1], "prime")
         for p in primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ParseError(f"P-list entry {p} is not prime")
         ov = {p: ExponentRule.all_() for p in primes}
         m = MultiplicativeSSet(ExponentRule.none_(), ov)
@@ -331,11 +334,13 @@ def rho(S: SSet, m: int) -> int:
                 f"membership of {m} unknown: set {S.spec!r} bounded at {S.general.bound}"
             )
         return 1 if m in S.general.members else 0
+    # not eval_multiplicative: this is the per-pair membership test of
+    # s_convolve_table, and it stops at the first excluded prime power
     if m == 1:
         return 1
     ms = S.mult
     for p, a in factorize(m):
-        if not ms.rule_at(p).contains(a):
+        if not ms.rho_prime_power(p, a):
             return 0
     return 1
 
@@ -352,8 +357,7 @@ def rho_table(S: SSet, limit: int) -> np.ndarray:
         if idx:
             t[np.array(idx)] = 1
         return t
-    ms = S.mult
-    return multiplicative_table(limit, lambda p, a: 1 if ms.rule_at(p).contains(a) else 0)
+    return multiplicative_table(limit, S.mult.rho_prime_power)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,7 @@ def classify_prime(S: SSet, p: int, depth: int = MAX_FINITE_EXPONENT) -> PrimeCl
     per-prime structure and are rejected."""
     if S.mult is None:
         raise ValueError("classify_prime needs a rule-based (multiplicative) set")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     r = S.mult.rule_at(p)
     if r.kind == "all":
@@ -401,11 +405,11 @@ def classify_prime(S: SSet, p: int, depth: int = MAX_FINITE_EXPONENT) -> PrimeCl
     return PrimeClassification(p, "not-upward-closed", least_excluded=s)
 
 
-def _rho_of_gcds_ok(tab, n, d, e) -> bool:
-    """The associativity identity at one triple (e | d | n):
-    rho((d, n/d)) rho((e, d/e)) == rho((e, n/e)) rho((d/e, n/d))."""
-    lhs = tab[math.gcd(d, n // d)] * tab[math.gcd(e, d // e)]
-    rhs = tab[math.gcd(e, n // e)] * tab[math.gcd(d // e, n // d)]
+def _rho_of_gcds_ok(r, n, d, e) -> bool:
+    """The associativity identity at one triple (e | d | n), with r the
+    indicator of S: r((d, n/d)) r((e, d/e)) == r((e, n/e)) r((d/e, n/d))."""
+    lhs = r(math.gcd(d, n // d)) * r(math.gcd(e, d // e))
+    rhs = r(math.gcd(e, n // e)) * r(math.gcd(d // e, n // d))
     return lhs == rhs
 
 
@@ -413,10 +417,7 @@ def check_assoc_identity(S: SSet, n: int, d: int, e: int) -> bool:
     """Point check of the associativity identity; requires e | d | n."""
     if n % d or d % e:
         raise ValueError("need e | d and d | n")
-    r = lambda m: rho(S, m)
-    lhs = r(math.gcd(d, n // d)) * r(math.gcd(e, d // e))
-    rhs = r(math.gcd(e, n // e)) * r(math.gcd(d // e, n // d))
-    return lhs == rhs
+    return _rho_of_gcds_ok(lambda m: rho(S, m), n, d, e)
 
 
 ASSOC_SCAN_CAP = 4096
@@ -425,7 +426,7 @@ ASSOC_SCAN_CAP = 4096
 def _assoc_scan(S: SSet, limit: int) -> tuple | None:
     """First (n, d, e) with e | d | n <= limit violating the associativity
     identity, ascending in (n, d, e); None if the scan is clean."""
-    tab = rho_table(S, limit)
+    r = rho_table(S, limit).__getitem__
     divlists: list[list[int]] = [[] for _ in range(limit + 1)]
     for d in range(1, limit + 1):
         for m in range(d, limit + 1, d):
@@ -433,7 +434,7 @@ def _assoc_scan(S: SSet, limit: int) -> tuple | None:
     for n in range(1, limit + 1):
         for d in divlists[n]:
             for e in divlists[d]:
-                if not _rho_of_gcds_ok(tab, n, d, e):
+                if not _rho_of_gcds_ok(r, n, d, e):
                     return (n, d, e)
     return None
 
@@ -469,10 +470,7 @@ def associativity_witness(S: SSet) -> tuple | None:
         m = S.mult
         bad: list[int] = sorted(p for p, r in m.overrides.items() if not r.upward_closed())
         if not m.default_rule.upward_closed():
-            p = 2
-            while p in m.overrides or not _is_prime(p):
-                p += 1
-            bad.append(p)
+            bad.append(m.least_default_prime())
         if not bad:
             return None
         p = min(bad)

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from sconv.arith import (
-    FactorTable,
+    _mu_pp,
+    _phi_pp,
+    _sigma_pp,
+    _sigma_star_pp,
+    _tau_pp,
+    _tau_star_pp,
     chebyshev_theta,
     dirichlet_sweep,
     divisors,
@@ -69,16 +74,9 @@ def test_factorize_matches_brute():
         assert factorize(n) == brute_factorize(n), n
 
 
-def test_factor_table_matches_direct():
-    table = FactorTable.build(5000)
-    for n in range(1, 5001):
-        assert factorize(n, table) == factorize(n), n
-
-
 def test_divisors_sorted_and_complete():
-    table = FactorTable.build(400)
     for n in range(1, 401):
-        ds = divisors(n, table)
+        ds = divisors(n)
         assert ds == brute_divisors(n), n
         assert ds == sorted(ds)
 
@@ -137,6 +135,34 @@ def test_multiplicative_table_matches_pointwise_around_prime_squares():
             assert len(tab) == limit + 1 and tab[0] == 0, (name, limit)
             want = [eval_multiplicative(ppv, n) for n in range(1, limit + 1)]
             assert tab[1:].tolist() == want, (name, limit)
+
+
+def brute_mu(n: int) -> int:
+    fac = brute_factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+
+
+BRUTE_DEFINITIONS = {
+    "tau": (_tau_pp, lambda n: len(brute_divisors(n))),
+    "sigma": (_sigma_pp, lambda n: sum(brute_divisors(n))),
+    "phi": (_phi_pp, lambda n: sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)),
+    "mu": (_mu_pp, brute_mu),
+    "tau_star": (_tau_star_pp, lambda n: 2 ** len(brute_factorize(n))),
+    "sigma_star": (_sigma_star_pp,
+                   lambda n: sum(d for d in brute_divisors(n) if math.gcd(d, n // d) == 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_DEFINITIONS))
+def test_prime_power_definitions_match_brute(name):
+    # each shared ppv, through the table kernel and the pointwise evaluator
+    ppv, brute = BRUTE_DEFINITIONS[name]
+    N = 2000
+    tab = multiplicative_table(N, ppv)
+    for n in range(1, N + 1):
+        want = brute(n)
+        assert tab[n] == want, (name, n)
+        assert eval_multiplicative(ppv, n) == want, (name, n)
 
 
 def test_multiplicative_table_overflow_guard():

@@ -30,9 +30,13 @@ from sconv.divisor_functions import (
     tau_S_via_identity,
 )
 from sconv.errors import LimitError
-from sconv.sets import parse_sset
+from sconv.sets import ExponentRule, make_mult_sset, parse_sset
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
+# one set using every rule kind: default below 3, then at_least, finite, none, all
+MIXED_RULES = make_mult_sset(ExponentRule.below(3), {
+    2: ExponentRule.at_least(2), 3: ExponentRule.finite({1, 3}),
+    5: ExponentRule.none_(), 7: ExponentRule.all_()})
 
 
 def brute_factor(n: int) -> list[tuple[int, int]]:
@@ -238,6 +242,12 @@ def test_tables_match_pointwise():
             assert tt.values[n] == t, (spec, n)
             assert st.values[n] == s, (spec, n)
             assert pt.values[n] == brute_phi(spec, n), (spec, n)
+    S = MIXED_RULES
+    tt, st, pt = tau_S_table(S, 400), sigma_S_table(S, 400), phi_S_table(S, 400)
+    for n in range(1, 401):
+        assert tt.values[n] == tau_S_at(S, n), n
+        assert st.values[n] == sigma_S_at(S, n), n
+        assert pt.values[n] == phi_S_at(S, n), n
 
 
 def test_two_table_routes_agree():

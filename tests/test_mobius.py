@@ -6,6 +6,7 @@ package at 50 digits and pasted here; each assertion allows the
 evaluator's own certified error bound plus float slack.
 """
 
+import itertools
 import math
 import random
 
@@ -30,6 +31,10 @@ from sconv.mobius import (
 from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
+# one set using every rule kind: default below 3, then at_least, finite, none, all
+MIXED_RULES = make_mult_sset(ExponentRule.below(3), {
+    2: ExponentRule.at_least(2), 3: ExponentRule.finite({1, 3}),
+    5: ExponentRule.none_(), 7: ExponentRule.all_()})
 
 ZETA_2 = 1.6449340668482264
 ZETA_3 = 1.2020569031595943
@@ -133,6 +138,9 @@ def test_mu_set_matches_brute_all_builtins():
         for n in range(1, 401):
             assert tab[n] == brute_mu_set(spec, n), (spec, n)
             assert mu_set_at(S, n) == tab[n], (spec, n)
+    tab = mu_set_table(MIXED_RULES, 400)
+    for n in range(1, 401):
+        assert mu_set_at(MIXED_RULES, n) == tab[n], n
 
 
 def test_mu_set_bounded_by_tau():
@@ -211,12 +219,15 @@ def test_mu_k_statistics():
 
 
 def test_mu_k_statistics_matches_recurrence():
-    for k in [2, 3, 4]:
-        st = mu_k_statistics(k, 300)
-        vals = mu_k_recurrence(k, 300)
+    for k, a_max in [(1, 300), (2, 300), (3, 300), (4, 300), (2000, 6000)]:
+        st = mu_k_statistics(k, a_max)
+        vals = mu_k_recurrence(k, a_max)
         assert st.values == tuple(sorted(set(vals))), k
         for v, a in st.first_occurrence.items():
             assert vals[a - 1] == v and v not in vals[: a - 1], (k, v)
+        signs = [(v > 0) - (v < 0) for v in vals]
+        runs = [(s, len(list(grp))) for s, grp in itertools.groupby(signs)]
+        assert st.sign_runs == tuple(runs), k
 
 
 def test_mu_k_statistics_guards():

@@ -28,6 +28,10 @@ from sconv.sets import (
 )
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
+# one set using every rule kind: default below 3, then at_least, finite, none, all
+MIXED_RULES = make_mult_sset(ExponentRule.below(3), {
+    2: ExponentRule.at_least(2), 3: ExponentRule.finite({1, 3}),
+    5: ExponentRule.none_(), 7: ExponentRule.all_()})
 
 
 def brute_factor(n: int) -> list[tuple[int, int]]:
@@ -127,12 +131,13 @@ def test_rho_one_always_member():
 
 
 def test_rho_table_matches_pointwise():
-    for spec in BUILTINS + ["F{1,2,3}"]:
-        S = parse_sset(spec)
-        tab = rho_table(S, 100)
+    # the mixed set runs past 11^3, the least power its default rule excludes
+    cases = [(parse_sset(spec), 100) for spec in BUILTINS + ["F{1,2,3}"]] + [(MIXED_RULES, 1400)]
+    for S, limit in cases:
+        tab = rho_table(S, limit)
         assert tab[0] == 0
-        for m in range(1, 101):
-            assert tab[m] == rho(S, m), (spec, m)
+        for m in range(1, limit + 1):
+            assert tab[m] == rho(S, m), (S.spec, m)
 
 
 def test_rho_general_set_beyond_bound():

@@ -160,7 +160,17 @@ def guard_int64(bound: int, context: str) -> None:
         raise LimitError(f"{context}: values up to {bound} cannot be tabulated in int64")
 
 
-def multiplicative_table(limit: int, ppv, max_value_bound: int | None = None) -> np.ndarray:
+def _guard_growth(values: list, powers, limit: int) -> None:
+    """LimitError once limit^c reaches 2^63, with c the largest log|v| / log q
+    over values v = ppv(p, a) at prime powers q = p^a; every |t[n]| <= n^c."""
+    mag = np.abs(np.array(values, dtype=np.float64))
+    np.log(np.maximum(mag, 1.0, out=mag), out=mag)  # log|v|, 0 where |v| <= 1
+    c = float((mag / np.log(powers)).max(initial=0.0))
+    if c * math.log(limit) >= 63 * math.log(2):
+        raise LimitError(f"multiplicative_table: entries up to {limit}^{c:.3g} overflow int64")
+
+
+def multiplicative_table(limit: int, ppv) -> np.ndarray:
     """int64 table t[0..limit] with t[n] = prod ppv(p, a) over p^a || n, t[1] = 1.
 
     O(N log log N). Every n <= limit has at most one prime factor above
@@ -168,34 +178,43 @@ def multiplicative_table(limit: int, ppv, max_value_bound: int | None = None) ->
     with exact per-multiple exponents, and their prime powers are collected
     in an int32 array `smooth`; the cofactor n // smooth[n] is then 1 or the
     one large prime q of n, so all larger primes are applied in a single
-    gather of ppv(q, 1). Caller supplies max_value_bound when values could
-    conceivably approach int64 (checked).
+    gather of ppv(q, 1). _guard_growth raises LimitError before a value
+    that could overflow int64 is stored.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > FACTOR_TABLE_LIMIT:
         raise LimitError(f"table limit {limit} exceeds {FACTOR_TABLE_LIMIT}")
-    if max_value_bound is not None:
-        guard_int64(max_value_bound, "multiplicative_table")
+    primes = prime_array(limit)
+    n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    small = primes[:n_small].tolist()
+    small_vals, powers = [], []  # ppv(p, a) per small prime p; every p^a <= limit
+    for p in small:
+        pv, pa = [], p
+        while pa <= limit:
+            pv.append(ppv(p, len(pv) + 1))
+            powers.append(pa)
+            pa *= p
+        small_vals.append(pv)
+    _guard_growth([v for pv in small_vals for v in pv], powers, limit)
     vals = np.ones(limit + 1, dtype=np.int64)
     vals[0] = 0
     smooth = np.ones(limit + 1, dtype=np.int32)  # FACTOR_TABLE_LIMIT < 2^31
-    primes = prime_array(limit)
-    n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    for p in primes[:n_small].tolist():
+    for p, pv in zip(small, small_vals):
         # entry j of the slice [p::p] is (j+1) p, divisible by p^(a+1) iff (j+1) % p^a == 0
-        fac = np.full(limit // p, ppv(p, 1), dtype=np.int64)
+        fac = np.full(limit // p, pv[0], dtype=np.int64)
         pw = np.full(limit // p, p, dtype=np.int32)
-        a, step = 2, p
-        while step * p <= limit:
-            fac[step - 1 :: step] = ppv(p, a)
+        step = p
+        for v in pv[1:]:
+            fac[step - 1 :: step] = v
             pw[step - 1 :: step] = step * p
             step *= p
-            a += 1
         vals[p::p] *= fac
         smooth[p::p] *= pw
     large = primes[n_small:]
-    f_large = np.array([ppv(q, 1) for q in large.tolist()], dtype=np.int64)
+    f_large = [ppv(q, 1) for q in large.tolist()]
+    _guard_growth(f_large, large, limit)
+    f_large = np.array(f_large, dtype=np.int64)
     f1 = np.ones(limit + 1, dtype=np.int64)  # allocated once the lists above are freed
     f1[large] = f_large
     for lo in range(0, limit + 1, _GATHER_BLOCK):  # blocks bound the transient arrays

@@ -25,8 +25,6 @@ exact local factors, never the (astronomically large) integer itself.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -134,23 +132,6 @@ class AsymptoticReport:
                                        self.remainders)
         ]
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "partial_sum", "main_term", "ratio", "remainder"])
-            for row in self.rows():
-                w.writerow([row["x"], row["partial_sum"], repr(row["main_term"]),
-                            repr(row["ratio"]), repr(row["remainder"])])
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "sset": self.sset_spec, "fn": self.fn, "x_max": self.x_max,
-                "const_err": self.const_err, "fit_exponent": self.fit_exponent,
-                "fit_residual": self.fit_residual, "rows": self.rows(),
-            }, fh, sort_keys=True)
-            fh.write("\n")
-
 
 def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> AsymptoticReport:
     """Sample sum_{n <= x} fn(n) at geometric points against the main term.
@@ -229,18 +210,16 @@ def _log1p_arg(rule, ps: np.ndarray) -> np.ndarray:
     return np.zeros_like(ps) if s is None else -ps ** (-2.0 * s)
 
 
-def sigma_maximal_constant(S: SSet, cutoff: int = PRODUCT_CUTOFF) -> MaximalConstant:
+def sigma_maximal_constant(S: SSet) -> MaximalConstant:
     """e^gamma * prod over primes p not all-in of (1 - p^(-2 s(p))).
 
     s(p) is the least excluded exponent at p. The product truncates at
-    `cutoff` with a certified tail bound through the density of integers
-    coprime to 30 (all primes past 30 are), so
+    C = PRODUCT_CUTOFF with a certified tail bound through the density of
+    integers coprime to 30 (all primes past 30 are), so
     sum_{p > C} p^(-2s) <= (8/30) C^(1-2s)/(2s-1) + 8 C^(-2s).
     """
     if S.mult is None:
         raise ValueError(f"{S.spec!r} is not a multiplicative set")
-    if cutoff < 100:
-        raise ValueError("cutoff too small for the tail bound")
     m = S.mult
     eg = math.exp(EULER_GAMMA)
     s0 = m.default_rule.least_excluded()
@@ -248,24 +227,24 @@ def sigma_maximal_constant(S: SSet, cutoff: int = PRODUCT_CUTOFF) -> MaximalCons
     if s0 is None:
         # default all-in: only the finitely many override primes contribute
         ps = np.array(sorted(m.overrides), dtype=np.float64)
-    elif any(p > cutoff for p in m.overrides):
+    elif any(p > PRODUCT_CUTOFF for p in m.overrides):
         raise LimitError("override prime beyond product cutoff")
     else:
-        ps = prime_array(cutoff).astype(np.float64)
+        ps = prime_array(PRODUCT_CUTOFF).astype(np.float64)
     v = math.exp(float(np.log1p(euler_factors(m, ps, _log1p_arg)).sum()))
     if s0 is None:
         return MaximalConstant(sset_spec=S.spec, value=eg * v,
                                err_bound=eg * v * 1e-13, uniform_s=None, cutoff=None)
 
     # dropped factors all lie in (exp(-t), 1): certified one-sided tail
-    c = float(cutoff)
+    c = float(PRODUCT_CUTOFF)
     tail = ((8.0 / 30.0) * c ** (1.0 - 2.0 * s0) / (2.0 * s0 - 1.0)
             + 8.0 * c ** (-2.0 * s0)) / (1.0 - c ** (-2.0 * s0))
     err = v * (math.expm1(tail) + 1e-12)
 
     uni = s0 if all(r.least_excluded() == s0 for r in m.overrides.values()) else None
     return MaximalConstant(sset_spec=S.spec, value=eg * v, err_bound=eg * err,
-                           uniform_s=uni, cutoff=cutoff)
+                           uniform_s=uni, cutoff=PRODUCT_CUTOFF)
 
 
 def sigma_maximal_constant_uniform(s: int) -> float:

@@ -25,6 +25,8 @@ import json
 import math
 import random
 import sys
+from collections.abc import Iterable
+from itertools import islice
 
 import numpy as np
 
@@ -68,6 +70,7 @@ from .sets import (
     SSet,
     associativity_witness,
     classify_prime,
+    coprime_product_failure,
     is_associative,
     is_multiplicative,
     parse_sset,
@@ -76,6 +79,7 @@ from .sets import (
 SCHEMA_VERSION = 1
 RANGE_CAP = 10**7
 VERIFY_CAP = 10**5
+_ROW_BLOCK = 4096  # rows per write of eval's stdout and of JSON artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +145,31 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _emit(args, command: str, sset: str, params: dict, rows: list[dict],
+def _emit(args, command: str, sset: str, params: dict, rows: Iterable[dict],
           fieldnames: list[str]) -> None:
-    """Write the machine artifact if --out was given."""
+    """The one artifact writer: writes --out, if given, reading rows once as a
+    stream; JSON gets the bytes json.dump would write for the whole envelope."""
     if not args.out:
         return
+    rows = iter(rows)
     if args.format == "json":
+        # a quote inside a JSON string is escaped, so only the key itself matches
+        head, _, tail = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "command": command, "sset": sset,
+             "params": params, "rows": []}, sort_keys=True).partition('"rows": []')
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(args.out, "w") as fh:
-            json.dump({"schema_version": SCHEMA_VERSION, "command": command,
-                       "sset": sset, "params": params, "rows": rows},
-                      fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(head + '"rows": [')
+            sep = ""
+            while block := ", ".join(map(encode, islice(rows, _ROW_BLOCK))):
+                fh.write(sep + block)
+                sep = ", "
+            fh.write("]" + tail + "\n")
     else:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(fieldnames)
-            for row in rows:
-                w.writerow([_cell(row[c]) for c in fieldnames])
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+            w.writerows([row[c] for c in fieldnames] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +192,14 @@ def _cmd_eval(args) -> int:
         lo, hi = _parse_range(args.rng)
 
     values = _eval_values(S, args.fn, args.k, lo, hi)
-    rows = [{"n": n, "value": v} for n, v in zip(range(lo, hi + 1), values)]
     if lo == hi:
         print(values[0])
     else:
-        for row in rows:
-            print(row["n"], row["value"])
-    _emit(args, "eval", S.spec,
-          {"fn": args.fn, "lo": lo, "hi": hi, "k": args.k}, rows, ["n", "value"])
+        for i in range(0, len(values), _ROW_BLOCK):
+            sys.stdout.write("".join(f"{n} {v}\n" for n, v in
+                                     zip(range(lo + i, hi + 1), values[i : i + _ROW_BLOCK])))
+    _emit(args, "eval", S.spec, {"fn": args.fn, "lo": lo, "hi": hi, "k": args.k},
+          ({"n": n, "value": v} for n, v in zip(range(lo, hi + 1), values)), ["n", "value"])
     return 0
 
 
@@ -353,14 +359,7 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
         fm = random_multiplicative_func(rng, nm)
         gm = random_multiplicative_func(rng, nm)
         t = s_convolve_table(S, fm, gm, nm)
-        bad = None
-        for m in range(2, nm + 1):
-            for n in range(m + 1, nm // m + 1):
-                if math.gcd(m, n) == 1 and t[m * n] != t[m] * t[n]:
-                    bad = (m, n)
-                    break
-            if bad:
-                break
+        bad = coprime_product_failure(t, nm)
         out.append(("mult_preserved", bad is None,
                     f"f*g multiplicative on coprime products <= {nm}" if bad is None
                     else f"first failure at coprime pair {bad}"))

@@ -24,8 +24,6 @@ square-divisor sieves and self-check against direct enumeration.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -172,8 +170,8 @@ def _max_gcd_bound(S: SSet, n: int) -> int:
 class FunctionTable:
     """A dense 1-indexed table of one S-restricted function.
 
-    Serializes to CSV (columns n, value) and JSON (object with metadata and
-    the value rows). values is an int64 array; values[0] is unused and kept 0.
+    values is an int64 array; values[0] is unused and kept 0. The CLI
+    writes tables out (`sconv eval --range ... --out`).
     """
 
     name: str
@@ -191,28 +189,6 @@ class FunctionTable:
             return NotImplemented
         return ((self.name, self.sset_spec, self.N) == (other.name, other.sset_spec, other.N)
                 and np.array_equal(self.values, other.values))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "value"])
-            for n in range(1, self.N + 1):
-                w.writerow([n, self.values[n]])
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {"name": self.name, "sset": self.sset_spec, "N": self.N,
-                 "values": [int(v) for v in self.values[1:]]},
-                fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str) -> "FunctionTable":
-        with open(path) as fh:
-            obj = json.load(fh)
-        return cls(name=obj["name"], sset_spec=obj["sset"], N=obj["N"],
-                   values=[0] + [int(v) for v in obj["values"]])
 
 
 def _self_check(name: str, S: SSet, values, direct, N: int) -> None:
@@ -241,13 +217,13 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
     return FunctionTable(name=name, sset_spec=S.spec, N=N, values=out)
 
 
-def tau_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
+def tau_S_table(S: SSet, N: int) -> FunctionTable:
     """Table of tau_S on 1..N by the square-divisor sieve over mu_S."""
     return _square_divisor_table("tau_S", S, N, mu_set_table, False, _tau_pp,
-                                 (lambda n: tau_S_at(S, n)) if self_check else None)
+                                 lambda n: tau_S_at(S, n))
 
 
-def sigma_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
+def sigma_S_table(S: SSet, N: int) -> FunctionTable:
     """Table of sigma_S on 1..N by the square-divisor sieve over mu_S.
 
     int64 is safe: entries are at most sigma(n) <= n (1 + ln n) and the
@@ -255,18 +231,17 @@ def sigma_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
     """
     guard_int64(int(N * (2 + math.log(N)) * math.isqrt(N)), "sigma_S_table")
     return _square_divisor_table("sigma_S", S, N, mu_set_table, True, _sigma_pp,
-                                 (lambda n: sigma_S_at(S, n)) if self_check else None)
+                                 lambda n: sigma_S_at(S, n))
 
 
-def phi_S_table(S: SSet, N: int, self_check: bool = True) -> FunctionTable:
+def phi_S_table(S: SSet, N: int) -> FunctionTable:
     """Table of phi_S on 1..N via the sweep phi_S = rho_S * phi."""
     rs = rho_table(S, N)
     out = dirichlet_sweep(rs, multiplicative_table(N, _phi_pp), N)
-    if self_check:
-        def direct(n):
-            g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
-            return int(rs[g].sum()) if n <= N else phi_S_at(S, n)
-        _self_check("phi_S", S, out, direct, N)
+    def direct(n):
+        g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
+        return int(rs[g].sum())
+    _self_check("phi_S", S, out, direct, N)
     return FunctionTable(name="phi_S", sset_spec=S.spec, N=N, values=out)
 
 

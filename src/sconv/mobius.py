@@ -372,7 +372,7 @@ def verify_mobius_identity(S: SSet, N: int) -> Verdict:
     return Verdict(True, bound=N)
 
 
-def verify_series_ratio(S: SSet, z: float, T: int, zeta_tol: float = 1e-6) -> tuple[float, float]:
+def verify_series_ratio(S: SSet, z: float, T: int) -> tuple[float, float]:
     """Residual |sum_{n<=T} mu_S(n) n^(-z) - zeta_S(z)/zeta(z)| and the bound
     it must stay under.
 
@@ -386,8 +386,8 @@ def verify_series_ratio(S: SSet, z: float, T: int, zeta_tol: float = 1e-6) -> tu
     ns = np.arange(T + 1, dtype=np.float64)
     ns[0] = 1.0
     lhs = float(np.sum(ms * ns ** (-z)))
-    zs = zeta_S(S, z, tol=zeta_tol)
-    zn = zeta_S(parse_sset("N"), z, tol=min(zeta_tol, 1e-9))
+    zs = zeta_S(S, z, tol=1e-6)
+    zn = zeta_S(parse_sset("N"), z, tol=1e-9)
     ratio = zs.best_value / zn.best_value
     residual = abs(lhs - ratio)
     tail = 2.0 * T ** (1.5 - z) / (z - 1.5)

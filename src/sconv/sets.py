@@ -375,15 +375,21 @@ def is_multiplicative(S: SSet) -> Verdict:
     g = S.general
     if 1 not in g.members:
         return Verdict(False, bound=g.bound, witness=(1, 1))
-    tab = rho_table(S, g.bound)
-    for m in range(2, g.bound + 1):
-        for n in range(m, g.bound // m + 1):
-            if math.gcd(m, n) == 1 and tab[m * n] != tab[m] * tab[n]:
-                return Verdict(False, bound=g.bound, witness=(m, n))
-    return Verdict(True, bound=g.bound)
+    w = coprime_product_failure(rho_table(S, g.bound), g.bound)
+    return Verdict(w is None, bound=g.bound, witness=w)
 
 
-def classify_prime(S: SSet, p: int, depth: int = MAX_FINITE_EXPONENT) -> PrimeClassification:
+def coprime_product_failure(t, limit: int) -> tuple[int, int] | None:
+    """First coprime pair (m, n), 2 <= m < n and m n <= limit, ascending in
+    (m, n), with t[mn] != t[m] t[n]; None when t is multiplicative there."""
+    for m in range(2, math.isqrt(limit) + 1):
+        for n in range(m + 1, limit // m + 1):
+            if math.gcd(m, n) == 1 and t[m * n] != t[m] * t[n]:
+                return (m, n)
+    return None
+
+
+def classify_prime(S: SSet, p: int) -> PrimeClassification:
     """Classify prime p inside a rule-based set; table-backed sets have no
     per-prime structure and are rejected."""
     if S.mult is None:
@@ -400,8 +406,8 @@ def classify_prime(S: SSet, p: int, depth: int = MAX_FINITE_EXPONENT) -> PrimeCl
     if r.kind == "below":
         return PrimeClassification(p, "not-upward-closed", least_excluded=r.k)
     s = r.least_excluded()
-    if s > depth:
-        raise LimitError(f"finite rule at {p} not classifiable within depth {depth}")
+    if s > MAX_FINITE_EXPONENT:
+        raise LimitError(f"finite rule at {p} not classifiable within depth {MAX_FINITE_EXPONENT}")
     return PrimeClassification(p, "not-upward-closed", least_excluded=s)
 
 
@@ -462,9 +468,9 @@ def associativity_witness(S: SSet) -> tuple | None:
     For rule-based sets the triple is built from the first non-upward-closed
     prime rule: with j the least admitted exponent and l > j the least
     excluded one, the triple is (p^(l+2j), p^(l+j), p^l) when l < 2j and
-    (p^(2l), p^l, p^(l-j)) otherwise. The construction is verified before
-    being returned; if verification ever failed, an ascending (j, l) scan and
-    then a prime-power triple scan up to p^12 would take over.
+    (p^(2l), p^l, p^(l-j)) otherwise. Every exponent in [j, l) is admitted,
+    which makes the triple violate the identity. The triple is checked
+    before it is returned; a failed check raises ConsistencyError.
     """
     if S.mult is not None:
         m = S.mult
@@ -479,18 +485,10 @@ def associativity_witness(S: SSet) -> tuple | None:
         ell = j + 1
         while rule.contains(ell):  # bounded: the rule is not upward-closed
             ell += 1
-        while True:  # j admitted, ell > j excluded; ascending (j, l) on failure
-            trip = _proof_triple(p, j, ell)
-            if not check_assoc_identity(S, *trip):
-                return trip
-            nxt = _next_jl(rule, j, ell)
-            if nxt is None:
-                break
-            j, ell = nxt
-        for trip in _prime_power_triples(p, 12):
-            if not check_assoc_identity(S, *trip):
-                return trip
-        raise ConsistencyError(f"no violating triple found at prime {p} of {S.spec!r}")
+        trip = _proof_triple(p, j, ell)
+        if check_assoc_identity(S, *trip):
+            raise ConsistencyError(f"triple {trip} does not violate associativity in {S.spec!r}")
+        return trip
     # table-backed: try the non-multiplicativity construction, then scan
     mv = is_multiplicative(S)
     if not mv and mv.witness is not None and mv.witness != (1, 1):
@@ -506,25 +504,3 @@ def _proof_triple(p: int, j: int, ell: int) -> tuple[int, int, int]:
     if ell < 2 * j:
         return (p ** (ell + 2 * j), p ** (ell + j), p ** ell)
     return (p ** (2 * ell), p ** ell, p ** (ell - j))
-
-
-def _next_jl(rule: ExponentRule, j: int, ell: int):
-    """Next (j admitted, l excluded, j < l) pair in ascending lexicographic
-    order, bounded by the finite inspection depth."""
-    cap = MAX_FINITE_EXPONENT + 2
-    ell += 1
-    while j <= cap:
-        while ell <= cap:
-            if rule.contains(j) and not rule.contains(ell):
-                return (j, ell)
-            ell += 1
-        j += 1
-        ell = j + 1
-    return None
-
-
-def _prime_power_triples(p: int, max_exp: int):
-    for an in range(1, max_exp + 1):
-        for ad in range(an + 1):
-            for ae in range(ad + 1):
-                yield (p ** an, p ** ad, p ** ae)

@@ -169,7 +169,10 @@ def test_multiplicative_table_overflow_guard():
     # each entry near n^3 pushes the certified bound past int64
     cube = lambda p, a: p ** (3 * a)
     with pytest.raises(LimitError):
-        multiplicative_table(10**7, cube, max_value_bound=(10**7) ** 3)
+        multiplicative_table(10**7, cube)
+    # only the primes above sqrt(limit), applied in the gather, carry large values
+    with pytest.raises(LimitError):
+        multiplicative_table(10**4, lambda p, a: p ** 10 if p > 100 else 1)
 
 
 def test_dirichlet_sweep_matches_brute():

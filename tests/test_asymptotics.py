@@ -26,6 +26,7 @@ from sconv.asymptotics import (
     tau_maximal_ratio,
     witness_sequence,
 )
+from sconv.cli import main
 from sconv.errors import LimitError
 from sconv.sets import ExponentRule, make_mult_sset, parse_sset
 
@@ -147,18 +148,15 @@ def test_report_partial_sums_are_exact():
 
 
 def test_report_rows_and_serialization(tmp_path):
+    # the report's rows are what the asymp artifact carries
     r = asymptotic_report(parse_sset("L2"), "tau_S", 5000, samples=5)
     rows = r.rows()
     assert [row["x"] for row in rows] == list(r.xs)
     assert set(rows[0]) == {"x", "partial_sum", "main_term", "ratio", "remainder"}
-    jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
-    r.to_json(str(jp))
-    r.to_csv(str(cp))
-    obj = json.loads(jp.read_text())
-    assert obj["sset"] == "L2" and obj["fn"] == "tau_S"
-    assert len(obj["rows"]) == len(r.xs)
-    lines = cp.read_text().strip().splitlines()
-    assert len(lines) == len(r.xs) + 1
+    jp = tmp_path / "r.json"
+    assert main(["asymp", "--sset", "L2", "--fn", "tau", "--n", "5000", "--samples", "5",
+                 "--out", str(jp), "--format", "json"]) == 0
+    assert json.loads(jp.read_text())["rows"] == rows
 
 
 def test_report_determinism():

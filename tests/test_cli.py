@@ -4,16 +4,48 @@ Everything goes through main(argv) so exit codes and stdout are checked
 in-process; artifact files land in tmp_path.
 """
 
+import csv
+import io
 import json
 
 import pytest
 
 from sconv.cli import SCHEMA_VERSION, main
+from sconv.divisor_functions import sigma_S_table
+from sconv.sets import parse_sset
 
 
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def expected_json(command, sset, params, rows) -> bytes:
+    """The documented artifact, as json.dumps writes the whole envelope."""
+    return (json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                        "sset": sset, "params": params, "rows": rows},
+                       sort_keys=True) + "\n").encode()
+
+
+def expected_csv(fieldnames, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(fieldnames)
+    for row in rows:
+        w.writerow([row[c] for c in fieldnames])
+    return buf.getvalue().encode()
+
+
+def artifacts(capsys, tmp_path, argv):
+    """Run argv once per format; return (exit code, stdout, CSV bytes, JSON bytes)."""
+    got = []
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        got.append(run(capsys, argv + ["--out", str(path), "--format", fmt])
+                   + (path.read_bytes(),))
+    (code, out, csv_bytes), (code_j, out_j, json_bytes) = got
+    assert (code, out) == (code_j, out_j)
+    return code, out, csv_bytes, json_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +117,43 @@ def test_eval_artifact_json(capsys, tmp_path):
     assert obj["rows"][15] == {"n": 16, "value": 27}  # 1+2+8+16, d=4 dropped
 
 
+def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path):
+    # more rows than one write block, so the streamed JSON joins blocks;
+    # values must be those of the library table
+    hi = 9000
+    table = sigma_S_table(parse_sset("L2"), hi).values
+    rows = [{"n": n, "value": int(table[n])} for n in range(1, hi + 1)]
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["eval", "--sset", "L2", "--fn", "sigma", "--range", f"1..{hi}"])
+    assert code == 0
+    assert out == "".join(f"{r['n']} {r['value']}\n" for r in rows)
+    assert csv_bytes == expected_csv(["n", "value"], rows)
+    assert json_bytes == expected_json(
+        "eval", "L2", {"fn": "sigma", "lo": 1, "hi": hi, "k": None}, rows)
+
+
+def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["eval", "--sset", "Q2", "--fn", "sigma", "--n", "16"])
+    rows = [{"n": 16, "value": 27}]  # 1+2+8+16, d=4 dropped
+    assert code == 0 and out == "27\n"
+    assert csv_bytes == b"n,value\r\n16,27\r\n" == expected_csv(["n", "value"], rows)
+    assert json_bytes == expected_json(
+        "eval", "Q2", {"fn": "sigma", "lo": 16, "hi": 16, "k": None}, rows)
+
+
 # ---------------------------------------------------------------------------
 # classify
+
+
+def test_classify_empty_rows_artifacts_are_byte_exact(capsys, tmp_path):
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["classify", "--sset", "F{1,2,6}"])
+    assert code == 0 and "multiplicative: no (checked to 100), witness (2, 3)" in out
+    assert csv_bytes == expected_csv(["p", "case", "threshold", "least_excluded"], [])
+    assert json_bytes == expected_json(
+        "classify", "F{1,2,6}", {"multiplicative": False, "associative": False}, [])
+    assert json_bytes.endswith(b'"rows": [], "schema_version": 1, "sset": "F{1,2,6}"}\n')
 
 
 def test_classify_non_associative(capsys):

@@ -5,7 +5,6 @@ divisors by trial division and admit d when gcd(d, n/d) passes a membership
 predicate written independently of the package's rule machinery.
 """
 
-import json
 import math
 import random
 
@@ -264,28 +263,3 @@ def test_table_metadata():
     assert len(t.values) == 51 and t.values[0] == 0
     with pytest.raises(ValueError):
         FunctionTable(name="x", sset_spec="N", N=5, values=[0, 1, 2])
-
-
-def test_table_serialization_round_trip(tmp_path):
-    S = parse_sset("L2")
-    t = sigma_S_table(S, 60)
-    jp = tmp_path / "t.json"
-    cp = tmp_path / "t.csv"
-    t.to_json(str(jp))
-    t.to_csv(str(cp))
-    back = FunctionTable.from_json(str(jp))
-    assert back == t
-    lines = cp.read_text().strip().splitlines()
-    assert lines[0] == "n,value"
-    assert len(lines) == 61
-    n, v = lines[17].split(",")
-    assert int(n) == 17 and int(v) == t.values[17]
-    obj = json.loads(jp.read_text())
-    assert set(obj) == {"name", "sset", "N", "values"}
-
-
-def test_table_self_check_can_be_disabled():
-    S = parse_sset("Q3")
-    a = tau_S_table(S, 300, self_check=False)
-    b = tau_S_table(S, 300, self_check=True)
-    assert np.array_equal(a.values, b.values)

@@ -193,6 +193,22 @@ def test_witness_triples_verified():
         assert associativity_witness(parse_sset(spec)) is None, spec
 
 
+def test_witness_construction_on_non_upward_closed_rules():
+    # every finite rule within {1..8} as default, as override on an all-in
+    # default and on a P-style (none) default, plus Qk: the constructed
+    # triple itself must violate the identity
+    sets = [parse_sset(f"Q{k}") for k in range(2, 10)]
+    for mask in range(1, 256):
+        r = ExponentRule.finite(a for a in range(1, 9) if mask >> (a - 1) & 1)
+        sets += [make_mult_sset(r), make_mult_sset(ExponentRule.all_(), {3: r}),
+                 make_mult_sset(ExponentRule.none_(), {2: ExponentRule.all_(), 5: r})]
+    assert len(sets) == 773
+    for S in sets:
+        n, d, e = associativity_witness(S)
+        assert n % d == 0 and d % e == 0, S.spec
+        assert not check_assoc_identity(S, n, d, e), S.spec
+
+
 def test_assoc_identity_holds_on_random_triples():
     rng = random.Random(8191)
     for spec in ["N", "1", "L2", "P{2,3}"]:

@@ -292,6 +292,12 @@ def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
     return out
 
 
+def _first_true(mask: np.ndarray, start: int = 1) -> int | None:
+    """Least n >= start with mask[n] set, or None."""
+    hit = np.flatnonzero(mask[start:])
+    return int(hit[0]) + start if len(hit) else None
+
+
 def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
     out = []
     rng = random.Random(DEFAULT_SEED)
@@ -301,7 +307,7 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
 
     fg = s_convolve_table(S, f, g, N)
     gf = s_convolve_table(S, g, f, N)
-    n_bad = next((n for n in range(1, N + 1) if fg[n] != gf[n]), None)
+    n_bad = _first_true(fg != gf)
     out.append(("commutative", n_bad is None,
                 f"f*g = g*f to {N}" if n_bad is None else f"first failure at n={n_bad}"))
 
@@ -309,15 +315,14 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
     lhs = s_convolve_table(S, f, g + h, nd)
     fgd = s_convolve_table(S, f, g, nd)
     fhd = s_convolve_table(S, f, h, nd)
-    n_bad = next((n for n in range(1, nd + 1) if lhs[n] != fgd[n] + fhd[n]), None)
+    n_bad = _first_true(lhs != fgd.astype(object) + fhd)  # exact: the sum may leave int64
     out.append(("distributive", n_bad is None,
                 f"f*(g+h) = f*g + f*h to {nd}" if n_bad is None
                 else f"first failure at n={n_bad}"))
 
     delta = ArithFunc.named("delta")
     fd = s_convolve_table(S, f, delta, N)
-    fv = f.table(N)
-    n_bad = next((n for n in range(1, N + 1) if fd[n] != fv[n]), None)
+    n_bad = _first_true(fd != np.array(f.table(N), dtype=fd.dtype))
     out.append(("identity_element", n_bad is None,
                 f"f*delta = f to {N}" if n_bad is None else f"first failure at n={n_bad}"))
 
@@ -358,7 +363,7 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
         nm = min(N, 10**4)
         fm = random_multiplicative_func(rng, nm)
         gm = random_multiplicative_func(rng, nm)
-        t = s_convolve_table(S, fm, gm, nm)
+        t = s_convolve_table(S, fm, gm, nm).tolist()  # exact products in the scan
         bad = coprime_product_failure(t, nm)
         out.append(("mult_preserved", bad is None,
                     f"f*g multiplicative on coprime products <= {nm}" if bad is None
@@ -375,8 +380,8 @@ def _suite_inversion(S: SSet, N: int) -> list[tuple[str, bool, str]]:
         out.append(("inverse_of_I", False, str(exc)))
         return out
     conv = s_convolve_table(S, ArithFunc.from_table(g), ArithFunc.named("I"), nb)
-    n_bad = next((n for n in range(2, nb + 1) if conv[n] != 0), None)
-    ok = conv[1] == 1 and n_bad is None
+    n_bad = _first_true(conv != 0, 2)
+    ok = n_bad is None and bool(conv[1] == 1)
     out.append(("inverse_of_I", ok,
                 f"I^(-1) * I = delta to {nb}" if ok else f"first failure at n={n_bad or 1}"))
 
@@ -385,8 +390,8 @@ def _suite_inversion(S: SSet, N: int) -> list[tuple[str, bool, str]]:
     f = random_arith_func(rng, nr, unit=True)
     gi = s_inverse(S, f, nr)
     conv = s_convolve_table(S, ArithFunc.from_table(gi), f, nr)
-    n_bad = next((n for n in range(2, nr + 1) if conv[n] != 0), None)
-    ok = conv[1] == 1 and n_bad is None
+    n_bad = _first_true(conv != 0, 2)
+    ok = n_bad is None and bool(conv[1] == 1)
     out.append(("inverse_random_unit", ok,
                 f"f^(-1) * f = delta to {nr} for a seeded unit" if ok
                 else f"first failure at n={n_bad or 1}"))

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import (
     _mu_pp,
     _phi_pp,
@@ -26,7 +28,14 @@ from .arith import (
     eval_multiplicative,
 )
 from .errors import ConsistencyError, LimitError
-from .sets import SSet, associativity_witness, is_associative, is_multiplicative, rho
+from .sets import (
+    SSet,
+    associativity_witness,
+    is_associative,
+    is_multiplicative,
+    rho,
+    rho_table,
+)
 
 DEFAULT_SEED = 8191  # seed for reproducible random-function property checks
 
@@ -42,6 +51,7 @@ class ArithFunc:
     def __init__(self, fn, name: str = "f", multiplicative: bool = False,
                  completely_multiplicative: bool = False):
         self._fn = fn
+        self._values = None  # the stored list of a from_table function
         self.name = name
         self.multiplicative = multiplicative or completely_multiplicative
         self.completely_multiplicative = completely_multiplicative
@@ -59,15 +69,21 @@ class ArithFunc:
 
     @classmethod
     def from_table(cls, values, name: str = "table") -> "ArithFunc":
-        """From a 1-indexed dense table (values[0] unused)."""
-        vals = list(values)
+        """From a 1-indexed dense table (values[0] unused).
+
+        An ndarray is stored as values.tolist(), so an int64 table yields
+        Python ints and pointwise arithmetic on them cannot wrap.
+        """
+        vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
 
         def fn(n, _v=vals):
             if n >= len(_v):
                 raise LimitError(f"{name} tabulated only to {len(_v) - 1}")
             return _v[n]
 
-        return cls(fn, name=name)
+        func = cls(fn, name=name)
+        func._values = vals
+        return func
 
     @classmethod
     def from_prime_powers(cls, ppv, name: str = "mult") -> "ArithFunc":
@@ -89,6 +105,8 @@ class ArithFunc:
 
     def table(self, N: int) -> list:
         """Dense 1-indexed value table [0, f(1), ..., f(N)]."""
+        if self._values is not None and N < len(self._values):
+            return [0, *self._values[1 : N + 1]]
         return [0] + [self(n) for n in range(1, N + 1)]
 
 
@@ -121,21 +139,61 @@ def s_convolve_at(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
     return sum(f(d) * g(n // d) for d in s_divisors(S, n))
 
 
-def s_convolve_table(S: SSet, f: ArithFunc, g: ArithFunc, N: int) -> list:
-    """Dense table of f * g on 1..N via one sweep over pairs d*e <= N."""
+def s_convolve_table(S: SSet, f: ArithFunc, g: ArithFunc, N: int) -> np.ndarray:
+    """Dense table of f * g on 0..N (index 0 holds 0) as an ndarray.
+
+    Every pair d e <= N has min(d, e) <= r = isqrt(N), so the sweep is one
+    numpy pass per d <= r over all e <= N/d, then one per e <= r over the
+    d > r with d e <= N; gcd(d, e) <= r, so membership is read from one
+    table of S to r. The dtype is int64 when every value of f and g is a
+    Python int and max|f| max|g| 2r < 2^63 (an entry sums at most
+    tau(n) <= 2 isqrt(n) products), else object, holding exact Python ints
+    or Fractions.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     fv = f.table(N)
     gv = g.table(N)
-    out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        fd = fv[d]
-        if fd == 0:
-            continue
-        for e in range(1, N // d + 1):
-            if gv[e] and rho(S, math.gcd(d, e)):
-                out[d * e] += fd * gv[e]
+    r = math.isqrt(N)
+    member = _membership(S, N)
+    dtype = _sweep_dtype(fv, gv, r)
+    fa = np.array(fv, dtype=dtype)
+    ga = np.array(gv, dtype=dtype)
+    out = np.zeros(N + 1, dtype=dtype)
+    for d in range(1, r + 1):  # e = 1 .. N // d at out[d::d]
+        if fv[d]:
+            out[d::d] += fv[d] * _admitted(member, d, ga, 1, N // d + 1)
+    for e in range(1, r + 1):  # d = r + 1 .. N // e at out[(r + 1) e::e]
+        if gv[e] and N // e > r:
+            out[(r + 1) * e :: e] += _admitted(member, e, fa, r + 1, N // e + 1) * gv[e]
     return out
+
+
+def _membership(S: SSet, N: int) -> np.ndarray:
+    """Bool indicator of S on 0..isqrt(N): every gcd(d, e) with d e <= N."""
+    return rho_table(S, math.isqrt(N)).astype(bool)
+
+
+def _sweep_dtype(fv: list, gv: list, r: int):
+    """int64 when every value is a Python int and no partial sum of at most
+    2r products can reach 2^63; object (exact Python numbers) otherwise."""
+    if set(map(type, fv)) | set(map(type, gv)) == {int}:
+        if max(map(abs, fv)) * max(map(abs, gv)) * 2 * r < 1 << 63:
+            return np.int64
+    return object
+
+
+def _admitted(member: np.ndarray, k: int, vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """vals[lo:hi] with entry j zeroed where gcd(k, j) is not in S.
+
+    The mask has period k in j, so it is gathered once for k consecutive j
+    and repeated.
+    """
+    part = vals[lo:hi]
+    pat = member[np.gcd(k, np.arange(lo, lo + min(k, hi - lo)))]
+    if pat.all():
+        return part
+    return np.where(np.resize(pat, hi - lo), part, 0)
 
 
 def s_convolve(S: SSet, f: ArithFunc, g: ArithFunc) -> ArithFunc:
@@ -155,11 +213,18 @@ def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
 
     Needs f(1) != 0 and an associative convolution (1 in S and every prime
     rule upward-closed); otherwise inverses are not two-sided and the call
-    is refused. Exact rational recursion; entries are ints whenever the
-    denominators clear (always when f(1) is +-1).
+    is refused. Exact: Python ints when f(1) is +-1 and f is integral,
+    Fractions otherwise, with whole Fractions turned into ints.
 
         g(1) = 1/f(1),   g(n) = -(1/f(1)) * sum_{d S-divisor of n, d < n} g(d) f(n/d)
+
+    A push sieve over the blocks [L, 2L): the terms of g(n) come from
+    d <= n/2 < L, so once every earlier block has pushed g(d) f(e) to
+    g[d e], the block's entries are final; the block then pushes its own
+    pairs, one numpy pass per d or per e, whichever side is shorter.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     f1 = f(1)
     if f1 == 0:
         raise ValueError("f(1) = 0 has no convolution inverse")
@@ -171,19 +236,29 @@ def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
             f"{S.spec!r} gives a non-associative convolution; inverses are not "
             f"two-sided (witness triple {associativity_witness(S)})"
         )
-    inv1 = Fraction(1, 1) / Fraction(f1)
-    g: list = [0] * (N + 1)
+    inv1 = int(f1) if f1 in (1, -1) else Fraction(1) / Fraction(f1)
+    fv = f.table(N)
+    fa = np.array(fv, dtype=object)
+    member = _membership(S, N)
+    g = np.zeros(N + 1, dtype=object)  # the pushed sums until a block is final
     g[1] = inv1
-    for n in range(2, N + 1):
-        acc = Fraction(0)
-        for d in s_divisors(S, n):
-            if d < n:
-                acc += g[d] * f(n // d)
-        g[n] = -inv1 * acc
-    for n in range(1, N + 1):
-        if isinstance(g[n], Fraction) and g[n].denominator == 1:
-            g[n] = int(g[n])
-    return g
+    L = 1
+    while L <= N:
+        hi = min(2 * L, N + 1)
+        if L > 1:
+            g[L:hi] = -inv1 * g[L:hi]
+        if hi - L <= N // L - 1:  # fewer d in the block than e >= 2
+            for d in range(L, hi):
+                if g[d] and N // d >= 2:  # e = 2 .. N // d at g[2d::d]
+                    g[2 * d :: d] += g[d] * _admitted(member, d, fa, 2, N // d + 1)
+        else:
+            for e in range(2, N // L + 1):  # d = L .. min(hi - 1, N // e)
+                if fv[e]:
+                    top = min(hi - 1, N // e)
+                    g[L * e : top * e + 1 : e] += _admitted(member, e, g, L, top + 1) * fv[e]
+        L *= 2
+    return [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+            for v in g.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,14 @@ def mu_table(limit: int) -> np.ndarray:
 
 
 def mu_set_table(S: SSet, N: int) -> np.ndarray:
-    """Table of mu_S on 0..N via the sweep mu_S = rho_S * mu (index 0 unused).
+    """Table of mu_S on 0..N (int64; index 0 unused).
 
-    Works for arbitrary S (table-backed sets need bound >= N).
+    Rule-based S: the multiplicative sieve on mu_S(p^a). Table-backed S
+    (bound >= N): the sweep mu_S = rho_S * mu, which for rule-based S is
+    kept only as the tests' cross-check of the sieve.
     """
+    if S.mult is not None:
+        return multiplicative_table(N, S.mult.mu_prime_power)
     return dirichlet_sweep(rho_table(S, N), mu_table(N), N)
 
 

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import factorize, is_prime, multiplicative_table
+from .arith import eval_multiplicative, is_prime, multiplicative_table
 from .errors import ConsistencyError, LimitError, ParseError
 
-MAX_FINITE_EXPONENT = 64   # finite exponent rules inspected to this depth only
+MAX_FINITE_EXPONENT = 64   # largest member a finite exponent rule may list
 DEFAULT_FINITE_BOUND = 100
 
 
@@ -170,7 +170,10 @@ class GeneralSSet:
 class SSet:
     """A set descriptor: exactly one of (mult, general) is set.
 
-    spec is the canonical text form, reproducible through parse_sset.
+    spec is the canonical text form. The builtin forms (N, 1, Qk, Lk,
+    P{..}, F{..}, FILE:path) parse back through parse_sset; the <...> form
+    of other rule-based sets is descriptive (distinct rules give distinct
+    text) and does not parse.
     """
 
     spec: str
@@ -232,7 +235,7 @@ def _parse_int_list(body: str, what: str) -> list[int]:
 
 
 def render_sset(S: SSet) -> str:
-    """Canonical text form; parse_sset(render_sset(S)) matches S's semantics."""
+    """Canonical text form, S.spec; see SSet for which forms parse back."""
     return S.spec
 
 
@@ -251,9 +254,16 @@ def _canonical_mult_spec(m: MultiplicativeSSet) -> str:
     if d.kind == "none" and ov and all(r.kind == "all" for r in ov.values()):
         return "P{" + ",".join(str(p) for p in sorted(ov)) + "}"
     # programmatic shape with no text form; describe it (not re-parseable)
-    parts = [f"default={d.kind}{d.k or ''}"]
-    parts += [f"{p}:{r.kind}{r.k or ''}" for p, r in sorted(ov.items())]
+    parts = [f"default={_rule_text(d)}"]
+    parts += [f"{p}:{_rule_text(r)}" for p, r in sorted(ov.items())]
     return "<" + " ".join(parts) + ">"
+
+
+def _rule_text(r: ExponentRule) -> str:
+    """kind, then k (below, at_least) or the members (finite): below3, finite{1,3}."""
+    if r.kind == "finite":
+        return "finite{" + ",".join(str(a) for a in sorted(r.members)) + "}"
+    return f"{r.kind}{r.k or ''}"
 
 
 def make_mult_sset(default_rule: ExponentRule, overrides: dict[int, ExponentRule] | None = None) -> SSet:
@@ -334,15 +344,7 @@ def rho(S: SSet, m: int) -> int:
                 f"membership of {m} unknown: set {S.spec!r} bounded at {S.general.bound}"
             )
         return 1 if m in S.general.members else 0
-    # not eval_multiplicative: this is the per-pair membership test of
-    # s_convolve_table, and it stops at the first excluded prime power
-    if m == 1:
-        return 1
-    ms = S.mult
-    for p, a in factorize(m):
-        if not ms.rho_prime_power(p, a):
-            return 0
-    return 1
+    return eval_multiplicative(S.mult.rho_prime_power, m)
 
 
 def rho_table(S: SSet, limit: int) -> np.ndarray:
@@ -403,12 +405,7 @@ def classify_prime(S: SSet, p: int) -> PrimeClassification:
         return PrimeClassification(p, "all-out", least_excluded=1)
     if r.kind == "at_least":
         return PrimeClassification(p, "threshold", threshold=r.k, least_excluded=1)
-    if r.kind == "below":
-        return PrimeClassification(p, "not-upward-closed", least_excluded=r.k)
-    s = r.least_excluded()
-    if s > MAX_FINITE_EXPONENT:
-        raise LimitError(f"finite rule at {p} not classifiable within depth {MAX_FINITE_EXPONENT}")
-    return PrimeClassification(p, "not-upward-closed", least_excluded=s)
+    return PrimeClassification(p, "not-upward-closed", least_excluded=r.least_excluded())
 
 
 def _rho_of_gcds_ok(r, n, d, e) -> bool:

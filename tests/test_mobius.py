@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from sconv.arith import dirichlet_sweep
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import (
     MuKGenerator,
@@ -28,7 +29,7 @@ from sconv.mobius import (
     zeta_S,
     zeta_S_derivative,
 )
-from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
+from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho, rho_table
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 # one set using every rule kind: default below 3, then at_least, finite, none, all
@@ -141,6 +142,14 @@ def test_mu_set_matches_brute_all_builtins():
     tab = mu_set_table(MIXED_RULES, 400)
     for n in range(1, 401):
         assert mu_set_at(MIXED_RULES, n) == tab[n], n
+
+
+def test_mu_set_kernel_matches_sweep_cross_check():
+    # rule-based S: the sieve on mu_S(p^a) against the sweep rho_S * mu
+    N = 5000
+    for S in [parse_sset(spec) for spec in BUILTINS] + [MIXED_RULES]:
+        sweep = dirichlet_sweep(rho_table(S, N), mu_table(N), N)
+        assert np.array_equal(mu_set_table(S, N), sweep), S.spec
 
 
 def test_mu_set_bounded_by_tau():

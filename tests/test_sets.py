@@ -193,17 +193,21 @@ def test_witness_triples_verified():
         assert associativity_witness(parse_sset(spec)) is None, spec
 
 
-def test_witness_construction_on_non_upward_closed_rules():
-    # every finite rule within {1..8} as default, as override on an all-in
-    # default and on a P-style (none) default, plus Qk: the constructed
-    # triple itself must violate the identity
+def non_upward_closed_rule_sets():
+    """Every finite rule within {1..8} as default, as override on an all-in
+    default and on a P-style (none) default, plus Qk for k = 2..9."""
     sets = [parse_sset(f"Q{k}") for k in range(2, 10)]
     for mask in range(1, 256):
         r = ExponentRule.finite(a for a in range(1, 9) if mask >> (a - 1) & 1)
         sets += [make_mult_sset(r), make_mult_sset(ExponentRule.all_(), {3: r}),
                  make_mult_sset(ExponentRule.none_(), {2: ExponentRule.all_(), 5: r})]
     assert len(sets) == 773
-    for S in sets:
+    return sets
+
+
+def test_witness_construction_on_non_upward_closed_rules():
+    # the constructed triple itself must violate the identity
+    for S in non_upward_closed_rule_sets():
         n, d, e = associativity_witness(S)
         assert n % d == 0 and d % e == 0, S.spec
         assert not check_assoc_identity(S, n, d, e), S.spec
@@ -235,6 +239,32 @@ def test_classify_prime_cases():
     for (spec, p), (case, thr, lex) in cases.items():
         c = classify_prime(parse_sset(spec), p)
         assert (c.case, c.threshold, c.least_excluded) == (case, thr, lex), (spec, p)
+
+
+def test_classify_prime_finite_rule_at_the_depth_cap():
+    S = make_mult_sset(ExponentRule.finite(range(1, MAX_FINITE_EXPONENT + 1)))
+    c = classify_prime(S, 2)
+    assert (c.case, c.least_excluded) == ("not-upward-closed", MAX_FINITE_EXPONENT + 1)
+    n, d, e = associativity_witness(S)
+    assert not check_assoc_identity(S, n, d, e)
+
+
+def test_rule_set_specs_are_distinct():
+    specs = [S.spec for S in non_upward_closed_rule_sets()]
+    assert len(set(specs)) == len(specs)
+    assert make_mult_sset(ExponentRule.finite({1, 3})).spec == "<default=finite{1,3}>"
+    assert make_mult_sset(ExponentRule.finite({2})).spec == "<default=finite{2}>"
+    assert (make_mult_sset(ExponentRule.finite({1, 3}), {3: ExponentRule.all_()}).spec
+            == "<default=finite{1,3} 3:all>")
+    assert MIXED_RULES.spec == "<default=below3 2:at_least2 3:finite{1,3} 5:none 7:all>"
+
+
+def test_builtin_specs_unchanged():
+    for spec in BUILTINS + ["P{2,3,5}", "Q5", "L4"]:
+        assert parse_sset(spec).spec == spec
+    assert make_mult_sset(ExponentRule.below(2)).spec == "Q2"
+    assert make_mult_sset(ExponentRule.at_least(3)).spec == "L3"
+    assert make_mult_sset(ExponentRule.none_(), {3: ExponentRule.all_()}).spec == "P{3}"
 
 
 def test_make_mult_sset_with_overrides():

@@ -1,0 +1,194 @@
+"""Property tests of the two bulk S-convolution sweeps.
+
+s_convolve_table is compared entry by entry with the pointwise
+s_convolve_at, and s_inverse with a longhand Fraction recursion over
+trial-division divisors; every inverse must also satisfy g * f = delta
+pointwise. Random tables come from hypothesis, derandomized so a run
+repeats exactly.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sconv.cli import main
+from sconv.convolve import ArithFunc, s_convolve_at, s_convolve_table, s_inverse
+from sconv.errors import LimitError
+from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
+
+BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
+# one set using every rule kind: default below 3, then at_least, finite, none, all
+MIXED_RULES = make_mult_sset(ExponentRule.below(3), {
+    2: ExponentRule.at_least(2), 3: ExponentRule.finite({1, 3}),
+    5: ExponentRule.none_(), 7: ExponentRule.all_()})
+SETS = {**{spec: parse_sset(spec) for spec in BUILTINS + ["F{1,2,6}"]},
+        "mixed": MIXED_RULES}
+ASSOCIATIVE = ["N", "1", "L2", "L3", "P{2,3}"]
+# around the sweep's split point isqrt(N) and the block edges of the inverse
+SIZES = [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 99, 100, 101]
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def table_func(vals, name="t"):
+    return ArithFunc.from_table([0] + list(vals), name)
+
+
+def values(lo=-9, hi=9):
+    return st.integers(lo, hi)
+
+
+@st.composite
+def sized_tables(draw, count, elements, unit=None):
+    """(N, [table, ...]) with N drawn from SIZES; unit fixes every f(1)."""
+    N = draw(st.sampled_from(SIZES))
+    tabs = [draw(st.lists(elements, min_size=N, max_size=N)) for _ in range(count)]
+    if unit is not None:
+        for t in tabs:
+            t[0] = draw(st.sampled_from(unit))
+    return N, tabs
+
+
+def check_against_pointwise(S, f, g, N):
+    tab = s_convolve_table(S, f, g, N)
+    assert isinstance(tab, np.ndarray) and len(tab) == N + 1
+    assert tab[0] == 0
+    for n in range(1, N + 1):
+        assert tab[n] == s_convolve_at(S, f, g, n), n
+    return tab
+
+
+def brute_inverse(S, f, N):
+    """The defining recursion, with divisors by trial division."""
+    g = [0, Fraction(1) / Fraction(f(1))]
+    for n in range(2, N + 1):
+        acc = sum(g[d] * f(n // d) for d in range(1, n)
+                  if n % d == 0 and rho(S, math.gcd(d, n // d)))
+        g.append(-acc / f(1))
+    return g
+
+
+def check_inverse(S, f, N):
+    got = s_inverse(S, f, N)
+    assert got == brute_inverse(S, f, N)
+    inv = ArithFunc.from_table(got, "inv")
+    for n in range(1, N + 1):
+        assert s_convolve_at(S, inv, f, n) == (n == 1), n
+    return got
+
+
+# ---------------------------------------------------------------------------
+# s_convolve_table
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("key", sorted(SETS))
+def test_convolve_table_named_functions(key, N):
+    S = SETS[key]
+    for f, g in [("I", "I"), ("E", "mu"), ("tau", "sigma"), ("delta", "phi")]:
+        check_against_pointwise(S, ArithFunc.named(f), ArithFunc.named(g), N)
+
+
+@pytest.mark.parametrize("key", sorted(SETS))
+@PROPERTY
+@given(data=sized_tables(2, values()))
+def test_convolve_table_random_tables(key, data):
+    N, (fv, gv) = data
+    tab = check_against_pointwise(SETS[key], table_func(fv), table_func(gv), N)
+    assert tab.dtype == np.int64
+
+
+@pytest.mark.parametrize("key", ["N", "L2", "Q3", "mixed"])
+@PROPERTY
+@given(data=sized_tables(2, values(2**40 - 9, 2**40 + 9) | values(-2**40 - 9, -2**40 + 9)))
+def test_convolve_table_values_near_2_40_stay_exact(key, data):
+    N, (fv, gv) = data
+    tab = check_against_pointwise(SETS[key], table_func(fv), table_func(gv), N)
+    assert tab.dtype == object  # 2^80-sized products leave int64
+    assert all(type(v) is int for v in tab.tolist())
+
+
+def test_convolve_table_int64_guard_boundary():
+    # N = 4 sums at most 2 isqrt(4) = 4 products per entry: the guard is
+    # max|f| max|g| 4 < 2^63, i.e. max|f| max|g| <= 2^61 - 1
+    S = parse_sset("N")
+    one = table_func([1, 1, 1, 1])
+    at_guard = check_against_pointwise(S, table_func([2**61 - 1] * 4), one, 4)
+    assert at_guard.dtype == np.int64
+    assert at_guard[4] == 3 * (2**61 - 1)
+    past_guard = check_against_pointwise(S, table_func([-2**61] * 4), one, 4)
+    assert past_guard.dtype == object
+    assert past_guard[4] == -3 * 2**61
+
+
+def test_convolve_table_fraction_values():
+    S = parse_sset("L2")
+    f = table_func([Fraction(1, n) for n in range(1, 101)])
+    tab = check_against_pointwise(S, f, ArithFunc.named("E"), 100)
+    assert tab.dtype == object
+
+
+def test_from_table_of_int64_array_gives_python_ints():
+    f = ArithFunc.from_table(np.array([0, 2**40, 2**40], dtype=np.int64))
+    assert type(f(1)) is int and type(f(2)) is int
+    S = parse_sset("N")
+    assert s_convolve_at(S, f, f, 1) == 2**80
+    assert s_convolve_at(S, f, f, 2) == 2**81
+
+
+def test_convolve_table_needs_membership_to_isqrt_n():
+    S = parse_sset("F{1,2,6}")  # membership known to 100
+    I = ArithFunc.named("I")
+    tab = s_convolve_table(S, I, I, 101**2 - 1)  # isqrt = 100
+    assert tab[6**2] == s_convolve_at(S, I, I, 6**2)
+    with pytest.raises(LimitError):
+        s_convolve_table(S, I, I, 101**2)
+
+
+def test_cli_table_limit_exit_code(capsys):
+    assert main(["verify", "--sset", "F{1,2,6}", "--suite", "algebra", "--n", "10201"]) == 3
+    assert "exceeds bound 100" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# s_inverse
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("spec", ASSOCIATIVE)
+def test_inverse_of_named_functions(spec, N):
+    S = SETS[spec]
+    for name in ("I", "E", "mu", "sigma"):
+        got = check_inverse(S, ArithFunc.named(name), N)
+        assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("spec", ASSOCIATIVE)
+@PROPERTY
+@given(data=sized_tables(1, values(), unit=(1, -1)))
+def test_inverse_random_unit_tables(spec, data):
+    N, (fv,) = data
+    got = check_inverse(SETS[spec], table_func(fv), N)
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("spec", ASSOCIATIVE)
+@PROPERTY
+@given(data=sized_tables(1, values(), unit=(3,)))
+def test_inverse_fractions_when_f1_is_3(spec, data):
+    N, (fv,) = data
+    f = table_func(fv)
+    got = check_inverse(SETS[spec], f, N)
+    assert got[1] == Fraction(1, 3)
+    conv = s_convolve_table(SETS[spec], ArithFunc.from_table(got), f, N)
+    assert conv.dtype == object
+    assert conv[1] == 1 and not any(conv[2:])
+
+
+def test_inverse_refuses_non_associative_sets():
+    for key in ("Q2", "Q3", "mixed", "F{1,2,6}"):
+        with pytest.raises(ValueError):
+            s_inverse(SETS[key], ArithFunc.named("I"), 10)

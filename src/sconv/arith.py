@@ -1,9 +1,11 @@
 """Exact integer primitives: prime sieves, factorization, divisor lists,
 multiplicative evaluation, the prime-power values of tau, sigma, phi, mu,
-tau* and sigma* (package-internal), and Chebyshev's theta.
+tau* and sigma* (package-internal), Chebyshev's theta, and the one
+Dirichlet / S sweep, dirichlet_sweep.
 
 Scalar code works with Python ints (arbitrary precision). Bulk tables are
-numpy int64 with explicit range guards, see multiplicative_table.
+numpy int64 with explicit range guards, see multiplicative_table and
+dirichlet_sweep.
 """
 
 from __future__ import annotations
@@ -223,19 +225,43 @@ def multiplicative_table(limit: int, ppv) -> np.ndarray:
     return vals
 
 
-def dirichlet_sweep(coef: np.ndarray, base: np.ndarray, N: int, power: int = 1) -> np.ndarray:
-    """int64 table h[0..N] with h[n] = sum over d^power * e = n of coef[d] base[e].
+def dirichlet_sweep(f: np.ndarray, g: np.ndarray, N: int, member=None) -> np.ndarray:
+    """Table h[0..N] with h[n] = sum over d e = n, gcd(d, e) in S, of f[d] g[e].
 
-    One slice add per nonzero coef[d], d >= 1 (coef[0] is ignored); base
-    must cover 1..N. power = 1 is the Dirichlet product, power = 2 the
-    square-divisor expansion. Callers guard int64 range.
+    f and g cover 0..N (index 0 ignored); member is a bool mask of S on
+    0..r = isqrt(N), and None admits every pair (the Dirichlet product).
+    Every pair d e <= N has min(d, e) <= r (the hyperbola split): one slice
+    add per d <= r over all e, then one per e <= r over the d > r. int64
+    when f and g are and max|f| max|g| 2r < 2^63 (an entry sums at most
+    tau(n) <= 2 isqrt(n) products), else object arrays of exact numbers.
     """
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in (np.flatnonzero(coef[1:]) + 1).tolist():
-        q = d ** power
-        if q > N:
-            break
-        c = int(coef[d])
-        part = base[1 : N // q + 1]
-        out[q::q] += part if c == 1 else c * part
+    r = math.isqrt(N)
+    exact = f.dtype == object or g.dtype == object
+    dtype = object if exact or _abs_max(f, N) * _abs_max(g, N) * 2 * r >= 1 << 63 else np.int64
+    f, g = f.astype(dtype, copy=False), g.astype(dtype, copy=False)
+    fv, gv = f[: r + 1].tolist(), g[: r + 1].tolist()
+    out = np.zeros(N + 1, dtype=dtype)
+    for d in range(1, r + 1):  # e = 1 .. N // d at out[d::d]
+        if fv[d]:
+            out[d::d] += fv[d] * _admitted(member, d, g, 1, N // d + 1)
+    for e in range(1, r + 1):  # d = r + 1 .. N // e at out[(r + 1) e::e]
+        if gv[e] and N // e > r:
+            out[(r + 1) * e :: e] += _admitted(member, e, f, r + 1, N // e + 1) * gv[e]
     return out
+
+
+def _abs_max(a: np.ndarray, N: int) -> int:
+    """max |a[n]| over 1..N as a Python int (abs of int64 -2^63 wraps)."""
+    return max(int(a[1 : N + 1].max(initial=0)), -int(a[1 : N + 1].min(initial=0)))
+
+
+def _admitted(member, k: int, vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """vals[lo:hi] with entry j zeroed where gcd(k, j) is not in S (member
+    None keeps all). The mask has period k in j: one gather of k entries."""
+    part = vals[lo:hi]
+    if member is None:
+        return part
+    pat = member[np.gcd(k, np.arange(lo, lo + min(k, hi - lo)))]
+    if pat.all():
+        return part
+    return np.where(np.resize(pat, hi - lo), part, 0)

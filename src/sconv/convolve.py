@@ -18,12 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    _admitted,
     _mu_pp,
     _phi_pp,
     _sigma_pp,
     _sigma_star_pp,
     _tau_pp,
     _tau_star_pp,
+    dirichlet_sweep,
     divisors,
     eval_multiplicative,
 )
@@ -142,31 +144,16 @@ def s_convolve_at(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
 def s_convolve_table(S: SSet, f: ArithFunc, g: ArithFunc, N: int) -> np.ndarray:
     """Dense table of f * g on 0..N (index 0 holds 0) as an ndarray.
 
-    Every pair d e <= N has min(d, e) <= r = isqrt(N), so the sweep is one
-    numpy pass per d <= r over all e <= N/d, then one per e <= r over the
-    d > r with d e <= N; gcd(d, e) <= r, so membership is read from one
-    table of S to r. The dtype is int64 when every value of f and g is a
-    Python int and max|f| max|g| 2r < 2^63 (an entry sums at most
-    tau(n) <= 2 isqrt(n) products), else object, holding exact Python ints
-    or Fractions.
+    One arith.dirichlet_sweep, with S read from a table to isqrt(N) (every
+    gcd(d, e) with d e <= N is at most that); the tables go in as int64 when
+    every value is a Python int in int64 range, else as exact objects.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    fv = f.table(N)
-    gv = g.table(N)
-    r = math.isqrt(N)
-    member = _membership(S, N)
-    dtype = _sweep_dtype(fv, gv, r)
-    fa = np.array(fv, dtype=dtype)
-    ga = np.array(gv, dtype=dtype)
-    out = np.zeros(N + 1, dtype=dtype)
-    for d in range(1, r + 1):  # e = 1 .. N // d at out[d::d]
-        if fv[d]:
-            out[d::d] += fv[d] * _admitted(member, d, ga, 1, N // d + 1)
-    for e in range(1, r + 1):  # d = r + 1 .. N // e at out[(r + 1) e::e]
-        if gv[e] and N // e > r:
-            out[(r + 1) * e :: e] += _admitted(member, e, fa, r + 1, N // e + 1) * gv[e]
-    return out
+    fv, gv = f.table(N), g.table(N)
+    dtype = _sweep_dtype(fv, gv)
+    return dirichlet_sweep(np.array(fv, dtype=dtype), np.array(gv, dtype=dtype), N,
+                           _membership(S, N))
 
 
 def _membership(S: SSet, N: int) -> np.ndarray:
@@ -174,26 +161,13 @@ def _membership(S: SSet, N: int) -> np.ndarray:
     return rho_table(S, math.isqrt(N)).astype(bool)
 
 
-def _sweep_dtype(fv: list, gv: list, r: int):
-    """int64 when every value is a Python int and no partial sum of at most
-    2r products can reach 2^63; object (exact Python numbers) otherwise."""
+def _sweep_dtype(fv: list, gv: list):
+    """int64 when every value is a Python int that fits in it, else object;
+    np.array would infer float64 for an int past int64."""
     if set(map(type, fv)) | set(map(type, gv)) == {int}:
-        if max(map(abs, fv)) * max(map(abs, gv)) * 2 * r < 1 << 63:
+        if -1 << 63 <= min(min(fv), min(gv)) and max(max(fv), max(gv)) < 1 << 63:
             return np.int64
     return object
-
-
-def _admitted(member: np.ndarray, k: int, vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """vals[lo:hi] with entry j zeroed where gcd(k, j) is not in S.
-
-    The mask has period k in j, so it is gathered once for k consecutive j
-    and repeated.
-    """
-    part = vals[lo:hi]
-    pat = member[np.gcd(k, np.arange(lo, lo + min(k, hi - lo)))]
-    if pat.all():
-        return part
-    return np.where(np.resize(pat, hi - lo), part, 0)
 
 
 def s_convolve(S: SSet, f: ArithFunc, g: ArithFunc) -> ArithFunc:

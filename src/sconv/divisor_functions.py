@@ -43,7 +43,7 @@ from .arith import (
     multiplicative_table,
 )
 from .convolve import ArithFunc, s_convolve_at, s_divisors
-from .errors import ConsistencyError, LimitError
+from .errors import ConsistencyError
 from .sets import SSet, rho, rho_table
 from .mobius import mu_set_at, mu_set_table
 
@@ -148,19 +148,17 @@ def phi_S_at(S: SSet, n: int) -> int:
     if via_mu != via_rho:
         raise ConsistencyError(f"phi_S convolution forms disagree at n={n}: {via_mu} vs {via_rho}")
     if n <= PHI_DIRECT_CAP:
-        g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
-        rt = rho_table(S, _max_gcd_bound(S, n))
-        direct = int(rt[g].sum())
+        direct = _phi_direct(S, n)
         if direct != via_mu:
             raise ConsistencyError(f"phi_S direct count disagrees at n={n}: {direct} vs {via_mu}")
     return via_mu
 
 
-def _max_gcd_bound(S: SSet, n: int) -> int:
-    # gcd(j, n) <= n; table-backed sets must cover that range
-    if S.general is not None and S.general.bound < n:
-        raise LimitError(f"{S.spec!r} bounded at {S.general.bound}, phi_S needs membership to {n}")
-    return n
+def _phi_direct(S: SSet, n: int) -> int:
+    """#{j <= n : gcd(j, n) in S}: the gcds counted once, rho_S read only at
+    the divisors of n."""
+    counts = np.bincount(np.gcd(np.arange(1, n + 1, dtype=np.int64), n))
+    return sum(int(counts[d]) for d in divisors(n) if rho(S, d))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,12 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
     c = coef(S, root)
     if weighted:
         c = c * np.arange(root + 1, dtype=np.int64)
-    out = dirichlet_sweep(c, multiplicative_table(N, ppv), N, power=2)
+    base = multiplicative_table(N, ppv)
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in (np.flatnonzero(c[1:]) + 1).tolist():  # n = d^2 e at out[d^2::d^2]
+        q, k = d * d, int(c[d])
+        part = base[1 : N // q + 1]
+        out[q::q] += part if k == 1 else k * part
     if direct is not None:
         _self_check(name, S, out, direct, N)
     return FunctionTable(name=name, sset_spec=S.spec, N=N, values=out)
@@ -236,12 +239,8 @@ def sigma_S_table(S: SSet, N: int) -> FunctionTable:
 
 def phi_S_table(S: SSet, N: int) -> FunctionTable:
     """Table of phi_S on 1..N via the sweep phi_S = rho_S * phi."""
-    rs = rho_table(S, N)
-    out = dirichlet_sweep(rs, multiplicative_table(N, _phi_pp), N)
-    def direct(n):
-        g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
-        return int(rs[g].sum())
-    _self_check("phi_S", S, out, direct, N)
+    out = dirichlet_sweep(rho_table(S, N), multiplicative_table(N, _phi_pp), N)
+    _self_check("phi_S", S, out, lambda n: _phi_direct(S, n), N)
     return FunctionTable(name="phi_S", sset_spec=S.spec, N=N, values=out)
 
 

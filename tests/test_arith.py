@@ -7,6 +7,7 @@ computer algebra output.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,17 +176,41 @@ def test_multiplicative_table_overflow_guard():
         multiplicative_table(10**4, lambda p, a: p ** 10 if p > 100 else 1)
 
 
+SWEEP_NS = (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 99, 100, 101)
+
+
+def brute_sweep(f, g, N, member):
+    """h[n] = sum of f[d] g[e] over every pair d e = n with member[gcd(d, e)]."""
+    h = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for e in range(1, N // d + 1):
+            if member is None or member[math.gcd(d, e)]:
+                h[d * e] += f[d] * g[e]
+    return h
+
+
 def test_dirichlet_sweep_matches_brute():
     rng = random.Random(7)
-    N = 300
-    base = np.array([0] + [rng.randint(-9, 9) for _ in range(N)], dtype=np.int64)
-    for power in (1, 2):
-        root = round(N ** (1 / power))
-        coef = np.array([5] + [rng.choice((0, 0, 1, -1, 3)) for _ in range(root)],
-                        dtype=np.int64)  # coef[0] must be ignored
-        h = dirichlet_sweep(coef, base, N, power)
-        assert h[0] == 0
-        for n in range(1, N + 1):
-            want = sum(int(coef[d]) * int(base[n // d ** power])
-                       for d in range(1, root + 1) if n % d ** power == 0)
-            assert h[n] == want, (power, n)
+    ints = lambda: rng.randint(-9, 9)
+    fracs = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    for N in SWEEP_NS:
+        r = math.isqrt(N)
+        masks = [None, np.ones(r + 1, dtype=bool)]
+        masks += [np.array([rng.random() < 0.6 for _ in range(r + 1)]) for _ in range(4)]
+        for draw, dtype in ((ints, np.int64), (fracs, object)):
+            # index 0 holds junk: the sweep must ignore it
+            f, g = ([7] + [rng.choice((0, 1, -1, draw())) for _ in range(N)] for _ in range(2))
+            for member in masks:
+                h = dirichlet_sweep(np.array(f, dtype=dtype), np.array(g, dtype=dtype), N, member)
+                assert h.dtype == dtype
+                assert h.tolist() == brute_sweep(f, g, N, member), (N, dtype, member)
+
+
+def test_dirichlet_sweep_int64_guard_boundary():
+    # N = 4 sums at most 2 isqrt(4) = 4 products per entry: the guard is
+    # max|f| max|g| 4 < 2^63, so 2^61 - 1 stays int64 and 2^61 does not
+    one = np.array([0, 1, 1, 1, 1], dtype=np.int64)
+    for v, dtype in ((2**61 - 1, np.int64), (2**61, object), (-2**61, object)):
+        h = dirichlet_sweep(np.array([0] + [v] * 4, dtype=np.int64), one, 4)
+        assert h.dtype == dtype, v
+        assert h.tolist() == [0, v, 2 * v, 2 * v, 3 * v], v

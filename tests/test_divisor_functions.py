@@ -11,9 +11,11 @@ import random
 import numpy as np
 import pytest
 
+from sconv.arith import eval_multiplicative
 from sconv.convolve import ArithFunc
 from sconv.divisor_functions import (
     FunctionTable,
+    _square_divisor_table,
     conv_cm_via_dirichlet,
     conv_cm_via_unitary,
     phi_S_at,
@@ -254,6 +256,22 @@ def test_two_table_routes_agree():
         S = parse_sset(spec)
         assert np.array_equal(tau_S_table(S, 2000).values, tau_S_table_via_rho(S, 2000).values), spec
         assert np.array_equal(sigma_S_table(S, 2000).values, sigma_S_table_via_rho(S, 2000).values), spec
+
+
+def test_square_divisor_table_matches_brute():
+    rng = random.Random(7)
+    N = 300
+    root = math.isqrt(N)
+    c = np.array([5] + [rng.choice((0, 0, 1, -1, 3)) for _ in range(root)],
+                 dtype=np.int64)  # c[0] must be ignored
+    vals = {}
+    ppv = lambda p, a: vals.setdefault((p, a), rng.randint(-9, 9))
+    for weighted in (False, True):
+        t = _square_divisor_table("t", parse_sset("N"), N, lambda S, m: c, weighted, ppv)
+        for n in range(1, N + 1):
+            want = sum(int(c[d]) * (d if weighted else 1) * eval_multiplicative(ppv, n // (d * d))
+                       for d in range(1, root + 1) if n % (d * d) == 0)
+            assert t.values[n] == want, (weighted, n)
 
 
 def test_table_metadata():

@@ -25,18 +25,28 @@ _GATHER_BLOCK = 1 << 14  # entries per block of the large-prime gather in multip
 def prime_array(limit: int) -> np.ndarray:
     """Primes <= limit as an int64 array (bulk form; empty for limit < 2).
 
+    Sieves odd numbers only: comp[i] marks 2i + 1 composite, so the sieve
+    takes (limit + 1) / 2 bytes and is released before the result is built.
     Raises LimitError above FACTOR_TABLE_LIMIT, before allocating the sieve.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > FACTOR_TABLE_LIMIT:
         raise LimitError(f"prime sieve limit {limit} exceeds {FACTOR_TABLE_LIMIT}")
-    comp = np.zeros(limit + 1, dtype=bool)
-    comp[0:2] = True
-    for p in range(2, math.isqrt(limit) + 1):
-        if not comp[p]:
-            comp[p * p :: p] = True
-    return np.flatnonzero(~comp).astype(np.int64)
+    comp = np.zeros((limit + 1) // 2, dtype=bool)
+    comp[0] = True  # 1
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if not comp[p // 2]:
+            comp[p * p // 2 :: p] = True  # odd multiples p^2, p^2 + 2p, ...
+    odd = np.flatnonzero(~comp)  # the odd primes are 2 * odd + 1
+    del comp
+    # filled in place: np.concatenate with its temporaries left the peak RSS
+    # of a 4e6 table build about 1 MiB higher
+    out = np.empty(len(odd) + 1, dtype=np.int64)
+    out[0] = 2
+    np.multiply(odd, 2, out=out[1:])
+    out[1:] += 1
+    return out
 
 
 def sieve_primes(limit: int) -> list[int]:

@@ -33,17 +33,13 @@ import numpy as np
 from .arith import _sigma_pp, is_prime, multiplicative_table, prime_array, sieve_primes
 from .divisor_functions import sigma_S_prime_power, sigma_S_table, tau_S_table
 from .errors import ConsistencyError, LimitError
-from .mobius import euler_factors, zeta_S, zeta_S_derivative
+from .mobius import _zeta_full, euler_factors, zeta_S, zeta_S_derivative
 from .sets import SSet, parse_sset
 
 EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
 PRODUCT_CUTOFF = 20_000_000  # primes kept in maximal-order products
 REPORT_X_CAP = 10**7
 LOGLOG_FLOOR = math.log(16.0)  # maximal-order ratios need n >= 16
-
-
-def _full_set() -> SSet:
-    return parse_sset("N")
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +54,8 @@ def sigma_main_term(S: SSet, x: float) -> float:
 
 
 def _sigma_constant(S: SSet) -> tuple[float, float]:
-    full = _full_set()
-    z2 = zeta_S(full, 2.0, tol=1e-9)
-    z3 = zeta_S(full, 3.0, tol=1e-9)
+    z2 = _zeta_full(2.0, 1e-9)
+    z3 = _zeta_full(3.0, 1e-9)
     zs3 = zeta_S(S, 3.0, tol=1e-9)
     k = z2.best_value * zs3.best_value / (2.0 * z3.best_value)
     rel = (z2.best_bound / z2.best_value + z3.best_bound / z3.best_value
@@ -80,10 +75,9 @@ def tau_main_term(S: SSet, x: float) -> float:
 
 def _tau_constants(S: SSet) -> tuple[float, float, float]:
     # z = 2 sits close to the abscissa; the crude tail forces the looser tol
-    full = _full_set()
-    z2 = zeta_S(full, 2.0, tol=1e-6)
+    z2 = _zeta_full(2.0, 1e-6)
     zs2 = zeta_S(S, 2.0, tol=1e-6)
-    d2 = zeta_S_derivative(full, 2.0)
+    d2 = zeta_S_derivative(parse_sset("N"), 2.0)
     ds2 = zeta_S_derivative(S, 2.0)
     a = zs2.best_value / z2.best_value
     b = 2.0 * EULER_GAMMA - 1.0 + 2.0 * ds2 / zs2.best_value - 2.0 * d2 / z2.best_value
@@ -251,7 +245,7 @@ def sigma_maximal_constant_uniform(s: int) -> float:
     """Closed form e^gamma / zeta(2s) for sets with s(p) = s at every prime."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    z = zeta_S(_full_set(), 2.0 * s, tol=1e-9)
+    z = _zeta_full(2.0 * s, 1e-9)
     return math.exp(EULER_GAMMA) / z.best_value
 
 
@@ -304,7 +298,7 @@ def witness_sequence(S: SSet, epsilon: float, k: int) -> WitnessSequence:
     m = S.mult
 
     # least t with prod_{p > t} (1 - p^-2) >= 1 - eps, via certified zeta(2)
-    z2 = zeta_S(_full_set(), 2.0, tol=1e-9)
+    z2 = _zeta_full(2.0, 1e-9)
     z2_hi = z2.best_value + z2.best_bound
     t = 1
     prod_le = 1.0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import count, islice
 
 import numpy as np
@@ -39,7 +39,9 @@ from .errors import ConsistencyError, LimitError
 from .sets import MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
-EULER_CUTOFF_CAP = 4_000_000        # prime cutoff cap for product evaluation
+# prime cutoff cap for product evaluation; the doubling from 2^14 stops at the
+# first power of two at or above it, 2^22 = 4194304 (the reported euler_cutoff)
+EULER_CUTOFF_CAP = 4_000_000
 
 
 def mu_table(limit: int) -> np.ndarray:
@@ -261,7 +263,8 @@ def _euler_product(S: SSet, z: float, tol: float) -> tuple[float, float, int]:
     neglected factors lie in [1, exp(t)] with
     t = sum_{p > P} p^(-z)/(1 - p^(-z)) <= (1/(1-2^(-z))) P^(1-z)/(z-1),
     so zeta_S lies in [V, V e^t]. The cutoff starts at 2^14 and doubles
-    until V(e^t - 1) <= tol or the cap is hit; returns (V, bound, cutoff).
+    until V(e^t - 1) <= tol or it reaches EULER_CUTOFF_CAP, so the largest
+    cutoff is 2^22 = 4194304, not the cap itself; returns (V, bound, cutoff).
     """
     cutoff = 1 << 14
     while True:
@@ -332,6 +335,19 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
                           err_bound=err, euler_value=ev, euler_bound=eb, euler_cutoff=ec)
 
 
+@cache
+def _zeta_full(z: float, tol: float) -> ZetaEvaluation:
+    """zeta_S(N, z, tol), evaluated once per (z, tol) per process.
+
+    ZetaEvaluation is frozen and zeta_S deterministic, and each distinct
+    evaluation still runs both routes and their cross-check. Only the full
+    set is memoised: MultiplicativeSSet holds a dict and is not hashable,
+    and a FILE: spec names a path, not its contents, so a cache for every
+    S would need a key design that no caller needs.
+    """
+    return zeta_S(parse_sset("N"), z, tol)
+
+
 def zeta_S_derivative(S: SSet, z: float, tol: float = 2e-5) -> float:
     """zeta_S'(z) = -sum rho_S(n) log(n) n^(-z), certified within tol.
 
@@ -391,7 +407,7 @@ def verify_series_ratio(S: SSet, z: float, T: int) -> tuple[float, float]:
     ns[0] = 1.0
     lhs = float(np.sum(ms * ns ** (-z)))
     zs = zeta_S(S, z, tol=1e-6)
-    zn = zeta_S(parse_sset("N"), z, tol=1e-9)
+    zn = _zeta_full(z, 1e-9)
     ratio = zs.best_value / zn.best_value
     residual = abs(lhs - ratio)
     tail = 2.0 * T ** (1.5 - z) / (z - 1.5)

@@ -63,6 +63,22 @@ def test_prime_count_to_one_million():
     assert prime_array(10**6).size == 78498
 
 
+def test_prime_array_odd_sieve_matches_brute_force():
+    # every limit to 3000 covers each odd prime square and its neighbours
+    brute = [n for n in range(2, 3001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for limit in range(3001):
+        got = prime_array(limit)
+        assert got.dtype == np.int64, limit
+        assert got.tolist() == [p for p in brute if p <= limit], limit
+
+
+def test_prime_array_counts():
+    # pi(4e6), pi(2^22) (the largest Euler cutoff) and pi(2e7) (PRODUCT_CUTOFF)
+    for limit, count in [(4 * 10**6, 283146), (1 << 22, 295947), (2 * 10**7, 1270607)]:
+        ps = prime_array(limit)
+        assert ps.dtype == np.int64 and ps.size == count, limit
+
+
 def test_sieve_primes_is_list():
     ps = sieve_primes(100)
     assert isinstance(ps, list)

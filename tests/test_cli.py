@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from sconv import asymptotics, mobius
 from sconv.cli import SCHEMA_VERSION, main
 from sconv.divisor_functions import sigma_S_table
 from sconv.sets import parse_sset
@@ -270,6 +271,84 @@ def test_maxorder_sigma_uniform(capsys):
                              "--k", "6"])
     assert code == 0
     assert "1.6456" in out  # the limsup constant e^gamma / zeta(4)
+
+
+MAXORDER_FIELDS = ["k", "t", "a", "log_n", "sigma_over_n", "ratio"]
+MAXORDER_HEAD = "  k   t    a        log_n    sigma/n      ratio\n"
+# stdout, constant and rows pinned to the last digit, for a k-free and an s = 1 set
+MAXORDER_GOLDEN = {
+    "Q2": (
+        "limsup constant for Q2: 1.6456012054 (err <= 1.65e-12)\n"
+        "uniform s=2: closed form 1.6456012054, |difference| = 8.24e-14 <= 1e-08\n"
+        + MAXORDER_HEAD +
+        "  2   3    -        8.931   3.809524   1.739917\n"
+        "  3   3    -       19.671   4.988201   1.674369\n"
+        "  4   3    -       48.514   6.226323   1.603956\n"
+        "  5   3    -      130.227   7.590475   1.558849\n"
+        "  6   3    -      380.311   9.097215   1.531263\n"
+        "  7   3    -     1064.152  10.580084   1.517961\n"
+        "  8   3    -     2927.937  12.064373   1.511437\n",
+        {"constant": 1.6456012053655584, "constant_err": 1.6456012053838428e-12,
+         "epsilon": 0.1, "k": 8, "mode": "sigma", "uniform_s": 2},
+        [(2, 8.930626469173578, 3.8095238095238098, 1.7399165192027597),
+         (3, 19.671123422656144, 4.988200653835326, 1.6743694454033475),
+         (4, 48.51403028336119, 6.226323173940714, 1.6039564376338586),
+         (5, 130.2271626466129, 7.5904745291694855, 1.558849360476224),
+         (6, 380.3106536048487, 9.097215240267687, 1.5312629119160024),
+         (7, 1064.1519011471255, 10.580084299079715, 1.5179605966863257),
+         (8, 2927.9366966384323, 12.06437299739315, 1.5114372971725398)]),
+    "L2": (
+        "limsup constant for L2: 1.0827621963 (err <= 1.44e-08)\n"
+        "uniform s=1: closed form 1.0827621933, |difference| = 3.05e-09 <= 1e-08\n"
+        + MAXORDER_HEAD +
+        "  2   3    -        5.347   2.742857   1.636007\n"
+        "  3   3    -       16.088   3.591504   1.292815\n"
+        "  4   3    -       44.931   4.482953   1.178138\n"
+        "  5   3    -      126.644   5.465142   1.128840\n"
+        "  6   3    -      376.727   6.549995   1.104269\n"
+        "  7   3    -     1060.568   7.617661   1.093461\n"
+        "  8   3    -     2924.353   8.686349   1.088402\n",
+        {"constant": 1.0827621963088496, "constant_err": 1.4437933797804082e-08,
+         "epsilon": 0.1, "k": 8, "mode": "sigma", "uniform_s": 1},
+        [(2, 5.3471075307174685, 2.742857142857143, 1.6360071034244228),
+         (3, 16.087604484200035, 3.591504470761435, 1.2928153475004454),
+         (4, 44.93051134490508, 4.482952685237314, 1.1781379029292371),
+         (5, 126.64364370815677, 5.46514166100203, 1.1288402967859756),
+         (6, 376.7271346663926, 6.549994972992735, 1.1042690084452136),
+         (7, 1060.5683822086694, 7.6176606953373955, 1.093460821217542),
+         (8, 2924.353177699976, 8.686348558123068, 1.0884018432365379)]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MAXORDER_GOLDEN))
+def test_maxorder_sigma_artifacts_are_byte_exact(capsys, tmp_path, spec):
+    stdout, params, data = MAXORDER_GOLDEN[spec]
+    rows = [{"k": k, "t": 3, "a": None, "log_n": log_n, "sigma_over_n": son, "ratio": r}
+            for k, log_n, son, r in data]
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["maxorder", "--sset", spec, "--mode", "sigma", "--k", "8"])
+    assert code == 0 and out == stdout
+    assert csv_bytes == expected_csv(MAXORDER_FIELDS, rows)
+    assert json_bytes == expected_json("maxorder", spec, params, rows)
+
+
+@pytest.mark.parametrize("spec, evaluations", [("Q2", [(2.0, 1e-9), (4.0, 1e-9)]),
+                                               ("L2", [(2.0, 1e-9)])])
+def test_maxorder_sigma_certifies_each_full_zeta_once(capsys, monkeypatch, spec, evaluations):
+    # witnesses for k = 2..8 share zeta(2); a k-free set adds its zeta(2s)
+    seen = []
+    fresh = mobius.zeta_S
+
+    def counting(S, z, tol=1e-9):
+        seen.append((S.spec, z, tol))
+        return fresh(S, z, tol)
+
+    for mod in (mobius, asymptotics):
+        monkeypatch.setattr(mod, "zeta_S", counting)
+    mobius._zeta_full.cache_clear()
+    code, _ = run(capsys, ["maxorder", "--sset", spec, "--mode", "sigma", "--k", "8"])
+    assert code == 0
+    assert sorted(seen) == [("N", z, tol) for z, tol in evaluations]
 
 
 def test_mu_k_stats(capsys):

@@ -6,6 +6,7 @@ package at 50 digits and pasted here; each assertion allows the
 evaluator's own certified error bound plus float slack.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -17,6 +18,7 @@ from sconv.arith import dirichlet_sweep
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import (
     MuKGenerator,
+    _zeta_full,
     mu_at,
     mu_k_at,
     mu_k_prime_power,
@@ -294,6 +296,16 @@ def test_zeta_euler_product_every_rule_kind():
     for z, tol in [(2.0, 1e-6), (3.0, 1e-9)]:
         ev = zeta_S(S, z, tol=tol)  # raises if series and product disagree
         assert ev.euler_value is not None, z
+
+
+def test_zeta_full_memo_matches_fresh_evaluation():
+    for z, tol in [(2, 1e-9), (2, 1e-6), (3, 1e-9), (4, 1e-9)]:
+        fresh = zeta_S(parse_sset("N"), z, tol)
+        memo = _zeta_full(z, tol)
+        for field in dataclasses.fields(fresh):
+            name = field.name
+            assert getattr(memo, name) == getattr(fresh, name), (z, tol, name)
+        assert _zeta_full(z, tol) is memo
 
 
 def test_zeta_guards():

@@ -7,6 +7,7 @@ in-process; artifact files land in tmp_path.
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -214,6 +215,50 @@ def test_verify_size_cap(capsys):
     assert code == 2
 
 
+# (check, ok, detail) rows, pinned: L2 passes every suite, Q2 fails
+# associativity with a detail that holds commas, so CSV quotes it
+VERIFY_GOLDEN = {
+    ("L2", "all", 400): (0, [
+        ("mobius_sum", True, "sum of mu_S over divisors equals rho_S to 400"),
+        ("mu_bound", True, "|mu_S| <= tau to 400"),
+        ("tau_identity", True, "both square-divisor forms match to 400"),
+        ("sigma_identity", True, "both square-divisor forms match to 400"),
+        ("phi_forms", True, "mu_S*E and rho_S*phi agree to 400"),
+        ("commutative", True, "f*g = g*f to 400"),
+        ("distributive", True, "f*(g+h) = f*g + f*h to 400"),
+        ("identity_element", True, "f*delta = f to 400"),
+        ("associative", True, "(f*g)*h = f*(g*h) to 200"),
+        ("zero_divisors", True, "indicator of 2 squares to zero (checked to 16)"),
+        ("mult_preserved", True, "f*g multiplicative on coprime products <= 400"),
+        ("inverse_of_I", True, "I^(-1) * I = delta to 400"),
+        ("inverse_random_unit", True, "f^(-1) * f = delta to 400 for a seeded unit"),
+    ]),
+    ("Q2", "algebra", 200): (1, [
+        ("commutative", True, "f*g = g*f to 200"),
+        ("distributive", True, "f*(g+h) = f*g + f*h to 200"),
+        ("identity_element", True, "f*delta = f to 200"),
+        ("associative", False, "violated at n=16 by indicator functions: "
+         "((f*g)*h)(16)=0 != (f*(g*h))(16)=1, witness triple (16, 4, 2)"),
+        ("zero_divisors", True, "indicator of 4 squares to zero (checked to 64)"),
+        ("mult_preserved", True, "f*g multiplicative on coprime products <= 200"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("spec, suite, n", sorted(VERIFY_GOLDEN))
+def test_verify_artifacts_are_byte_exact(capsys, tmp_path, spec, suite, n):
+    status, checks = VERIFY_GOLDEN[spec, suite, n]
+    rows = [{"check": c, "ok": ok, "detail": d} for c, ok, d in checks]
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["verify", "--sset", spec, "--suite", suite, "--n", str(n)])
+    failed = sum(not ok for _, ok, _ in checks)
+    assert code == status
+    assert out == "".join(f"{'ok  ' if ok else 'FAIL'} {c}: {d}\n" for c, ok, d in checks) + (
+        f"suite {suite}: {len(checks) - failed} passed, {failed} failed\n")
+    assert csv_bytes == expected_csv(["check", "ok", "detail"], rows)
+    assert json_bytes == expected_json("verify", spec, {"suite": suite, "n": n}, rows)
+
+
 # ---------------------------------------------------------------------------
 # analysis commands
 
@@ -244,6 +289,22 @@ def test_asymp_csv(capsys, tmp_path):
     assert len(lines) > 2
 
 
+def test_asymp_artifacts_are_byte_exact(capsys, tmp_path):
+    # float-valued rows: main_term, ratio and remainder go out as repr
+    rep = asymptotics.asymptotic_report(parse_sset("Q2"), "sigma_S", 20000)
+    rows = rep.rows()
+    assert all(isinstance(r["ratio"], float) for r in rows)
+    code, _, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["asymp", "--sset", "Q2", "--fn", "sigma", "--n", "20000"])
+    assert code == 0
+    assert csv_bytes == expected_csv(["x", "partial_sum", "main_term", "ratio", "remainder"],
+                                     rows)
+    assert json_bytes == expected_json(
+        "asymp", "Q2", {"fn": "sigma_S", "x_max": 20000, "samples": 24,
+                        "const_err": rep.const_err, "fit_exponent": rep.fit_exponent,
+                        "fit_residual": rep.fit_residual}, rows)
+
+
 def test_asymp_samples_cap(capsys):
     code, _ = run(capsys, ["asymp", "--sset", "N", "--fn", "tau", "--n", "1000",
                            "--samples", "1001"])
@@ -258,6 +319,15 @@ def test_maxorder_tau(capsys):
                              "--k", "100"])
     assert code == 0
     assert "0.85" in out  # ratio at k = 100
+
+
+def test_maxorder_tau_artifacts_are_byte_exact(capsys, tmp_path):
+    rows = [{"k": 100, "ratio": asymptotics.tau_maximal_ratio(100), "limit": math.log(2)}]
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["maxorder", "--sset", "N", "--mode", "tau", "--k", "100"])
+    assert code == 0 and out == "primorial ratio at k=100: 0.853206 (tends to ln 2 = 0.693147)\n"
+    assert csv_bytes == expected_csv(["k", "ratio", "limit"], rows)
+    assert json_bytes == expected_json("maxorder", "N", {"mode": "tau", "k": 100}, rows)
 
 
 def test_maxorder_tau_sieve_cap(capsys):
@@ -355,6 +425,17 @@ def test_mu_k_stats(capsys):
     code, out = run(capsys, ["mu-k-stats", "--k", "2", "--a-max", "100"])
     assert code == 0
     assert "-1" in out and "0" in out and "1" in out
+
+
+def test_mu_k_stats_artifacts_are_byte_exact(capsys, tmp_path):
+    stats = mobius.mu_k_statistics(3, 100)
+    rows = [{"value": v, "first_a": stats.first_occurrence[v]} for v in stats.values]
+    assert len(rows) > 10  # stdout lists ten and counts the rest
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["mu-k-stats", "--k", "3", "--a-max", "100"])
+    assert code == 0 and f"  ... {len(rows) - 10} more\n" in out
+    assert csv_bytes == expected_csv(["value", "first_a"], rows)
+    assert json_bytes == expected_json("mu-k-stats", "-", {"k": 3, "a_max": 100}, rows)
 
 
 def test_unknown_command_usage_error(capsys):

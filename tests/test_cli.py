@@ -4,14 +4,16 @@ Everything goes through main(argv) so exit codes and stdout are checked
 in-process; artifact files land in tmp_path.
 """
 
+import argparse
 import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from sconv import asymptotics, mobius
+from sconv import asymptotics, cli, mobius
 from sconv.cli import SCHEMA_VERSION, main
 from sconv.divisor_functions import sigma_S_table
 from sconv.sets import parse_sset
@@ -119,10 +121,13 @@ def test_eval_artifact_json(capsys, tmp_path):
     assert obj["rows"][15] == {"n": 16, "value": 27}  # 1+2+8+16, d=4 dropped
 
 
-def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path):
-    # more rows than one write block, so the streamed JSON joins blocks;
+B = cli._ROW_BLOCK
+
+
+@pytest.mark.parametrize("hi", [B - 1, B, B + 1, 2 * B + 1, 9000])
+def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path, hi):
+    # row counts around the write block, where the streamed JSON joins blocks;
     # values must be those of the library table
-    hi = 9000
     table = sigma_S_table(parse_sset("L2"), hi).values
     rows = [{"n": n, "value": int(table[n])} for n in range(1, hi + 1)]
     code, out, csv_bytes, json_bytes = artifacts(
@@ -142,6 +147,35 @@ def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
     assert csv_bytes == b"n,value\r\n16,27\r\n" == expected_csv(["n", "value"], rows)
     assert json_bytes == expected_json(
         "eval", "Q2", {"fn": "sigma", "lo": 16, "hi": 16, "k": None}, rows)
+
+
+@pytest.mark.parametrize("argv", [["eval", "--fn", "tau", "--range", "1..5"],
+                                  ["verify", "--sset", "L2", "--n", "100"]])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code = main(argv + ["--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write artifact {str(path)!r}: ")
+    assert not path.exists()
+
+
+# writer's own tracemalloc peak on 1e5 rows; measured 166 KiB (JSON) and
+# 186 KiB (CSV) at 256-row blocks, 2755 KiB with one 4096-row JSON block
+EMIT_PEAK_BOUND = 512 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_peak_memory_is_bounded(tmp_path, fmt):
+    args = argparse.Namespace(out=str(tmp_path / f"x.{fmt}"), format=fmt)
+    rows = ((n, n * 7919) for n in range(1, 10**5 + 1))
+    tracemalloc.start()
+    try:
+        cli._emit(args, "eval", "N", {}, rows, ["n", "value"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EMIT_PEAK_BOUND
 
 
 # ---------------------------------------------------------------------------

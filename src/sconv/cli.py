@@ -10,7 +10,8 @@ Subcommands:
     mu-k-stats  exploratory value statistics of the k-full Moebius function
 
 Exit codes: 0 all requested checks passed, 1 verification failure,
-2 usage or parse error, 3 resource/overflow guard tripped.
+2 usage or parse error (an --out path that cannot be opened included),
+3 resource/overflow guard tripped.
 
 Machine artifacts (--out) are deterministic: identical invocations produce
 bit-identical CSV/JSON (fixed seeds, no timestamps). JSON artifacts carry

@@ -121,13 +121,9 @@ def test_eval_artifact_json(capsys, tmp_path):
     assert obj["rows"][15] == {"n": 16, "value": 27}  # 1+2+8+16, d=4 dropped
 
 
-B = cli._ROW_BLOCK
-
-
-@pytest.mark.parametrize("hi", [B - 1, B, B + 1, 2 * B + 1, 9000])
-def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path, hi):
-    # row counts around the write block, where the streamed JSON joins blocks;
-    # values must be those of the library table
+def assert_eval_range_artifacts(capsys, tmp_path, hi):
+    """eval sigma over L2 on 1..hi: stdout and both artifacts byte-exact,
+    with the values of the library table."""
     table = sigma_S_table(parse_sset("L2"), hi).values
     rows = [{"n": n, "value": int(table[n])} for n in range(1, hi + 1)]
     code, out, csv_bytes, json_bytes = artifacts(
@@ -137,6 +133,19 @@ def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path, hi):
     assert csv_bytes == expected_csv(["n", "value"], rows)
     assert json_bytes == expected_json(
         "eval", "L2", {"fn": "sigma", "lo": 1, "hi": hi, "k": None}, rows)
+
+
+def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path):
+    # many write blocks, so the streamed JSON joins blocks
+    assert_eval_range_artifacts(capsys, tmp_path, 9000)
+
+
+B = cli._ROW_BLOCK
+
+
+@pytest.mark.parametrize("hi", [B - 1, B, B + 1, 2 * B + 1])
+def test_eval_artifacts_at_block_boundaries_are_byte_exact(capsys, tmp_path, hi):
+    assert_eval_range_artifacts(capsys, tmp_path, hi)
 
 
 def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):

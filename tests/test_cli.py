@@ -15,6 +15,7 @@ import pytest
 
 from sconv import asymptotics, cli, mobius
 from sconv.cli import SCHEMA_VERSION, main
+from sconv.convolve import ArithFunc, s_inverse
 from sconv.divisor_functions import sigma_S_table
 from sconv.sets import parse_sset
 
@@ -156,6 +157,30 @@ def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
     assert csv_bytes == b"n,value\r\n16,27\r\n" == expected_csv(["n", "value"], rows)
     assert json_bytes == expected_json(
         "eval", "Q2", {"fn": "sigma", "lo": 16, "hi": 16, "k": None}, rows)
+
+
+@pytest.mark.parametrize("argv, sset, k, lo, hi", [
+    (["--sset", "L2", "--fn", "mu", "--range", "1..1000"], "L2", None, 1, 1000),  # pointwise
+    (["--sset", "L2", "--fn", "mu", "--range", "1..1001"], "L2", None, 1, 1001),  # a table to hi
+    (["--sset", "P{2,3}", "--fn", "mu", "--n", "65536"], "P{2,3}", None, 65536, 65536),
+    (["--fn", "mu_k", "--k", "3", "--range", "1..1200"], "N", 3, 1, 1200),
+])
+def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, hi):
+    """eval --fn mu and --fn mu_k: stdout and both artifacts byte-exact, with
+    the values of the push sieve s_inverse of I over S, or over L_k for mu_k;
+    the mu_k artifact names the --sset value, here the default N."""
+    S = parse_sset(sset if k is None else f"L{k}")
+    g = s_inverse(S, ArithFunc.named("I"), hi)
+    rows = [{"n": n, "value": g[n]} for n in range(lo, hi + 1)]
+    code, out, csv_bytes, json_bytes = artifacts(capsys, tmp_path, ["eval"] + argv)
+    assert code == 0
+    if lo == hi:
+        assert out == f"{g[hi]}\n"
+    else:
+        assert out == "".join(f"{r['n']} {r['value']}\n" for r in rows)
+    assert csv_bytes == expected_csv(["n", "value"], rows)
+    assert json_bytes == expected_json(
+        "eval", sset, {"fn": argv[argv.index("--fn") + 1], "lo": lo, "hi": hi, "k": k}, rows)
 
 
 @pytest.mark.parametrize("argv", [["eval", "--fn", "tau", "--range", "1..5"],

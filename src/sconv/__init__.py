@@ -7,10 +7,11 @@ gcd(d, n/d) lies in S. The S-convolution
 
 interpolates between the Dirichlet convolution (S = all of N) and the
 unitary convolution (S = {1}). This package provides the operator algebra
-with its structure tests and witnesses, the Moebius companions mu_S and
-mu_k with the Dirichlet series zeta_S, the restricted divisor functions
-tau_S / sigma_S / phi_S with identity cross-checks and bulk sieves, and
-numerical verification of their average and maximal orders.
+with its structure tests and witnesses, the Moebius companions mu_S, the
+S-inverse of 1 and its k-full case mu_k, the Dirichlet series zeta_S, the
+restricted divisor functions tau_S / sigma_S / phi_S with identity
+cross-checks and bulk sieves, and numerical verification of their
+average and maximal orders.
 """
 
 from .arith import (
@@ -69,9 +70,9 @@ from .divisor_functions import (
 )
 from .errors import ConsistencyError, LimitError, ParseError
 from .mobius import (
-    MuKGenerator,
     MuKStatistics,
     ZetaEvaluation,
+    inverse_of_I,
     mu_k_at,
     mu_k_prime_power,
     mu_k_statistics,
@@ -108,24 +109,25 @@ __version__ = "0.1.0"
 __all__ = [
     "ArithFunc", "AsymptoticReport", "ConsistencyError", "DEFAULT_SEED",
     "EULER_GAMMA", "ExponentRule", "FunctionTable",
-    "GeneralSSet", "LimitError", "MaximalConstant", "MuKGenerator",
-    "MuKStatistics", "MultiplicativeSSet", "NAMED_FUNCTIONS", "ParseError",
+    "GeneralSSet", "LimitError", "MaximalConstant", "MuKStatistics",
+    "MultiplicativeSSet", "NAMED_FUNCTIONS", "ParseError",
     "PrimeClassification", "SSet", "Verdict", "WitnessSequence",
     "ZeroDivisorPair", "ZetaEvaluation", "associativity_violation_functions",
     "associativity_witness", "asymptotic_report", "chebyshev_theta",
     "check_assoc_identity", "classify_prime", "conv_cm_via_dirichlet",
     "conv_cm_via_unitary", "divisors", "eval_multiplicative", "factorize",
-    "gronwall_range_max", "indicator", "is_associative", "is_multiplicative",
-    "make_general_sset", "make_mult_sset", "mu_k_at", "mu_k_prime_power",
-    "mu_k_statistics", "mu_set_at", "mu_set_table", "mu_table",
-    "mult_preservation_witness", "multiplicative_table", "parse_sset",
-    "phi_S_at", "phi_S_table", "prime_array", "random_arith_func",
-    "random_multiplicative_func", "render_sset", "rho", "rho_table",
-    "s_convolve", "s_convolve_at", "s_convolve_table", "s_divisors",
-    "s_inverse", "sieve_primes", "sigma_S_at", "sigma_S_prime_power",
-    "sigma_S_table", "sigma_S_via_identity", "sigma_main_term",
-    "sigma_maximal_constant", "sigma_maximal_constant_uniform", "tau_S_at",
-    "tau_S_table", "tau_S_via_identity", "tau_main_term",
-    "tau_maximal_ratio", "verify_mobius_identity", "verify_series_ratio",
-    "witness_sequence", "zero_divisor_pair", "zeta_S", "zeta_S_derivative",
+    "gronwall_range_max", "indicator", "inverse_of_I", "is_associative",
+    "is_multiplicative", "make_general_sset", "make_mult_sset", "mu_k_at",
+    "mu_k_prime_power", "mu_k_statistics", "mu_set_at", "mu_set_table",
+    "mu_table", "mult_preservation_witness", "multiplicative_table",
+    "parse_sset", "phi_S_at", "phi_S_table", "prime_array",
+    "random_arith_func", "random_multiplicative_func", "render_sset", "rho",
+    "rho_table", "s_convolve", "s_convolve_at", "s_convolve_table",
+    "s_divisors", "s_inverse", "sieve_primes", "sigma_S_at",
+    "sigma_S_prime_power", "sigma_S_table", "sigma_S_via_identity",
+    "sigma_main_term", "sigma_maximal_constant",
+    "sigma_maximal_constant_uniform", "tau_S_at", "tau_S_table",
+    "tau_S_via_identity", "tau_main_term", "tau_maximal_ratio",
+    "verify_mobius_identity", "verify_series_ratio", "witness_sequence",
+    "zero_divisor_pair", "zeta_S", "zeta_S_derivative",
 ]

@@ -41,6 +41,7 @@ from .asymptotics import (
 )
 from .convolve import (
     DEFAULT_SEED,
+    POINTWISE_SPAN,
     ArithFunc,
     associativity_violation_functions,
     random_arith_func,
@@ -62,7 +63,7 @@ from .divisor_functions import (
 )
 from .errors import ConsistencyError, LimitError, ParseError
 from .mobius import (
-    mu_k_at,
+    inverse_of_I,
     mu_k_statistics,
     mu_set_table,
     verify_mobius_identity,
@@ -213,12 +214,9 @@ def _cmd_eval(args) -> int:
 
 
 def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> list:
-    if fn == "mu_k":
-        return [mu_k_at(k, n) for n in range(lo, hi + 1)]
-    if fn == "mu":
-        g = s_inverse(S, ArithFunc.named("I"), hi)
-        return g[lo : hi + 1]
-    if hi - lo < 1000:  # pointwise beats building a table to hi
+    if fn in ("mu", "mu_k"):  # mu_k is the S-inverse of I over L_k
+        return inverse_of_I(S if fn == "mu" else parse_sset(f"L{k}"), lo, hi)
+    if hi - lo < POINTWISE_SPAN:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
         return [at(S, n) for n in range(lo, hi + 1)]
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]

@@ -40,6 +40,7 @@ from .sets import (
 )
 
 DEFAULT_SEED = 8191  # seed for reproducible random-function property checks
+POINTWISE_SPAN = 1000  # lo..hi with hi - lo below this: pointwise beats a table to hi
 
 
 class ArithFunc:
@@ -91,12 +92,6 @@ class ArithFunc:
     def from_prime_powers(cls, ppv, name: str = "mult") -> "ArithFunc":
         """Multiplicative function from its prime-power values ppv(p, a)."""
         return cls(lambda n: eval_multiplicative(ppv, n), name=name, multiplicative=True)
-
-    @classmethod
-    def from_primes(cls, pv, name: str = "cmult") -> "ArithFunc":
-        """Completely multiplicative function from its prime values pv(p)."""
-        return cls(lambda n: eval_multiplicative(lambda p, a: pv(p) ** a, n),
-                   name=name, completely_multiplicative=True)
 
     @classmethod
     def named(cls, ident: str) -> "ArithFunc":
@@ -182,13 +177,25 @@ def s_convolve(S: SSet, f: ArithFunc, g: ArithFunc) -> ArithFunc:
 # ---------------------------------------------------------------------------
 # inverses
 
+def _require_associative(S: SSet) -> None:
+    """ValueError unless 1 is in S and the S-convolution associates."""
+    if rho(S, 1) != 1:
+        raise ValueError(f"{S.spec!r} does not contain 1; no identity, no inverses")
+    if not is_associative(S):
+        raise ValueError(
+            f"{S.spec!r} gives a non-associative convolution; sconv computes inverses "
+            f"only under associative convolutions (witness triple {associativity_witness(S)})"
+        )
+
+
 def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
     """Table of the inverse of f under the S-convolution, on 1..N.
 
     Needs f(1) != 0 and an associative convolution (1 in S and every prime
-    rule upward-closed); otherwise inverses are not two-sided and the call
-    is refused. Exact: Python ints when f(1) is +-1 and f is integral,
-    Fractions otherwise, with whole Fractions turned into ints.
+    rule upward-closed), else it refuses: inverses are two-sided, since the
+    convolution commutes, but (f*g)^-1 = f^-1 * g^-1 needs associativity.
+    Exact: Python ints when f(1) is +-1 and f is integral, Fractions
+    otherwise, with whole Fractions turned into ints.
 
         g(1) = 1/f(1),   g(n) = -(1/f(1)) * sum_{d S-divisor of n, d < n} g(d) f(n/d)
 
@@ -202,14 +209,7 @@ def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
     f1 = f(1)
     if f1 == 0:
         raise ValueError("f(1) = 0 has no convolution inverse")
-    if rho(S, 1) != 1:
-        raise ValueError(f"{S.spec!r} does not contain 1; no identity, no inverses")
-    ok = is_associative(S)
-    if not ok:
-        raise ValueError(
-            f"{S.spec!r} gives a non-associative convolution; inverses are not "
-            f"two-sided (witness triple {associativity_witness(S)})"
-        )
+    _require_associative(S)
     inv1 = int(f1) if f1 in (1, -1) else Fraction(1) / Fraction(f1)
     fv = f.table(N)
     fa = np.array(fv, dtype=object)

@@ -1,15 +1,16 @@
 """Moebius functions attached to a set S, and the generating Dirichlet series.
 
-Two distinct Moebius-like companions show up:
+Three functions go by the name mu here:
 
-  * mu_S, defined through ordinary Dirichlet convolution by
-    mu_S = rho_S * mu, equivalently sum_{d | n} mu_S(d) = rho_S(n).
-    For multiplicative S it is multiplicative with
+  * mu_S = rho_S * mu (mu_set_table, mu_set_at), an ordinary Dirichlet
+    convolution: sum_{d | n} mu_S(d) = rho_S(n). For multiplicative S,
     mu_S(p^a) = rho_S(p^a) - rho_S(p^(a-1)), so its values lie in {-1, 0, 1}.
 
-  * mu_k (k-full Moebius), the inverse of the constant-1 function under the
-    convolution restricted to k-full gcds: multiplicative, with prime-power
-    values depending on the exponent only:
+  * g, the inverse of I = 1 under the S-convolution (inverse_of_I, the
+    CLI's `eval --fn mu`): for rule-based S, g(p^a) = -sum of g(p^i) over
+    the i < a with p^min(i, a-i) in S. Over N, g is mu and mu_S is delta.
+
+  * mu_k (k-full Moebius), g for S = L_k; mu_k(p^a) depends on a only:
         mu_k(p^a) = -1              for 1 <= a < 2k
         mu_k(p^a) = mu_k(p^(a-1)) - mu_k(p^(a-k))   for a >= 2k.
 
@@ -35,8 +36,9 @@ from .arith import (
     multiplicative_table,
     prime_array,
 )
+from .convolve import POINTWISE_SPAN, ArithFunc, _require_associative, s_inverse
 from .errors import ConsistencyError, LimitError
-from .sets import MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
+from .sets import ExponentRule, MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
 # prime cutoff cap for product evaluation; the doubling from 2^14 stops at the
@@ -76,11 +78,38 @@ def mu_set_at(S: SSet, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the k-full Moebius function
+# the S-inverse of I, and mu_k as its L_k case
+
+def _inverse_of_I_pp(rule: ExponentRule, a: int) -> int:
+    """g(p^a), g the S-inverse of I, at a prime where S admits the exponents of
+    rule: minus the sum of g(p^i) over the S-divisors p^i < p^a. O(a^2) steps."""
+    if a < 0:
+        raise ValueError("exponent must be >= 0")
+    g = [1]
+    for b in range(1, a + 1):
+        g.append(-sum(g[i] for i in range(b) if i == 0 or rule.contains(min(i, b - i))))
+    return g[a]
+
+
+def inverse_of_I(S: SSet, lo: int, hi: int) -> list:
+    """g(lo..hi), g the inverse of I = 1 under the S-convolution; not
+    mu_S = rho_S * mu (over L2, g(4) = -1 and mu_S(4) = 1). Rule-based S:
+    g is multiplicative, pointwise when hi - lo < POINTWISE_SPAN, else one
+    multiplicative_table to hi. Table-backed S: s_inverse, also the tests'
+    cross-check of this route. Refuses what s_inverse refuses (ValueError)."""
+    if S.mult is None:
+        return s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]
+    _require_associative(S)
+    ppv = lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
+    if hi - lo < POINTWISE_SPAN:
+        return [eval_multiplicative(ppv, n) for n in range(lo, hi + 1)]
+    return multiplicative_table(hi, ppv)[lo : hi + 1].tolist()
+
 
 def _mu_k_sequence(k: int):
     """Endless generator of mu_k(p^a) for a = 1, 2, ...; the recurrence
-    reads only the last k values, kept in a deque window."""
+    reads only the last k values, kept in a deque window. O(1) per exponent
+    for mu_k_statistics, and the tests' cross-check of _inverse_of_I_pp at L_k."""
     window = deque([1], maxlen=k)  # mu_k(p^(a-k)) .. mu_k(p^(a-1)), once full
     for a in count(1):
         v = -1 if a < 2 * k else window[-1] - window[0]
@@ -88,39 +117,9 @@ def _mu_k_sequence(k: int):
         yield v
 
 
-class MuKGenerator:
-    """Prime-power values of mu_k; the value depends only on the exponent.
-
-    The cache extends on demand from _mu_k_sequence, so value(a) costs
-    O(1) per new exponent. Exact ints; for k >= 3 the recurrence's roots
-    leave the unit circle and values grow exponentially with a.
-    """
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self._vals = [1]  # index a = 0
-        self._seq = _mu_k_sequence(k)
-
-    def value(self, a: int) -> int:
-        if a < 0:
-            raise ValueError("exponent must be >= 0")
-        v = self._vals
-        while len(v) <= a:
-            v.append(next(self._seq))
-        return v[a]
-
-
-_GENERATORS: dict[int, MuKGenerator] = {}
-
-
 def mu_k_prime_power(k: int, a: int) -> int:
-    """mu_k(p^a) for any prime p (independent of p)."""
-    gen = _GENERATORS.get(k)
-    if gen is None:
-        gen = _GENERATORS[k] = MuKGenerator(k)
-    return gen.value(a)
+    """mu_k(p^a) for any prime p; for k >= 3 it grows exponentially in a."""
+    return _inverse_of_I_pp(ExponentRule.at_least(k), a)
 
 
 def mu_k_at(k: int, n: int) -> int:

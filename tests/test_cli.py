@@ -109,6 +109,13 @@ def test_eval_bad_sset(capsys):
     assert code == 2
 
 
+def test_eval_mu_refuses_non_associative_set(capsys):
+    assert main(["eval", "--sset", "Q2", "--fn", "mu", "--n", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'Q2' gives a non-associative convolution; sconv computes inverses"
+        " only under associative convolutions (witness triple (16, 4, 2))\n")
+
+
 def test_eval_artifact_json(capsys, tmp_path):
     out_path = tmp_path / "vals.json"
     code, _ = run(capsys, ["eval", "--sset", "Q2", "--fn", "sigma",

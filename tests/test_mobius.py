@@ -17,7 +17,8 @@ import pytest
 from sconv.arith import dirichlet_sweep
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import (
-    MuKGenerator,
+    _inverse_of_I_pp,
+    _mu_k_sequence,
     _zeta_full,
     mu_at,
     mu_k_at,
@@ -205,12 +206,12 @@ def test_mu_k_at_is_multiplicative_extension():
             assert mu_k_at(k, n) == want, (k, n)
 
 
-def test_mu_k_generator_caches():
-    gen = MuKGenerator(2)
-    assert [gen.value(a) for a in range(1, 11)] == [-1, -1, -1, 0, 1, 1, 0, -1, -1, 0]
-    # repeated queries hit the cache, including out of order
-    assert gen.value(3) == -1
-    assert gen.value(10) == 0
+def test_inverse_recurrence_at_kfull_rule_matches_mu_k_sequence():
+    # _mu_k_sequence is the named cross-check of the S-inverse recurrence at L_k
+    for k in range(1, 7):
+        rule = ExponentRule.at_least(k)
+        want = list(itertools.islice(_mu_k_sequence(k), 120))
+        assert [_inverse_of_I_pp(rule, a) for a in range(1, 121)] == want, k
 
 
 def test_mu_k_guards():

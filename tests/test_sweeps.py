@@ -1,10 +1,11 @@
-"""Property tests of the two bulk S-convolution sweeps.
+"""Property tests of the two bulk S-convolution sweeps and the S-inverse of I.
 
 s_convolve_table is compared entry by entry with the pointwise
 s_convolve_at, and s_inverse with a longhand Fraction recursion over
 trial-division divisors; every inverse must also satisfy g * f = delta
-pointwise. Random tables come from hypothesis, derandomized so a run
-repeats exactly.
+pointwise. The local recurrence behind mobius.inverse_of_I is compared
+with the same recursion, and inverse_of_I with s_inverse. Random tables
+and sets come from hypothesis, derandomized so a run repeats exactly.
 """
 
 import math
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sconv.arith import eval_multiplicative
 from sconv.cli import main
 from sconv.convolve import ArithFunc, s_convolve_at, s_convolve_table, s_inverse
 from sconv.errors import LimitError
-from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
+from sconv.mobius import _inverse_of_I_pp, inverse_of_I
+from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 # one set using every rule kind: default below 3, then at_least, finite, none, all
@@ -190,5 +193,60 @@ def test_inverse_fractions_when_f1_is_3(spec, data):
 
 def test_inverse_refuses_non_associative_sets():
     for key in ("Q2", "Q3", "mixed", "F{1,2,6}"):
-        with pytest.raises(ValueError):
-            s_inverse(SETS[key], ArithFunc.named("I"), 10)
+        for route in (lambda S: s_inverse(S, ArithFunc.named("I"), 10),
+                      lambda S: inverse_of_I(S, 1, 10)):
+            with pytest.raises(ValueError, match="only under associative convolutions"):
+                route(SETS[key])
+
+
+# ---------------------------------------------------------------------------
+# the S-inverse of I: the local recurrence and inverse_of_I
+
+
+def recurrence_extension(S, N):
+    """[0, g(1), ..., g(N)] from the prime-power recurrence of the S-inverse of I."""
+    return [0] + [eval_multiplicative(lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a), n)
+                  for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("key", sorted(set(SETS) - {"F{1,2,6}"}))
+def test_inverse_recurrence_matches_brute_force(key):
+    # non-associative Q2, Q3 and mixed included: g * I = delta has the one
+    # solution, and the commutative convolution makes it two-sided
+    S = SETS[key]
+    assert recurrence_extension(S, 500) == brute_inverse(S, ArithFunc.named("I"), 500)
+
+
+@pytest.mark.parametrize("spec", ASSOCIATIVE)
+def test_inverse_of_I_matches_push_sieve(spec):
+    S, N = SETS[spec], 10**4
+    want = s_inverse(S, ArithFunc.named("I"), N)
+    assert inverse_of_I(S, 1, N) == want[1:]  # one table to N
+    assert inverse_of_I(S, N - 999, N) == want[N - 999 :]  # pointwise
+    assert inverse_of_I(S, 7, 7) == [want[7]]
+
+
+@st.composite
+def exponent_rules(draw):
+    kind = draw(st.sampled_from(["all", "none", "below", "at_least", "finite"]))
+    if kind == "all":
+        return ExponentRule.all_()
+    if kind == "none":
+        return ExponentRule.none_()
+    if kind == "below":
+        return ExponentRule.below(draw(st.integers(2, 5)))
+    if kind == "at_least":
+        return ExponentRule.at_least(draw(st.integers(2, 5)))
+    return ExponentRule.finite(draw(st.sets(st.integers(1, 6), min_size=1)))
+
+
+@PROPERTY
+@given(default=exponent_rules(),
+       overrides=st.dictionaries(st.sampled_from([2, 3, 5, 7]), exponent_rules(), max_size=3))
+def test_inverse_recurrence_random_rule_sets(default, overrides):
+    S = make_mult_sset(default, overrides)
+    N = 256
+    got = recurrence_extension(S, N)
+    assert got == brute_inverse(S, ArithFunc.named("I"), N)
+    if is_associative(S):
+        assert inverse_of_I(S, 1, N) == got[1:]

@@ -55,7 +55,6 @@ from .convolve import (
     zero_divisor_pair,
 )
 from .divisor_functions import (
-    FunctionTable,
     conv_cm_via_dirichlet,
     conv_cm_via_unitary,
     phi_S_at,
@@ -99,7 +98,6 @@ from .sets import (
     make_general_sset,
     make_mult_sset,
     parse_sset,
-    render_sset,
     rho,
     rho_table,
 )
@@ -108,7 +106,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArithFunc", "AsymptoticReport", "ConsistencyError", "DEFAULT_SEED",
-    "EULER_GAMMA", "ExponentRule", "FunctionTable",
+    "EULER_GAMMA", "ExponentRule",
     "GeneralSSet", "LimitError", "MaximalConstant", "MuKStatistics",
     "MultiplicativeSSet", "NAMED_FUNCTIONS", "ParseError",
     "PrimeClassification", "SSet", "Verdict", "WitnessSequence",
@@ -121,7 +119,7 @@ __all__ = [
     "mu_k_prime_power", "mu_k_statistics", "mu_set_at", "mu_set_table",
     "mu_table", "mult_preservation_witness", "multiplicative_table",
     "parse_sset", "phi_S_at", "phi_S_table", "prime_array",
-    "random_arith_func", "random_multiplicative_func", "render_sset", "rho",
+    "random_arith_func", "random_multiplicative_func", "rho",
     "rho_table", "s_convolve", "s_convolve_at", "s_convolve_table",
     "s_divisors", "s_inverse", "sieve_primes", "sigma_S_at",
     "sigma_S_prime_power", "sigma_S_table", "sigma_S_via_identity",

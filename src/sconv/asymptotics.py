@@ -153,7 +153,7 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
         a, b, cerr = _tau_constants(S)
         main = lambda x: a * float(x) * (math.log(x) + b)
 
-    csum = np.cumsum(table.values)
+    csum = np.cumsum(table)
     x0 = max(64, int(round(x_max ** (1.0 / 3.0))))
     raw = np.unique(np.rint(np.geomspace(x0, x_max, samples)).astype(np.int64))
     xs = [int(x) for x in raw if x >= 2]

@@ -220,7 +220,7 @@ def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> list:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
         return [at(S, n) for n in range(lo, hi + 1)]
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
-    return tab(S, hi).values[lo : hi + 1].tolist()
+    return tab(S, hi)[lo : hi + 1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -261,76 +261,62 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+def _agree(check: str, bad: np.ndarray, ok_text: str, why=None) -> tuple[str, bool, str]:
+    """verify's (check, ok, detail) row of a table comparison: ok_text, or
+    the least n >= 1 with bad[n] set, followed by why(n) when given."""
+    hit = np.flatnonzero(bad[1:])
+    if not len(hit):
+        return check, True, ok_text
+    n = int(hit[0]) + 1
+    return check, False, f"first failure at n={n}" + (why(n) if why else "")
+
+
+def _not_delta(conv: np.ndarray) -> np.ndarray:
+    """Where conv differs from delta; n = 1 is flagged only when no n >= 2
+    is, so a failure from n = 2 on is reported ahead of conv[1] != 1."""
+    bad = conv != 0
+    bad[1] = conv[1] != 1 and not bad[2:].any()
+    return bad
+
+
 def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
-    out = []
     v = verify_mobius_identity(S, N)
-    out.append(("mobius_sum", bool(v),
-                f"sum of mu_S over divisors equals rho_S to {N}" if v
-                else f"first failure {v.witness}"))
-
-    ms = np.abs(mu_set_table(S, N))
-    tau = multiplicative_table(N, _tau_pp)
-    bad = np.flatnonzero(ms[1:] > tau[1:])
-    out.append(("mu_bound", len(bad) == 0,
-                f"|mu_S| <= tau to {N}" if len(bad) == 0
-                else f"first failure at n={int(bad[0]) + 1}"))
-
-    t1 = tau_S_table(S, N).values
-    t2 = tau_S_table_via_rho(S, N).values
-    bad = np.flatnonzero(t1[1:] != t2[1:])
-    out.append(("tau_identity", len(bad) == 0,
-                f"both square-divisor forms match to {N}" if len(bad) == 0
-                else f"first failure at n={int(bad[0]) + 1}: {int(t1[bad[0]+1])} vs {int(t2[bad[0]+1])}"))
-
-    s1 = sigma_S_table(S, N).values
-    s2 = sigma_S_table_via_rho(S, N).values
-    bad = np.flatnonzero(s1[1:] != s2[1:])
-    out.append(("sigma_identity", len(bad) == 0,
-                f"both square-divisor forms match to {N}" if len(bad) == 0
-                else f"first failure at n={int(bad[0]) + 1}"))
-
-    p1 = phi_S_table(S, N).values  # rho_S * phi, self-checked vs direct
-    p2 = dirichlet_sweep(mu_set_table(S, N), np.arange(N + 1, dtype=np.int64), N)  # mu_S * E
-    bad = np.flatnonzero(p1[1:] != p2[1:])
-    out.append(("phi_forms", len(bad) == 0,
-                f"mu_S*E and rho_S*phi agree to {N}" if len(bad) == 0
-                else f"first failure at n={int(bad[0]) + 1}"))
+    out = [("mobius_sum", bool(v),
+            f"sum of mu_S over divisors equals rho_S to {N}" if v
+            else f"first failure {v.witness}")]
+    ms = mu_set_table(S, N)
+    out.append(_agree("mu_bound", np.abs(ms) > multiplicative_table(N, _tau_pp),
+                      f"|mu_S| <= tau to {N}"))
+    t1, t2 = tau_S_table(S, N), tau_S_table_via_rho(S, N)
+    out.append(_agree("tau_identity", t1 != t2, f"both square-divisor forms match to {N}",
+                      lambda n: f": {int(t1[n])} vs {int(t2[n])}"))
+    out.append(_agree("sigma_identity", sigma_S_table(S, N) != sigma_S_table_via_rho(S, N),
+                      f"both square-divisor forms match to {N}"))
+    p1 = phi_S_table(S, N)  # rho_S * phi, self-checked vs direct
+    p2 = dirichlet_sweep(ms, np.arange(N + 1, dtype=np.int64), N)  # mu_S * E
+    out.append(_agree("phi_forms", p1 != p2, f"mu_S*E and rho_S*phi agree to {N}"))
     return out
 
 
-def _first_true(mask: np.ndarray, start: int = 1) -> int | None:
-    """Least n >= start with mask[n] set, or None."""
-    hit = np.flatnonzero(mask[start:])
-    return int(hit[0]) + start if len(hit) else None
-
-
 def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
-    out = []
     rng = random.Random(DEFAULT_SEED)
     f = random_arith_func(rng, N)
     g = random_arith_func(rng, N)
     h = random_arith_func(rng, N)
 
-    fg = s_convolve_table(S, f, g, N)
-    gf = s_convolve_table(S, g, f, N)
-    n_bad = _first_true(fg != gf)
-    out.append(("commutative", n_bad is None,
-                f"f*g = g*f to {N}" if n_bad is None else f"first failure at n={n_bad}"))
+    out = [_agree("commutative", s_convolve_table(S, f, g, N) != s_convolve_table(S, g, f, N),
+                  f"f*g = g*f to {N}")]
 
     nd = min(N, 2000)
     lhs = s_convolve_table(S, f, g + h, nd)
     fgd = s_convolve_table(S, f, g, nd)
     fhd = s_convolve_table(S, f, h, nd)
-    n_bad = _first_true(lhs != fgd.astype(object) + fhd)  # exact: the sum may leave int64
-    out.append(("distributive", n_bad is None,
-                f"f*(g+h) = f*g + f*h to {nd}" if n_bad is None
-                else f"first failure at n={n_bad}"))
+    out.append(_agree("distributive", lhs != fgd.astype(object) + fhd,  # exact: may leave int64
+                      f"f*(g+h) = f*g + f*h to {nd}"))
 
-    delta = ArithFunc.named("delta")
-    fd = s_convolve_table(S, f, delta, N)
-    n_bad = _first_true(fd != np.array(f.table(N), dtype=fd.dtype))
-    out.append(("identity_element", n_bad is None,
-                f"f*delta = f to {N}" if n_bad is None else f"first failure at n={n_bad}"))
+    fd = s_convolve_table(S, f, ArithFunc.named("delta"), N)
+    out.append(_agree("identity_element", fd != np.array(f.table(N), dtype=fd.dtype),
+                      f"f*delta = f to {N}"))
 
     na = min(N, 200)
     av = is_associative(S)
@@ -378,29 +364,20 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_inversion(S: SSet, N: int) -> list[tuple[str, bool, str]]:
-    out = []
     nb = min(N, 4096)
     try:
         g = s_inverse(S, ArithFunc.named("I"), nb)
     except ValueError as exc:
-        out.append(("inverse_of_I", False, str(exc)))
-        return out
+        return [("inverse_of_I", False, str(exc))]
     conv = s_convolve_table(S, ArithFunc.from_table(g), ArithFunc.named("I"), nb)
-    n_bad = _first_true(conv != 0, 2)
-    ok = n_bad is None and bool(conv[1] == 1)
-    out.append(("inverse_of_I", ok,
-                f"I^(-1) * I = delta to {nb}" if ok else f"first failure at n={n_bad or 1}"))
+    out = [_agree("inverse_of_I", _not_delta(conv), f"I^(-1) * I = delta to {nb}")]
 
     rng = random.Random(DEFAULT_SEED + 1)
     nr = min(N, 512)
     f = random_arith_func(rng, nr, unit=True)
-    gi = s_inverse(S, f, nr)
-    conv = s_convolve_table(S, ArithFunc.from_table(gi), f, nr)
-    n_bad = _first_true(conv != 0, 2)
-    ok = n_bad is None and bool(conv[1] == 1)
-    out.append(("inverse_random_unit", ok,
-                f"f^(-1) * f = delta to {nr} for a seeded unit" if ok
-                else f"first failure at n={n_bad or 1}"))
+    conv = s_convolve_table(S, ArithFunc.from_table(s_inverse(S, f, nr)), f, nr)
+    out.append(_agree("inverse_random_unit", _not_delta(conv),
+                      f"f^(-1) * f = delta to {nr} for a seeded unit"))
     return out
 
 

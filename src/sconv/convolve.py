@@ -44,19 +44,17 @@ POINTWISE_SPAN = 1000  # lo..hi with hi - lo below this: pointwise beats a table
 
 
 class ArithFunc:
-    """An arithmetical function with structural flags for fast paths.
+    """An arithmetical function: a plain evaluator n -> value.
 
-    Wraps a plain evaluator n -> value. Values are exact Python ints (or
-    Fractions for inverses). Flags mark multiplicativity so operations can
-    pick prime-power routes or reject invalid inputs.
+    Values are exact Python ints (or Fractions for inverses). The one flag,
+    completely_multiplicative, lets the Dirichlet and unitary expansions of
+    divisor_functions refuse inputs they do not hold for.
     """
 
-    def __init__(self, fn, name: str = "f", multiplicative: bool = False,
-                 completely_multiplicative: bool = False):
+    def __init__(self, fn, name: str = "f", completely_multiplicative: bool = False):
         self._fn = fn
         self._values = None  # the stored list of a from_table function
         self.name = name
-        self.multiplicative = multiplicative or completely_multiplicative
         self.completely_multiplicative = completely_multiplicative
 
     def __call__(self, n: int):
@@ -91,7 +89,7 @@ class ArithFunc:
     @classmethod
     def from_prime_powers(cls, ppv, name: str = "mult") -> "ArithFunc":
         """Multiplicative function from its prime-power values ppv(p, a)."""
-        return cls(lambda n: eval_multiplicative(ppv, n), name=name, multiplicative=True)
+        return cls(lambda n: eval_multiplicative(ppv, n), name=name)
 
     @classmethod
     def named(cls, ident: str) -> "ArithFunc":
@@ -167,11 +165,7 @@ def _sweep_dtype(fv: list, gv: list):
 
 def s_convolve(S: SSet, f: ArithFunc, g: ArithFunc) -> ArithFunc:
     """The convolution as a function object (pointwise evaluator)."""
-    h = ArithFunc(lambda n: s_convolve_at(S, f, g, n),
-                  name=f"({f.name}*{g.name}|{S.spec})")
-    mv = is_multiplicative(S)
-    h.multiplicative = bool(mv) and f.multiplicative and g.multiplicative
-    return h
+    return ArithFunc(lambda n: s_convolve_at(S, f, g, n), name=f"({f.name}*{g.name}|{S.spec})")
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +367,4 @@ def random_multiplicative_func(rng: random.Random, N: int, name: str = "randmult
         return cache[(p, a)]
 
     vals = [0] + [eval_multiplicative(ppv, n) for n in range(1, N + 1)]
-    func = ArithFunc.from_table(vals, name=name)
-    func.multiplicative = True
-    return func
+    return ArithFunc.from_table(vals, name=name)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,32 +163,7 @@ def _phi_direct(S: SSet, n: int) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-@dataclass(frozen=True)
-class FunctionTable:
-    """A dense 1-indexed table of one S-restricted function.
-
-    values is an int64 array; values[0] is unused and kept 0. The CLI
-    writes tables out (`sconv eval --range ... --out`).
-    """
-
-    name: str
-    sset_spec: str
-    N: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
-        if len(self.values) != self.N + 1:
-            raise ValueError("values must have length N + 1 (index 0 unused)")
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctionTable):
-            return NotImplemented
-        return ((self.name, self.sset_spec, self.N) == (other.name, other.sset_spec, other.N)
-                and np.array_equal(self.values, other.values))
-
-
-def _self_check(name: str, S: SSet, values, direct, N: int) -> None:
+def _self_check(name: str, values, direct, N: int) -> None:
     """Spot-check a freshly built table against direct enumeration."""
     rng = random.Random(SELF_CHECK_SEED)
     for _ in range(SELF_CHECK_COUNT):
@@ -201,10 +175,10 @@ def _self_check(name: str, S: SSet, values, direct, N: int) -> None:
 
 
 def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
-                          direct=None) -> FunctionTable:
-    """Table of sum_{d^2 | n} c(d) f(n/d^2) on 1..N, with c = coef(S, sqrt N)
-    (times d when weighted) and f(p^a) = ppv(p, a); self-checked against
-    direct(n) when given."""
+                          direct=None) -> np.ndarray:
+    """Table of sum_{d^2 | n} c(d) f(n/d^2) on 0..N (int64; index 0 holds 0),
+    with c = coef(S, sqrt N) (times d when weighted) and f(p^a) = ppv(p, a);
+    self-checked against direct(n) when given, name labelling a failure."""
     root = math.isqrt(N)
     c = coef(S, root)
     if weighted:
@@ -216,18 +190,18 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
         part = base[1 : N // q + 1]
         out[q::q] += part if k == 1 else k * part
     if direct is not None:
-        _self_check(name, S, out, direct, N)
-    return FunctionTable(name=name, sset_spec=S.spec, N=N, values=out)
+        _self_check(name, out, direct, N)
+    return out
 
 
-def tau_S_table(S: SSet, N: int) -> FunctionTable:
-    """Table of tau_S on 1..N by the square-divisor sieve over mu_S."""
+def tau_S_table(S: SSet, N: int) -> np.ndarray:
+    """Table of tau_S on 0..N by the square-divisor sieve over mu_S."""
     return _square_divisor_table("tau_S", S, N, mu_set_table, False, _tau_pp,
                                  lambda n: tau_S_at(S, n))
 
 
-def sigma_S_table(S: SSet, N: int) -> FunctionTable:
-    """Table of sigma_S on 1..N by the square-divisor sieve over mu_S.
+def sigma_S_table(S: SSet, N: int) -> np.ndarray:
+    """Table of sigma_S on 0..N by the square-divisor sieve over mu_S.
 
     int64 is safe: entries are at most sigma(n) <= n (1 + ln n) and the
     intermediate partial sums stay within a small multiple of that.
@@ -237,18 +211,23 @@ def sigma_S_table(S: SSet, N: int) -> FunctionTable:
                                  lambda n: sigma_S_at(S, n))
 
 
-def phi_S_table(S: SSet, N: int) -> FunctionTable:
-    """Table of phi_S on 1..N via the sweep phi_S = rho_S * phi."""
+def phi_S_table(S: SSet, N: int) -> np.ndarray:
+    """Table of phi_S on 0..N via the sweep phi_S = rho_S * phi.
+
+    Always int64: dirichlet_sweep turns to object arrays only when
+    max|rho_S| max|phi| 2 isqrt(N) <= 2 N^(3/2) reaches 2^63, and
+    multiplicative_table refuses N above FACTOR_TABLE_LIMIT = 1e8 first.
+    """
     out = dirichlet_sweep(rho_table(S, N), multiplicative_table(N, _phi_pp), N)
-    _self_check("phi_S", S, out, lambda n: _phi_direct(S, n), N)
-    return FunctionTable(name="phi_S", sset_spec=S.spec, N=N, values=out)
+    _self_check("phi_S", out, lambda n: _phi_direct(S, n), N)
+    return out
 
 
-def tau_S_table_via_rho(S: SSet, N: int) -> FunctionTable:
+def tau_S_table_via_rho(S: SSet, N: int) -> np.ndarray:
     """Second identity route for cross-checks: sieve over rho_S with tau*."""
     return _square_divisor_table("tau_S", S, N, rho_table, False, _tau_star_pp)
 
 
-def sigma_S_table_via_rho(S: SSet, N: int) -> FunctionTable:
+def sigma_S_table_via_rho(S: SSet, N: int) -> np.ndarray:
     """Second identity route for cross-checks: sieve over rho_S with sigma*."""
     return _square_divisor_table("sigma_S", S, N, rho_table, True, _sigma_star_pp)

@@ -180,13 +180,13 @@ class ZetaEvaluation:
                 integral enclosure of the tail, see below)
     truncation  number of terms kept
     tail_bound  crude integral bound T^(1-z)/(z-1) on the neglected tail
-    err_bound   certified |value - zeta_S(z)|; equals tail_bound except for
-                the full set, where the tail lies between the integrals from
-                T and from T+1 and value carries the midpoint
+    err_bound   certified |value - zeta_S(z)|, rounding included: tail_bound,
+                or for the full set, whose tail lies between the integrals
+                from T and from T+1, half their gap, value at the midpoint
     euler_value, euler_bound
                 for rule-based S, the truncated Euler product over primes
-                <= cutoff with its own certified bound (the two evaluations
-                must agree within err_bound + euler_bound)
+                <= cutoff with its own certified bound, rounding included
+                (the two evaluations must agree within err_bound + euler_bound)
     """
 
     z: float
@@ -256,28 +256,39 @@ def _local_factor(rule, ps: np.ndarray, z: float) -> np.ndarray:
 
 
 def _euler_product(S: SSet, z: float, tol: float) -> tuple[float, float, int]:
-    """Truncated Euler product with a certified bound.
+    """Truncated Euler product with a certified bound; (V, bound, cutoff).
 
-    The product of euler_factors over the primes <= cutoff is V. The
+    V is the product of euler_factors over the primes <= cutoff. The
     neglected factors lie in [1, exp(t)] with
     t = sum_{p > P} p^(-z)/(1 - p^(-z)) <= (1/(1-2^(-z))) P^(1-z)/(z-1),
-    so zeta_S lies in [V, V e^t]. The cutoff starts at 2^14 and doubles
-    until V(e^t - 1) <= tol or it reaches EULER_CUTOFF_CAP, so the largest
-    cutoff is 2^22 = 4194304, not the cap itself; returns (V, bound, cutoff).
+    so zeta_S lies in [V, V e^t]. The cutoff doubles from 2^14 until
+    V(e^t - 1) <= tol or it reaches EULER_CUTOFF_CAP (so at most 2^22).
+    Each factor is >= 1 in floating point, so V >= 1, and cutoffs with
+    e^t - 1 > tol are skipped unsieved. The bound adds u V (u = 2^-53)
+    per rounding in V, counted to first order by rule kind: a prime's local
+    factor (a pow counts 2; a finite rule adds one per member) and its
+    multiply. Rule "none" gives the factor 1, exactly.
     """
+    m = S.mult
+    per_kind = {"none": 0, "all": 5, "below": 8, "at_least": 6, "finite": 8}
+    count = lambda rule: per_kind[rule.kind] + len(rule.members)
+    tail = lambda cutoff: _crude_tail(cutoff, z) / (1.0 - 2.0 ** (-z))
     cutoff = 1 << 14
+    while math.expm1(tail(cutoff)) > tol and cutoff < EULER_CUTOFF_CAP:
+        cutoff *= 2
     while True:
         ps = prime_array(cutoff).astype(np.float64)
-        v = float(np.prod(euler_factors(S.mult, ps, lambda rule, x: _local_factor(rule, x, z))))
-        t = _crude_tail(cutoff, z) / (1.0 - 2.0 ** (-z))
-        bound = v * math.expm1(t)
+        v = float(np.prod(euler_factors(m, ps, lambda rule, x: _local_factor(rule, x, z))))
+        bound = v * math.expm1(tail(cutoff))
         if bound <= tol or cutoff >= EULER_CUTOFF_CAP:
-            return v, bound, cutoff
+            roundings = len(ps) * count(m.default_rule) + sum(map(count, m.overrides.values()))
+            return v, bound + roundings * 2.0 ** -53 * v, cutoff
         cutoff *= 2
 
 
 def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
-    """Evaluate zeta_S(z) for z > 1 with certified error at most tol.
+    """Evaluate zeta_S(z) for z > 1 with certified error at most tol, plus
+    the floating-point rounding that the bounds add to the truncation.
 
     Direct truncated sum always; Euler product besides for rule-based S.
     The best certified bound must reach tol, else LimitError: with the crude
@@ -308,14 +319,16 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     ns = np.arange(T + 1, dtype=np.float64)
     ns[0] = 1.0
     partial = float(np.sum(rs * ns ** (-z)))
+    # rounding: np.sum's pairwise depth <= 19 + log2 T, +5 for each pow and the midpoint
+    rounding = (24 + math.log2(T)) * 2.0 ** -53 * partial
     tail_bound = _crude_tail(T, z)
     if full:
         lo = _crude_tail(T + 1, z)
         value = partial + 0.5 * (tail_bound + lo)
-        err = 0.5 * (tail_bound - lo)
+        err = 0.5 * (tail_bound - lo) + rounding
     else:
         value = partial
-        err = tail_bound
+        err = tail_bound + rounding
     ev = eb = ec = None
     if S.mult is not None:
         ev, eb, ec = _euler_product(S, z, tol)

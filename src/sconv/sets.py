@@ -234,11 +234,6 @@ def _parse_int_list(body: str, what: str) -> list[int]:
     return out
 
 
-def render_sset(S: SSet) -> str:
-    """Canonical text form, S.spec; see SSet for which forms parse back."""
-    return S.spec
-
-
 def _canonical_mult_spec(m: MultiplicativeSSet) -> str:
     d = m.default_rule
     ov = {p: r for p, r in m.overrides.items() if r != d}

@@ -132,7 +132,7 @@ def test_eval_artifact_json(capsys, tmp_path):
 def assert_eval_range_artifacts(capsys, tmp_path, hi):
     """eval sigma over L2 on 1..hi: stdout and both artifacts byte-exact,
     with the values of the library table."""
-    table = sigma_S_table(parse_sset("L2"), hi).values
+    table = sigma_S_table(parse_sset("L2"), hi)
     rows = [{"n": n, "value": int(table[n])} for n in range(1, hi + 1)]
     code, out, csv_bytes, json_bytes = artifacts(
         capsys, tmp_path, ["eval", "--sset", "L2", "--fn", "sigma", "--range", f"1..{hi}"])
@@ -332,6 +332,95 @@ def test_verify_artifacts_are_byte_exact(capsys, tmp_path, spec, suite, n):
         f"suite {suite}: {len(checks) - failed} passed, {failed} failed\n")
     assert csv_bytes == expected_csv(["check", "ok", "detail"], rows)
     assert json_bytes == expected_json("verify", spec, {"suite": suite, "n": n}, rows)
+
+
+def corrupt_entry(monkeypatch, name, n, value=None, call=None):
+    """Make cli's name return its table with entry n raised by 1 (or set to
+    value): on every call, or only on call number call."""
+    orig = getattr(cli, name)
+    calls = []
+
+    def corrupted(*args):
+        out = orig(*args)
+        calls.append(1)
+        if call is None or len(calls) == call:
+            out[n] = out[n] + 1 if value is None else value
+        return out
+
+    monkeypatch.setattr(cli, name, corrupted)
+
+
+IDENTITY_ROWS = [
+    ("mobius_sum", True, "sum of mu_S over divisors equals rho_S to 400"),
+    ("mu_bound", True, "|mu_S| <= tau to 400"),
+    ("tau_identity", True, "both square-divisor forms match to 400"),
+    ("sigma_identity", True, "both square-divisor forms match to 400"),
+    ("phi_forms", True, "mu_S*E and rho_S*phi agree to 400"),
+]
+
+
+def with_rows(rows, **changed):
+    return [(c, False, changed[c]) if c in changed else (c, ok, d) for c, ok, d in rows]
+
+
+# each failing row of verify, pinned by corrupting one entry of one table
+VERIFY_FAILURES = {
+    "tau_via_rho": (
+        ("tau_S_table_via_rho", 12, {}), "identities", "400",
+        with_rows(IDENTITY_ROWS, tau_identity="first failure at n=12: 4 vs 5")),
+    "sigma_via_rho": (
+        ("sigma_S_table_via_rho", 18, {}), "identities", "400",
+        with_rows(IDENTITY_ROWS, sigma_identity="first failure at n=18")),
+    "phi_table": (
+        ("phi_S_table", 30, {}), "identities", "400",
+        with_rows(IDENTITY_ROWS, phi_forms="first failure at n=30")),
+    "mu_table": (
+        ("mu_set_table", 6, {"value": 100}), "identities", "400",
+        with_rows(IDENTITY_ROWS, mu_bound="first failure at n=6",
+                  phi_forms="first failure at n=6")),
+    # calls of s_convolve_table in the algebra suite: 1 f*g, 2 g*f, 3 f*(g+h),
+    # 4 f*g, 5 f*h, 6 f*delta
+    "commutative": (
+        ("s_convolve_table", 40, {"call": 2}), "algebra", "400",
+        [("commutative", False, "first failure at n=40")]),
+    "distributive": (
+        ("s_convolve_table", 7, {"call": 3}), "algebra", "400",
+        [("distributive", False, "first failure at n=7")]),
+    "identity_element": (
+        ("s_convolve_table", 1, {"call": 6}), "algebra", "400",
+        [("identity_element", False, "first failure at n=1")]),
+    "inverse_at_8": (
+        ("s_inverse", 8, {}), "inversion", "400",
+        [("inverse_of_I", False, "first failure at n=8"),
+         ("inverse_random_unit", False, "first failure at n=8")]),
+    # g(1) = 2 breaks (g*f)(1) and, through d = 1, every later n: the first
+    # n >= 2 is reported ahead of n = 1
+    "inverse_at_1": (
+        ("s_inverse", 1, {}), "inversion", "400",
+        [("inverse_of_I", False, "first failure at n=2"),
+         ("inverse_random_unit", False, "first failure at n=3")]),
+    # n = 1 is reported only when nothing fails from n = 2 on
+    "inverse_at_1_only": (
+        ("s_inverse", 1, {}), "inversion", "1",
+        [("inverse_of_I", False, "first failure at n=1"),
+         ("inverse_random_unit", False, "first failure at n=1")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_FAILURES))
+def test_verify_failure_details(capsys, tmp_path, monkeypatch, case):
+    (name, n, opts), suite, bound, want = VERIFY_FAILURES[case]
+    corrupt_entry(monkeypatch, name, n, **opts)
+    path = tmp_path / "out.csv"
+    code, out = run(capsys, ["verify", "--sset", "L2", "--suite", suite, "--n", bound,
+                             "--out", str(path)])
+    rows = {c: (ok, d) for c, ok, d in csv.reader(io.StringIO(path.read_text()))}
+    assert code == 1
+    for check, ok, detail in want:
+        assert f"{'ok  ' if ok else 'FAIL'} {check}: {detail}\n" in out
+        assert rows[check] == (str(ok), detail)
+    if suite == "identities":
+        assert out.count("\n") == len(want) + 1
 
 
 # ---------------------------------------------------------------------------

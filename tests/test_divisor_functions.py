@@ -14,7 +14,6 @@ import pytest
 from sconv.arith import eval_multiplicative
 from sconv.convolve import ArithFunc
 from sconv.divisor_functions import (
-    FunctionTable,
     _square_divisor_table,
     conv_cm_via_dirichlet,
     conv_cm_via_unitary,
@@ -240,22 +239,22 @@ def test_tables_match_pointwise():
         pt = phi_S_table(S, 400)
         for n in range(1, 401):
             t, s = brute_tau_sigma(spec, n)
-            assert tt.values[n] == t, (spec, n)
-            assert st.values[n] == s, (spec, n)
-            assert pt.values[n] == brute_phi(spec, n), (spec, n)
+            assert tt[n] == t, (spec, n)
+            assert st[n] == s, (spec, n)
+            assert pt[n] == brute_phi(spec, n), (spec, n)
     S = MIXED_RULES
     tt, st, pt = tau_S_table(S, 400), sigma_S_table(S, 400), phi_S_table(S, 400)
     for n in range(1, 401):
-        assert tt.values[n] == tau_S_at(S, n), n
-        assert st.values[n] == sigma_S_at(S, n), n
-        assert pt.values[n] == phi_S_at(S, n), n
+        assert tt[n] == tau_S_at(S, n), n
+        assert st[n] == sigma_S_at(S, n), n
+        assert pt[n] == phi_S_at(S, n), n
 
 
 def test_two_table_routes_agree():
     for spec in BUILTINS:
         S = parse_sset(spec)
-        assert np.array_equal(tau_S_table(S, 2000).values, tau_S_table_via_rho(S, 2000).values), spec
-        assert np.array_equal(sigma_S_table(S, 2000).values, sigma_S_table_via_rho(S, 2000).values), spec
+        assert np.array_equal(tau_S_table(S, 2000), tau_S_table_via_rho(S, 2000)), spec
+        assert np.array_equal(sigma_S_table(S, 2000), sigma_S_table_via_rho(S, 2000)), spec
 
 
 def test_square_divisor_table_matches_brute():
@@ -271,13 +270,13 @@ def test_square_divisor_table_matches_brute():
         for n in range(1, N + 1):
             want = sum(int(c[d]) * (d if weighted else 1) * eval_multiplicative(ppv, n // (d * d))
                        for d in range(1, root + 1) if n % (d * d) == 0)
-            assert t.values[n] == want, (weighted, n)
+            assert t[n] == want, (weighted, n)
 
 
-def test_table_metadata():
-    S = parse_sset("Q2")
-    t = tau_S_table(S, 50)
-    assert t.name == "tau_S" and t.sset_spec == "Q2" and t.N == 50
-    assert len(t.values) == 51 and t.values[0] == 0
-    with pytest.raises(ValueError):
-        FunctionTable(name="x", sset_spec="N", N=5, values=[0, 1, 2])
+@pytest.mark.parametrize("build", [tau_S_table, sigma_S_table, phi_S_table,
+                                   tau_S_table_via_rho, sigma_S_table_via_rho])
+def test_tables_are_int64_arrays(build):
+    for spec in ("Q2", "F{1,2,6}"):
+        t = build(parse_sset(spec), 50)
+        assert isinstance(t, np.ndarray) and t.dtype == np.int64, spec
+        assert t.shape == (51,) and t[0] == 0, spec

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -286,6 +287,32 @@ def test_zeta_euler_cross_check_ran():
     ev = zeta_S(parse_sset("Q2"), 3.0)
     assert ev.euler_value is not None
     assert abs(ev.euler_value - ZETA_Q2_3) <= ev.euler_bound + 1e-12
+
+
+# zeta_S in closed form, for mpmath at 40 digits
+MP_ZETA = {
+    "N": lambda z: mpmath.zeta(z),
+    "Q2": lambda z: mpmath.zeta(z) / mpmath.zeta(2 * z),
+    "Q3": lambda z: mpmath.zeta(z) / mpmath.zeta(3 * z),
+    "L2": lambda z: mpmath.zeta(2 * z) * mpmath.zeta(3 * z) / mpmath.zeta(6 * z),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MP_ZETA))
+@pytest.mark.parametrize("z", [2, 3, 4, 6])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_zeta_bounds_hold_with_rounding(spec, z, tol):
+    """Each certified bound covers the floating-point rounding too: no slack."""
+    if spec != "N" and z == 2 and tol == 1e-9:
+        with pytest.raises(LimitError):  # the series tail stops at 2.5e-7
+            zeta_S(parse_sset(spec), float(z), tol)
+        return
+    ev = zeta_S(parse_sset(spec), float(z), tol)
+    with mpmath.workdps(40):
+        want = MP_ZETA[spec](z)
+        for value, bound in [(ev.value, ev.err_bound), (ev.euler_value, ev.euler_bound),
+                             (ev.best_value, ev.best_bound)]:
+            assert abs(mpmath.mpf(value) - want) <= bound, (value, bound)
 
 
 def test_zeta_euler_product_every_rule_kind():

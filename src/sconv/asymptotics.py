@@ -8,7 +8,18 @@ Main terms for the summatory functions on multiplicative sets S:
 
 asymptotic_report samples the partial sums at geometric points and fits the
 empirical remainder decay; the fit is informational (the true remainders are
-power-of-log sized, which no feasible range can discriminate).
+power-of-log sized, which no feasible range can discriminate). The partial
+sums are exact, and come from the square-divisor expansion summed by the
+Dirichlet hyperbola method, which needs mu_S only to sqrt(x):
+
+    sum_{n <= x} tau_S(n)   = sum_{d <= sqrt x} mu_S(d) D(x/d^2)
+    sum_{n <= x} sigma_S(n) = sum_{d <= sqrt x} mu_S(d) d Sigma(x/d^2)
+
+with D and Sigma the summatory tau and sigma of the full set, each in
+O(sqrt y) steps (Apostol, Introduction to Analytic Number Theory, Thm 3.3).
+Each report checks 32 seeded differences S(n) - S(n-1) against direct
+enumeration; the dense tables of divisor_functions are the tests'
+cross-check of this route.
 
 Maximal orders. With P the set of primes all of whose powers lie in S and
 s(p) the least excluded exponent elsewhere,
@@ -26,14 +37,28 @@ exact local factors, never the (astronomically large) integer itself.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _sigma_pp, is_prime, multiplicative_table, prime_array, sieve_primes
-from .divisor_functions import sigma_S_prime_power, sigma_S_table, tau_S_table
+from .arith import (
+    _sigma_pp,
+    guard_int64,
+    is_prime,
+    multiplicative_table,
+    prime_array,
+    sieve_primes,
+)
+from .divisor_functions import (
+    SELF_CHECK_COUNT,
+    SELF_CHECK_SEED,
+    sigma_S_at,
+    sigma_S_prime_power,
+    tau_S_at,
+)
 from .errors import ConsistencyError, LimitError
-from .mobius import _zeta_full, euler_factors, zeta_S, zeta_S_derivative
+from .mobius import _zeta_full, euler_factors, mu_set_table, zeta_S, zeta_S_derivative
 from .sets import SSet, parse_sset
 
 EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
@@ -127,11 +152,62 @@ class AsymptoticReport:
         ]
 
 
+def _partial_sums(mu: np.ndarray, weighted: bool, xs: list[int]) -> list[int]:
+    """sum_{n <= x} tau_S(n), or sigma_S(n) when weighted, at each x of xs.
+
+    mu is mu_S on 0..isqrt(max xs). The sum is sum_{d <= sqrt x} mu_S(d)
+    d^w F(x // d^2), w = 1 when weighted, with F the summatory function of
+    the full set by the hyperbola method: for r = isqrt(y), q = y // k and
+    T(m) = m (m + 1) / 2,
+
+        tau:   F(y) = sum_{k <= r} 2 q - r^2
+        sigma: F(y) = sum_{k <= r} (k q + T(q)) - r T(r).
+
+    For each x the k-ranges of every d with mu_S(d) != 0 lie end to end in
+    one int64 array, summed per range by np.add.reduceat: O(sqrt x log x)
+    work and memory. With M = max |mu_S|, every intermediate is at most
+    4 M x (1 + ln(1 + x)) (tau) or 4 M x^2 (sigma) in size; guard_int64
+    refuses a larger bound: for sigma with M = 1, x above about 1.5e9
+    (the sums themselves, about 0.82 x^2, leave int64 near 3.3e9).
+    """
+    top = max(xs)
+    m = int(np.abs(mu[: math.isqrt(top) + 1]).max())
+    guard_int64(4 * m * top * top if weighted else int(4 * m * top * (1 + math.log1p(top))),
+                "asymptotic_report partial sums")
+    ds = np.flatnonzero(mu)
+    out = []
+    for x in xs:
+        d = ds[: np.searchsorted(ds, math.isqrt(x), side="right")]
+        if not len(d):  # x = 0
+            out.append(0)
+            continue
+        y = x // (d * d)
+        r = np.sqrt(y).astype(np.int64)
+        r -= r * r > y  # exact isqrt from the float estimate
+        r += (r + 1) * (r + 1) <= y
+        starts = np.cumsum(r) - r
+        k = np.arange(1, int(r.sum()) + 1) - np.repeat(starts, r)
+        q = np.repeat(y, r) // k
+        if weighted:
+            f = np.add.reduceat(k * q + q * (q + 1) // 2, starts) - r * (r * (r + 1) // 2)
+            out.append(int((mu[d] * d * f).sum()))
+        else:
+            f = 2 * np.add.reduceat(q, starts) - r * r
+            out.append(int((mu[d] * f).sum()))
+    return out
+
+
 def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> AsymptoticReport:
     """Sample sum_{n <= x} fn(n) at geometric points against the main term.
 
-    fn is "tau_S" or "sigma_S". The empirical remainder exponent comes from
-    a least-squares fit of ln|R| vs ln x and is informational only.
+    fn is "tau_S" or "sigma_S". The partial sums are exact: one
+    mu_set_table(S, isqrt(x_max)), then the hyperbola sums of
+    _partial_sums, whose int64 guard never trips below REPORT_X_CAP. The
+    same route gives S(n) - S(n-1) at SELF_CHECK_COUNT n drawn with
+    SELF_CHECK_SEED, which must equal tau_S_at / sigma_S_at (direct
+    enumeration); a mismatch raises ConsistencyError. The empirical
+    remainder exponent comes from a least-squares fit of ln|R| vs ln x and
+    is informational only.
     """
     if fn not in ("tau_S", "sigma_S"):
         raise ValueError(f"unknown function {fn!r}, want tau_S or sigma_S")
@@ -144,21 +220,30 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
     if samples > x_max:  # the points are distinct integers in [x0, x_max]
         raise ValueError(f"samples {samples} above x_max {x_max}")
 
-    if fn == "sigma_S":
-        table = sigma_S_table(S, x_max)
-        k, cerr = _sigma_constant(S)
-        main = lambda x: k * float(x) * float(x)
-    else:
-        table = tau_S_table(S, x_max)
-        a, b, cerr = _tau_constants(S)
-        main = lambda x: a * float(x) * (math.log(x) + b)
-
-    csum = np.cumsum(table)
     x0 = max(64, int(round(x_max ** (1.0 / 3.0))))
     raw = np.unique(np.rint(np.geomspace(x0, x_max, samples)).astype(np.int64))
     xs = [int(x) for x in raw if x >= 2]
+    rng = random.Random(SELF_CHECK_SEED)
+    checked = [rng.randint(1, x_max) for _ in range(SELF_CHECK_COUNT)]
 
-    partial = [int(csum[x]) for x in xs]
+    weighted = fn == "sigma_S"
+    sums = _partial_sums(mu_set_table(S, math.isqrt(x_max)), weighted,
+                         xs + [x for n in checked for x in (n, n - 1)])
+    partial, at_n, before_n = sums[: len(xs)], sums[len(xs) :: 2], sums[len(xs) + 1 :: 2]
+    direct = sigma_S_at if weighted else tau_S_at
+    for n, hi, lo in zip(checked, at_n, before_n):
+        want = direct(S, n)
+        if hi - lo != want:
+            raise ConsistencyError(f"{fn} partial-sum self-check failed at n={n}: "
+                                   f"{hi - lo} != {want}")
+
+    if weighted:
+        k, cerr = _sigma_constant(S)
+        main = lambda x: k * float(x) * float(x)
+    else:
+        a, b, cerr = _tau_constants(S)
+        main = lambda x: a * float(x) * (math.log(x) + b)
+
     mains = [main(x) for x in xs]
     ratios = [p / m for p, m in zip(partial, mains)]
     rems = [p - m for p, m in zip(partial, mains)]

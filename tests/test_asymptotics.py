@@ -11,12 +11,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sconv import asymptotics
 from sconv.asymptotics import (
     EULER_GAMMA,
     LOGLOG_FLOOR,
     AsymptoticReport,
+    _partial_sums,
     asymptotic_report,
     gronwall_range_max,
     sigma_main_term,
@@ -27,8 +32,11 @@ from sconv.asymptotics import (
     witness_sequence,
 )
 from sconv.cli import main
-from sconv.errors import LimitError
+from sconv.divisor_functions import SELF_CHECK_SEED, sigma_S_table, tau_S_table
+from sconv.errors import ConsistencyError, LimitError
+from sconv.mobius import mu_set_table
 from sconv.sets import ExponentRule, make_mult_sset, parse_sset
+from test_sweeps import MIXED_RULES, PROPERTY, exponent_rules
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 
@@ -159,6 +167,33 @@ def test_report_rows_and_serialization(tmp_path):
     assert json.loads(jp.read_text())["rows"] == rows
 
 
+# sum_{n <= x} tau_Q2(n) and sigma_N(n) at the 24 default sample points of
+# x_max = 4e6, frozen from the dense route (np.cumsum of the 4e6 tables)
+PINNED_Q2_TAU = [
+    (159, 806), (247, 1351), (384, 2259), (596, 3748), (926, 6201), (1439, 10206),
+    (2236, 16789), (3473, 27470), (5396, 44878), (8383, 73159), (13024, 118952),
+    (20233, 193000), (31434, 312649), (48835, 505582), (75868, 816355),
+    (117868, 1316261), (183117, 2119410), (284486, 3408465), (441971, 5475235),
+    (686637, 8785714), (1066745, 14083599), (1657271, 22554537),
+    (2574701, 36088195), (4000000, 57694223)]
+PINNED_N_SIGMA = [
+    (159, 20776), (247, 50198), (384, 121540), (596, 292461), (926, 705601),
+    (1439, 1702049), (2236, 4113268), (3473, 9920437), (5396, 23949130),
+    (8383, 57799625), (13024, 139520080), (20233, 336702914), (31434, 812693718),
+    (48835, 1961478214), (75868, 4734120045), (117868, 11426470965),
+    (183117, 27578826719), (284486, 66564156548), (441971, 160659288670),
+    (686637, 387769022159), (1066745, 935922508122), (1657271, 2258944680491),
+    (2574701, 5452203646042), (4000000, 13159477428598)]
+
+
+@pytest.mark.parametrize("spec, fn, pinned", [("Q2", "tau_S", PINNED_Q2_TAU),
+                                              ("N", "sigma_S", PINNED_N_SIGMA)])
+def test_report_partial_sums_pinned_at_4e6(spec, fn, pinned):
+    r = asymptotic_report(parse_sset(spec), fn, 4_000_000)
+    assert list(zip(r.xs, r.partial_sums)) == pinned
+    assert all(type(p) is int for p in r.partial_sums)
+
+
 def test_report_determinism():
     a = asymptotic_report(parse_sset("1"), "sigma_S", 8000, samples=6)
     b = asymptotic_report(parse_sset("1"), "sigma_S", 8000, samples=6)
@@ -184,6 +219,95 @@ def test_report_rejects_bad_rows():
                          main_terms=(1.0, 1.0), ratios=(1.0, 1.0),
                          remainders=(0.0, 0.0), fit_exponent=None,
                          fit_residual=None, const_err=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the hyperbola route of the partial sums against the dense tables
+
+# x = p^2 - 1, p^2, p^2 + 1 put the largest d on both sides of sqrt x
+PRIME_SQUARES = [p * p + e for p in (47, 997, 1999) for e in (-1, 0, 1)]
+LARGE_XS = sorted(PRIME_SQUARES + [999983, 10**6])
+
+
+def file_set(tmp_path, bound):
+    """A FILE set with bound covering sqrt(max LARGE_XS): 1 and a seeded
+    third of 2..bound, so neither multiplicative nor rule-based."""
+    rng = random.Random(5)
+    members = [1] + [m for m in range(2, bound + 1) if rng.random() < 1 / 3]
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join([f"bound {bound}", *map(str, members)]) + "\n")
+    return parse_sset(f"FILE:{path}")
+
+
+def hyperbola_sums(S, fn, xs):
+    mu = mu_set_table(S, max(math.isqrt(max(xs)), 1))
+    return _partial_sums(mu, fn == "sigma_S", list(xs))
+
+
+def dense_sums(S, fn, N):
+    table = sigma_S_table(S, N) if fn == "sigma_S" else tau_S_table(S, N)
+    return np.cumsum(table).tolist()
+
+
+@pytest.mark.parametrize("fn", ["tau_S", "sigma_S"])
+@pytest.mark.parametrize("spec", BUILTINS + ["F{1,2,6}", "mixed", "FILE"])
+def test_hyperbola_partial_sums_match_dense_tables(spec, fn, tmp_path):
+    # every x <= 3000 on every set; the large points where the bound allows
+    if spec == "FILE":
+        S = file_set(tmp_path, math.isqrt(LARGE_XS[-1]))
+    else:
+        S = MIXED_RULES if spec == "mixed" else parse_sset(spec)
+    xs = list(range(3001)) + (LARGE_XS if spec != "F{1,2,6}" else [])
+    got = hyperbola_sums(S, fn, xs)
+    want = dense_sums(S, fn, max(xs))
+    assert all(type(v) is int for v in got)
+    assert got == [want[x] for x in xs]
+
+
+@PROPERTY
+@given(default=exponent_rules(),
+       overrides=st.dictionaries(st.sampled_from([2, 3, 5, 7]), exponent_rules(), max_size=3),
+       xs=st.lists(st.integers(0, 20000), min_size=1, max_size=30),
+       fn=st.sampled_from(["tau_S", "sigma_S"]))
+def test_hyperbola_partial_sums_random_rule_sets(default, overrides, xs, fn):
+    S = make_mult_sset(default, overrides)
+    want = dense_sums(S, fn, max(max(xs), 1))
+    assert hyperbola_sums(S, fn, xs) == [want[x] for x in xs]
+
+
+@pytest.mark.parametrize("fn, name", [("tau_S", "tau_S_at"), ("sigma_S", "sigma_S_at")])
+def test_report_self_check_is_live(monkeypatch, fn, name):
+    # the first seeded n of the self-check gets a direct value off by one
+    x_max = 5000
+    n0 = random.Random(SELF_CHECK_SEED).randint(1, x_max)
+    real = getattr(asymptotics, name)
+    monkeypatch.setattr(asymptotics, name, lambda S, n: real(S, n) + (n == n0))
+    with pytest.raises(ConsistencyError, match=f"self-check failed at n={n0}:"):
+        asymptotic_report(parse_sset("Q2"), fn, x_max)
+
+
+def test_partial_sums_int64_guard():
+    mu = mu_set_table(parse_sset("Q2"), math.isqrt(2 * 10**9))
+    with pytest.raises(LimitError, match="int64"):
+        _partial_sums(mu, True, [2 * 10**9])
+    # tau: the bound scales with max |mu_S|
+    with pytest.raises(LimitError, match="int64"):
+        _partial_sums(np.array([0, 1 << 40]), False, [10**9])
+
+
+def test_partial_sums_exact_below_the_guard():
+    # just under the sigma bound (4 x^2 < 2^63 with max |mu_Q2| = 1), against
+    # the same hyperbola formula in Python ints
+    x = 1_500_000_000
+    mu = mu_set_table(parse_sset("Q2"), math.isqrt(x))
+    want = 0
+    for d in np.flatnonzero(mu).tolist():
+        y = x // (d * d)
+        r = math.isqrt(y)
+        f = sum(k * (y // k) + (y // k) * (y // k + 1) // 2 for k in range(1, r + 1))
+        want += int(mu[d]) * d * (f - r * r * (r + 1) // 2)
+    assert _partial_sums(mu, True, [x]) == [want]
+    assert want > 10**18
 
 
 # ---------------------------------------------------------------------------

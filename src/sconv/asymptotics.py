@@ -47,7 +47,6 @@ from .arith import (
     guard_int64,
     is_prime,
     multiplicative_table,
-    prime_array,
     sieve_primes,
 )
 from .divisor_functions import (
@@ -58,11 +57,14 @@ from .divisor_functions import (
     tau_S_at,
 )
 from .errors import ConsistencyError, LimitError
-from .mobius import _zeta_full, euler_factors, mu_set_table, zeta_S, zeta_S_derivative
-from .sets import SSet, parse_sset
+from .mobius import _U, _ROUND_UP, _zeta_em, _zeta_full, mu_set_table, zeta_S, zeta_S_derivative
+from .sets import SSet
 
 EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
-PRODUCT_CUTOFF = 20_000_000  # primes kept in maximal-order products
+# asked of zeta_S(2) and zeta_S'(2) for the tau constants; rule-based S get the
+# factored product's far smaller bounds, table-backed S only the series, which
+# meets 1e-5 at 1e5 and 2^21 terms
+TAU_TOL = 1e-5
 REPORT_X_CAP = 10**7
 LOGLOG_FLOOR = math.log(16.0)  # maximal-order ratios need n >= 16
 
@@ -78,14 +80,20 @@ def sigma_main_term(S: SSet, x: float) -> float:
     return k * x * x
 
 
+def _rel_err(evals, roundings: int) -> float:
+    """Relative error bound of a product of the best values of evals and
+    their reciprocals, computed with the given number of roundings: a factor
+    v within b of its true value is off by at most a factor 1 + b/(v - b)."""
+    e = sum(ev.best_bound / (ev.best_value - ev.best_bound) for ev in evals) + roundings * _U
+    return math.expm1(e) * math.exp(e) * _ROUND_UP
+
+
 def _sigma_constant(S: SSet) -> tuple[float, float]:
     z2 = _zeta_full(2.0, 1e-9)
     z3 = _zeta_full(3.0, 1e-9)
     zs3 = zeta_S(S, 3.0, tol=1e-9)
     k = z2.best_value * zs3.best_value / (2.0 * z3.best_value)
-    rel = (z2.best_bound / z2.best_value + z3.best_bound / z3.best_value
-           + zs3.best_bound / max(zs3.best_value, 1.0))
-    return k, abs(k) * rel * 1.01
+    return k, abs(k) * _rel_err((z2, z3, zs3), 2)
 
 
 def tau_main_term(S: SSet, x: float) -> float:
@@ -99,15 +107,22 @@ def tau_main_term(S: SSet, x: float) -> float:
 
 
 def _tau_constants(S: SSet) -> tuple[float, float, float]:
-    # z = 2 sits close to the abscissa; the crude tail forces the looser tol
-    z2 = _zeta_full(2.0, 1e-6)
-    zs2 = zeta_S(S, 2.0, tol=1e-6)
-    d2 = zeta_S_derivative(parse_sset("N"), 2.0)
-    ds2 = zeta_S_derivative(S, 2.0)
+    """A, B and one bound on the error of each. zeta'/zeta at 2 comes from
+    the factored product, or for table-backed S from the series of zeta_S'
+    over that of zeta_S. B adds the rounding of 2 EULER_GAMMA (2 u gamma)
+    and of its fsum (u |B|); its other terms are exact doublings."""
+    z2 = _zeta_full(2.0, TAU_TOL)
+    zs2 = zeta_S(S, 2.0, tol=TAU_TOL)
+    if zs2.log_derivative is not None:
+        ds, eds = zs2.log_derivative, zs2.log_derivative_bound
+    else:
+        ds = zeta_S_derivative(S, 2.0, TAU_TOL) / zs2.value
+        eds = (TAU_TOL + abs(ds) * zs2.err_bound) / (zs2.value - zs2.err_bound) + 2 * _U * abs(ds)
     a = zs2.best_value / z2.best_value
-    b = 2.0 * EULER_GAMMA - 1.0 + 2.0 * ds2 / zs2.best_value - 2.0 * d2 / z2.best_value
-    rel = zs2.best_bound / max(zs2.best_value, 1.0) + z2.best_bound / z2.best_value
-    return a, b, abs(a) * rel + 1e-4  # derivative tol 2e-5 enters b twice
+    terms = (2.0 * EULER_GAMMA, -1.0, 2.0 * ds, -2.0 * z2.log_derivative)
+    b = math.fsum(terms)
+    eb = 2.0 * eds + 2.0 * z2.log_derivative_bound + _U * (2.0 * EULER_GAMMA + abs(b))
+    return a, b, max(abs(a) * _rel_err((zs2, z2), 1), eb * _ROUND_UP)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +135,8 @@ class AsymptoticReport:
     rows: (x, partial_sum, main_term, ratio, remainder) at strictly
     increasing geometric sample points. fit_exponent is the least-squares
     slope of ln|remainder| against ln x (None when too few usable points);
-    fit_residual its root-mean-square misfit. const_err bounds the error in
-    the main-term constant(s).
+    fit_residual its root-mean-square misfit. const_err bounds the error of
+    each main-term constant (zeta(2) zeta_S(3)/(2 zeta(3)), or A and B).
     """
 
     sset_spec: str
@@ -277,53 +292,41 @@ class MaximalConstant:
     value: float
     err_bound: float
     uniform_s: int | None
-    cutoff: int | None
 
     def __float__(self) -> float:
         return self.value
 
 
-def _log1p_arg(rule, ps: np.ndarray) -> np.ndarray:
-    """-p^(-2 s(p)): log1p of it is the log of the local factor (0 if all-in)."""
-    s = rule.least_excluded()
-    return np.zeros_like(ps) if s is None else -ps ** (-2.0 * s)
-
-
 def sigma_maximal_constant(S: SSet) -> MaximalConstant:
     """e^gamma * prod over primes p not all-in of (1 - p^(-2 s(p))).
 
-    s(p) is the least excluded exponent at p. The product truncates at
-    C = PRODUCT_CUTOFF with a certified tail bound through the density of
-    integers coprime to 30 (all primes past 30 are), so
-    sum_{p > C} p^(-2s) <= (8/30) C^(1-2s)/(2s-1) + 8 C^(-2s).
+    s(p) is the least excluded exponent at p. With s0 that of the default
+    rule, the product over every prime is 1/zeta(2 s0) (1 when the default
+    is all-in), so the constant is e^gamma/zeta(2 s0) times one exact factor
+    (1 - p^(-2 s(p)))/(1 - p^(-2 s0)) per override prime, a 1 standing for
+    the term of an all-in rule. zeta(2 s0) comes from Euler-Maclaurin
+    (mobius._zeta_em) with its certified bound. Rounding, in units of u:
+    e^gamma 3 (gamma's own rounding and exp), the division by zeta 1, and
+    each override 6 (each 1 - p^(-2s) is within 5/3, as p^(-2s) <= 1/4, then
+    the ratio and the multiply).
     """
     if S.mult is None:
         raise ValueError(f"{S.spec!r} is not a multiplicative set")
     m = S.mult
-    eg = math.exp(EULER_GAMMA)
     s0 = m.default_rule.least_excluded()
-
-    if s0 is None:
-        # default all-in: only the finitely many override primes contribute
-        ps = np.array(sorted(m.overrides), dtype=np.float64)
-    elif any(p > PRODUCT_CUTOFF for p in m.overrides):
-        raise LimitError("override prime beyond product cutoff")
-    else:
-        ps = prime_array(PRODUCT_CUTOFF).astype(np.float64)
-    v = math.exp(float(np.log1p(euler_factors(m, ps, _log1p_arg)).sum()))
-    if s0 is None:
-        return MaximalConstant(sset_spec=S.spec, value=eg * v,
-                               err_bound=eg * v * 1e-13, uniform_s=None, cutoff=None)
-
-    # dropped factors all lie in (exp(-t), 1): certified one-sided tail
-    c = float(PRODUCT_CUTOFF)
-    tail = ((8.0 / 30.0) * c ** (1.0 - 2.0 * s0) / (2.0 * s0 - 1.0)
-            + 8.0 * c ** (-2.0 * s0)) / (1.0 - c ** (-2.0 * s0))
-    err = v * (math.expm1(tail) + 1e-12)
-
-    uni = s0 if all(r.least_excluded() == s0 for r in m.overrides.values()) else None
-    return MaximalConstant(sset_spec=S.spec, value=eg * v, err_bound=eg * err,
-                           uniform_s=uni, cutoff=PRODUCT_CUTOFF)
+    local = lambda s, p: 1.0 if s is None else 1.0 - float(p) ** (-2.0 * s)
+    value = math.exp(EULER_GAMMA)
+    rel = 3 * _U
+    if s0 is not None:
+        zv, zb = _zeta_em(2.0 * s0)[:2]
+        value /= zv
+        rel += zb / (zv - zb) + _U
+    for p, rule in sorted(m.overrides.items()):
+        value *= local(rule.least_excluded(), p) / local(s0, p)
+        rel += 6 * _U
+    uni = s0 if s0 is not None and all(r.least_excluded() == s0 for r in m.overrides.values()) else None
+    return MaximalConstant(sset_spec=S.spec, value=value,
+                           err_bound=value * math.expm1(rel) * _ROUND_UP, uniform_s=uni)
 
 
 def sigma_maximal_constant_uniform(s: int) -> float:

@@ -9,9 +9,10 @@ Subcommands:
     maxorder    maximal-order constants, witness ratios, primorial ratios
     mu-k-stats  exploratory value statistics of the k-full Moebius function
 
-Exit codes: 0 all requested checks passed, 1 verification failure,
-2 usage or parse error (an --out path that cannot be opened included),
-3 resource/overflow guard tripped.
+Exit codes: 0 all requested checks passed, 1 verification failure (or a
+reader that closed stdout early, which ends the run quietly), 2 usage or
+parse error (an --out path that cannot be opened included), 3
+resource/overflow guard tripped.
 
 Machine artifacts (--out) are deterministic: identical invocations produce
 bit-identical CSV/JSON (fixed seeds, no timestamps). JSON artifacts carry
@@ -24,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from collections.abc import Iterable
@@ -280,11 +282,11 @@ def _not_delta(conv: np.ndarray) -> np.ndarray:
 
 
 def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
-    v = verify_mobius_identity(S, N)
+    ms = mu_set_table(S, N)
+    v = verify_mobius_identity(S, N, ms)
     out = [("mobius_sum", bool(v),
             f"sum of mu_S over divisors equals rho_S to {N}" if v
             else f"first failure {v.witness}")]
-    ms = mu_set_table(S, N)
     out.append(_agree("mu_bound", np.abs(ms) > multiplicative_table(N, _tau_pp),
                       f"|mu_S| <= tau to {N}"))
     t1, t2 = tau_S_table(S, N), tau_S_table_via_rho(S, N)
@@ -513,7 +515,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        status = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (`sconv eval ... | head`): point stdout at
+        # devnull so the exit-time flush cannot fail again (Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

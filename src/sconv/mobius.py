@@ -41,9 +41,11 @@ from .errors import ConsistencyError, LimitError
 from .sets import ExponentRule, MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
-# prime cutoff cap for product evaluation; the doubling from 2^14 stops at the
-# first power of two at or above it, 2^22 = 4194304 (the reported euler_cutoff)
-EULER_CUTOFF_CAP = 4_000_000
+SERIES_CHECK_CAP = 1 << 16  # terms of the series that cross-checks the product
+EULER_ORDER = 8      # K: zeta(kz) factored out of the Euler product for k <= K
+EULER_CUTOFF = 200   # P: primes multiplied one by one; a certified bound covers the rest
+EM_TERMS = 16        # Euler-Maclaurin: n < EM_TERMS summed directly (a power of two)
+EM_ORDER = 10        # Euler-Maclaurin: Bernoulli corrections B_2 .. B_(2 EM_ORDER)
 
 
 def mu_table(limit: int) -> np.ndarray:
@@ -171,6 +173,17 @@ def mu_k_statistics(k: int, a_max: int) -> MuKStatistics:
 
 # ---------------------------------------------------------------------------
 # Dirichlet series
+#
+# Rounding. Every bound below counts the floating-point rounding of the value
+# it bounds, in units of u = 2^-53, to first order: a basic operation adds u,
+# and each libm call (pow, log, log1p, exp) 2u, since glibc documents at most
+# one ulp for each. Each bound is then raised by the factor _ROUND_UP, which
+# covers the second-order terms and the rounding of the bound's own arithmetic
+# (both far below 2^-30 relative here).
+
+_U = 2.0 ** -53
+_ROUND_UP = 1.0 + 2.0 ** -30
+
 
 @dataclass(frozen=True)
 class ZetaEvaluation:
@@ -184,9 +197,14 @@ class ZetaEvaluation:
                 or for the full set, whose tail lies between the integrals
                 from T and from T+1, half their gap, value at the midpoint
     euler_value, euler_bound
-                for rule-based S, the truncated Euler product over primes
-                <= cutoff with its own certified bound, rounding included
-                (the two evaluations must agree within err_bound + euler_bound)
+                for rule-based S, the factored Euler product (see
+                _factored_product) with its certified bound; the two
+                evaluations must agree within err_bound + euler_bound
+    euler_cutoff
+                the prime cutoff P of that product
+    log_derivative, log_derivative_bound
+                for rule-based S, zeta_S'(z)/zeta_S(z) from the same product,
+                with its certified bound
     """
 
     z: float
@@ -197,6 +215,8 @@ class ZetaEvaluation:
     euler_value: float | None = None
     euler_bound: float | None = None
     euler_cutoff: int | None = None
+    log_derivative: float | None = None
+    log_derivative_bound: float | None = None
 
     @property
     def best_value(self) -> float:
@@ -222,12 +242,159 @@ def _is_full_set(S: SSet) -> bool:
     return m.default_rule.kind == "all" and all(r.kind == "all" for r in m.overrides.values())
 
 
+# B_2, B_4, ..., B_20 as (numerator, denominator)
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330))
+
+
+def _zeta_em(z: float, k: int = 1) -> tuple[float, float, float, float]:
+    """zeta(s) and zeta'(s) at s = kz by Euler-Maclaurin, each with a certified
+    bound: (zeta, its bound, zeta', its bound).
+
+    With N = EM_TERMS, m = EM_ORDER, b_j = B_2j/(2j)! and (s)_i the rising
+    factorial s (s+1) ... (s+i-1),
+
+        zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+                  + sum_{j<=m} b_j (s)_(2j-1) N^(1-s-2j) + R,
+
+    |R| <= |b_m| (s)_(2m-1) N^(1-s-2m) (the remainder integral, with the
+    periodic Bernoulli polynomial at most |B_2m|). -zeta'(s) = sum log(n) n^-s
+    takes the same steps for log(x) x^-s, whose (2j-1)-th derivative at N is
+    -(s)_(2j-1) N^(1-s-2j) (log N - H_(2j-1)), H_i = sum_{i' < i} 1/(s+i');
+    its remainder is at most
+    |b_m| (s)_(2m) N^(1-a) ((log N + H_(2m))/(a-1) + 1/(a-1)^2), a = s + 2m.
+    n^-s is computed as (n^-z)^k, exact in s although kz may round; N is a
+    power of two, so its powers are exact.
+    """
+    s = k * z
+    N = float(EM_TERMS)
+    ts = [(float(n) ** -z) ** k for n in range(2, EM_TERMS + 1)]  # n^-s, n = 2..N
+    logs = [math.log(n) for n in range(2, EM_TERMS + 1)]
+    tN, lN = ts[-1], logs[-1]
+    ct = 2 * k + 2  # roundings of (n^-z)^k, in units of u
+    val = [1.0, *ts[:-1]]
+    der = [lg * t for lg, t in zip(logs, ts[:-1])]
+    verr = ct * sum(ts[:-1])
+    derr = (ct + 3) * sum(der)
+    sm1 = s - 1.0
+    val += [tN * N / sm1, tN / 2.0]
+    der += [tN * N * (lN / sm1 + 1.0 / (sm1 * sm1)), lN * tN / 2.0]
+    verr += (ct + 4) * val[-2] + ct * val[-1]
+    derr += (ct + 10) * der[-2] + (ct + 3) * der[-1]
+    poch, harm, nj = s, 1.0 / s, 1.0 / N  # (s)_(2j-1), H_(2j-1), N^(1-2j) at j = 1
+    for j, (num, den) in enumerate(_BERNOULLI[:EM_ORDER], start=1):
+        c = num / (den * math.factorial(2 * j)) * poch * tN * nj
+        val.append(c)
+        der.append(c * (lN - harm))
+        verr += (6 * j + ct + 1) * abs(c)
+        derr += (8 * j + ct + 8) * abs(c) * (lN + harm)
+        if j == EM_ORDER:
+            a1 = s + 2 * j - 1
+            rem = abs(c)
+            rem_der = abs(c) * a1 * ((lN + harm + 1.0 / a1) / a1 + 1.0 / (a1 * a1))
+        else:
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            harm += 1.0 / (s + 2 * j - 1) + 1.0 / (s + 2 * j)
+            nj /= N * N
+    zeta, dz = math.fsum(val), -math.fsum(der)
+    return (zeta, (_U * (verr + zeta) + rem) * _ROUND_UP,
+            dz, (_U * (derr + abs(dz)) + rem_der) * _ROUND_UP)
+
+
+@cache
+def _exponents(rule: ExponentRule) -> tuple[int, ...]:
+    """e_1..e_K (K = EULER_ORDER), the integers with
+    F(x) = prod_{k<=K} (1 - x^k)^(-e_k) + O(x^(K+1)), F(x) = 1 + sum_{a in rule} x^a
+    the local factor at x = p^-z. Peeled one order at a time: e_k is the
+    x^k coefficient left once (1 - x^j)^(-e_j), j < k, are divided out."""
+    c = [1] + [int(rule.contains(a)) for a in range(1, EULER_ORDER + 1)]
+    e = []
+    for k in range(1, EULER_ORDER + 1):
+        e.append(c[k])
+        for _ in range(abs(c[k])):
+            if e[-1] > 0:  # times (1 - x^k)
+                for j in range(EULER_ORDER, k - 1, -1):
+                    c[j] -= c[j - k]
+            else:          # times 1/(1 - x^k)
+                for j in range(k, EULER_ORDER + 1):
+                    c[j] += c[j - k]
+    return tuple(e)
+
+
+def _log_coefficients(rule: ExponentRule, e: tuple[int, ...]) -> dict[int, int]:
+    """c_j with log F(x) + sum_k e_k log(1 - x^k) = sum_j c_j log(1 - x^j) + Phi(x).
+
+    For the rules all (F = 1/(1-x)), none and below k (F = (1-x^k)/(1-x)),
+    log F itself is such a sum and Phi = 0, so where e comes from the same
+    rule every c_j with j <= K cancels exactly; at_least and finite rules
+    keep their log F as Phi (_local_log)."""
+    c = dict(enumerate(e, start=1))
+    if rule.kind in ("all", "below"):
+        c[1] -= 1
+    if rule.kind == "below":
+        c[rule.k] = c.get(rule.k, 0) + 1
+    return {j: cj for j, cj in c.items() if cj}
+
+
+def _local_log(rule: ExponentRule, coef: dict[int, int], p: float, z: float) -> tuple:
+    """(g, its bound, dg/dz, its bound) at the prime p, where
+    g = log F(x) + sum_k e_k log(1 - x^k), x = p^-z, F the local factor of rule.
+
+    Rounding of each term, in units of u (x^j = (p^-z)^j carries 2j + 2, and
+    x <= 1/2, so |y|/(1 - |y|) <= 1.45 |log(1 - |y|)| for |y| <= 1/2):
+    c_j log(1 - x^j) 3j + 6; its z-derivative c_j j log(p) x^j/(1 - x^j)
+    4j + 11; for at_least k, log(1 + x^k/(1-x)) 2k + 8 and its derivative
+    4k + 25; for finite A, log(1 + sum x^a) 2 max A + |A| + 3 and its
+    derivative 4 max A + 2 |A| + 8. fsum adds u |g| and u |dg/dz|.
+    """
+    x, lp = p ** -z, math.log(p)
+    g, dg, ge, dge = [], [], 0.0, 0.0
+    for j, cj in coef.items():
+        y = x ** j
+        g.append(cj * math.log1p(-y))
+        dg.append(cj * j * lp * y / (1.0 - y))
+        ge += (3 * j + 6) * abs(g[-1])
+        dge += (4 * j + 11) * abs(dg[-1])
+    if rule.kind == "at_least":
+        y = x ** rule.k / (1.0 - x)
+        g.append(math.log1p(y))
+        dg.append(-lp * y * (rule.k + x / (1.0 - x)) / (1.0 + y))
+        ge += (2 * rule.k + 8) * g[-1]
+        dge += (4 * rule.k + 25) * abs(dg[-1])
+    elif rule.kind == "finite":
+        ys = [(a, x ** a) for a in rule.members]
+        w = sum(y for _, y in ys)
+        top, size = max(rule.members), len(rule.members)
+        g.append(math.log1p(w))
+        dg.append(-lp * sum(a * y for a, y in ys) / (1.0 + w))
+        ge += (2 * top + size + 3) * g[-1]
+        dge += (4 * top + 2 * size + 8) * abs(dg[-1])
+    gs, dgs = math.fsum(g), math.fsum(dg)
+    return gs, _U * (ge + abs(gs)), dgs, _U * (dge + abs(dgs))
+
+
+def _cauchy_bound(rule: ExponentRule, coef: dict[int, int]) -> float:
+    """M >= |g(x)| on the circle |x| = 1/3, g = sum_j c_j log(1 - x^j) + Phi(x).
+
+    |log(1 - x^j)| <= -log(1 - 3^-j) there, and |F - 1| <= q < 1 gives
+    |Phi| = |log F| <= -log(1 - q), with q = 3^-k/(1 - 1/3) for at_least k
+    and q = sum_{a in A} 3^-a for finite A."""
+    r = 1.0 / 3.0
+    M = sum(abs(cj) * -math.log1p(-r ** j) for j, cj in coef.items())
+    if rule.kind == "at_least":
+        M -= math.log1p(-r ** rule.k / (1.0 - r))
+    elif rule.kind == "finite":
+        M -= math.log1p(-sum(r ** a for a in rule.members))
+    return M
+
+
 def euler_factors(m: MultiplicativeSSet, primes: np.ndarray, local) -> np.ndarray:
     """local(rule, ps) at every prime of the ascending float64 array primes.
 
     local maps one exponent rule and a float64 array of primes to their
-    local factors. It runs once, vectorised, for the default rule; each
-    override prime present in primes is then patched in with its own rule.
+    local factors (one row per prime). It runs once for the default rule;
+    each override prime present in primes is then patched in with its own
+    rule.
     """
     out = local(m.default_rule, primes)
     for p, rule in m.overrides.items():
@@ -237,63 +404,71 @@ def euler_factors(m: MultiplicativeSSet, primes: np.ndarray, local) -> np.ndarra
     return out
 
 
-def _local_factor(rule, ps: np.ndarray, z: float) -> np.ndarray:
-    """sum over a >= 0 of rho(p^a) p^(-az), closed form per rule kind.
+def _factored_product(S: SSet, z: float) -> tuple[float, float, float, float]:
+    """zeta_S(z) and zeta_S'(z)/zeta_S(z) for rule-based S, each with a
+    certified bound: (value, bound, log-derivative, bound).
 
-    np.float_power calls the C library pow per element, as Python's ** on
-    floats does, so each factor matches the scalar formula to the bit.
-    """
-    x = np.float_power(ps, -z)
-    if rule.kind == "all":
-        return 1.0 / (1.0 - x)
-    if rule.kind == "none":
-        return np.ones_like(x)
-    if rule.kind == "below":
-        return (1.0 - np.float_power(x, rule.k)) / (1.0 - x)
-    if rule.kind == "at_least":
-        return 1.0 + np.float_power(x, rule.k) / (1.0 - x)
-    return 1.0 + sum(np.float_power(x, a) for a in sorted(rule.members))
+    With e_k = _exponents(default rule) and K = EULER_ORDER,
 
+        zeta_S(z) = prod_{k<=K} zeta(kz)^(e_k) * prod_p R_p,
+        R_p = F_p(x) prod_{k<=K} (1 - x^k)^(e_k),   x = p^-z,
 
-def _euler_product(S: SSet, z: float, tol: float) -> tuple[float, float, int]:
-    """Truncated Euler product with a certified bound; (V, bound, cutoff).
-
-    V is the product of euler_factors over the primes <= cutoff. The
-    neglected factors lie in [1, exp(t)] with
-    t = sum_{p > P} p^(-z)/(1 - p^(-z)) <= (1/(1-2^(-z))) P^(1-z)/(z-1),
-    so zeta_S lies in [V, V e^t]. The cutoff doubles from 2^14 until
-    V(e^t - 1) <= tol or it reaches EULER_CUTOFF_CAP (so at most 2^22).
-    Each factor is >= 1 in floating point, so V >= 1, and cutoffs with
-    e^t - 1 > tol are skipped unsieved. The bound adds u V (u = 2^-53)
-    per rounding in V, counted to first order by rule kind: a prime's local
-    factor (a pow counts 2; a finite rule adds one per member) and its
-    multiply. Rule "none" gives the factor 1, exactly.
+    F_p the local factor of the rule at p. zeta(kz) and zeta'(kz) come
+    from _zeta_em; log R_p from _local_log at every prime p <= P =
+    EULER_CUTOFF and every override prime. For the other primes,
+    g = log R_p is analytic on |x| <= 1/3 and vanishes to order K at 0, so
+    with M = _cauchy_bound and rho = 3 p^-z, |g| <= M rho^(K+1)/(1 - rho) and
+    |dg/dz| <= log(p) M (K+1) rho^(K+1)/(1 - rho)^2; summed over the integers
+    n > P with s = (K+1) z, the tail of log zeta_S is at most
+    M 3^(K+1) P^(1-s)/((s-1)(1 - rho_P)) and that of the log-derivative
+    M (K+1) 3^(K+1) P^(1-s) (log P/(s-1) + 1/(s-1)^2)/(1 - rho_P)^2.
+    When M = 0 (rules all, none and below k <= K) the primes without an
+    override contribute exactly 0 and are not sieved.
     """
     m = S.mult
-    per_kind = {"none": 0, "all": 5, "below": 8, "at_least": 6, "finite": 8}
-    count = lambda rule: per_kind[rule.kind] + len(rule.members)
-    tail = lambda cutoff: _crude_tail(cutoff, z) / (1.0 - 2.0 ** (-z))
-    cutoff = 1 << 14
-    while math.expm1(tail(cutoff)) > tol and cutoff < EULER_CUTOFF_CAP:
-        cutoff *= 2
-    while True:
-        ps = prime_array(cutoff).astype(np.float64)
-        v = float(np.prod(euler_factors(m, ps, lambda rule, x: _local_factor(rule, x, z))))
-        bound = v * math.expm1(tail(cutoff))
-        if bound <= tol or cutoff >= EULER_CUTOFF_CAP:
-            roundings = len(ps) * count(m.default_rule) + sum(map(count, m.overrides.values()))
-            return v, bound + roundings * 2.0 ** -53 * v, cutoff
-        cutoff *= 2
+    e = _exponents(m.default_rule)
+    M = _cauchy_bound(m.default_rule, _log_coefficients(m.default_rule, e))
+    primes = prime_array(EULER_CUTOFF).tolist() if M else []
+    ps = np.array(sorted({*primes, *m.overrides}), dtype=np.float64)
+
+    def local(rule, qs):
+        coef = _log_coefficients(rule, e)
+        return np.array([_local_log(rule, coef, float(q), z) for q in qs]).reshape(-1, 4)
+
+    rows = euler_factors(m, ps, local)
+    K1, s = EULER_ORDER + 1, (EULER_ORDER + 1) * z
+    rho_p = 3.0 * EULER_CUTOFF ** -z  # rho at the largest x beyond P
+    gain = M * 3.0 ** K1 * EULER_CUTOFF ** (1.0 - s) / (s - 1.0)
+    log_p = math.fsum(rows[:, 0])
+    err = float(rows[:, 1].sum()) + _U * abs(log_p) + gain / (1.0 - rho_p) + 2 * _U  # exp
+    dterms = [math.fsum(rows[:, 2])]
+    derr = (float(rows[:, 3].sum()) + _U * abs(dterms[0])
+            + gain * K1 * (math.log(EULER_CUTOFF) + 1.0 / (s - 1.0)) / (1.0 - rho_p) ** 2)
+    value = math.exp(log_p)
+    for k, ek in enumerate(e, start=1):
+        if ek:
+            zk, bk, dk, dbk = _zeta_em(z, k)
+            value *= zk ** ek
+            err += abs(ek) * bk / (zk - bk) + 3 * _U  # pow and multiply
+            dterms.append(ek * k * (dk / zk))
+            derr += abs(ek) * k * (dbk + abs(dk / zk) * bk) / (zk - bk) + 3 * _U * abs(dterms[-1])
+    dlog = math.fsum(dterms)
+    return (value, value * math.expm1(err * _ROUND_UP), dlog,
+            (derr + _U * abs(dlog)) * _ROUND_UP)
 
 
 def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
-    """Evaluate zeta_S(z) for z > 1 with certified error at most tol, plus
-    the floating-point rounding that the bounds add to the truncation.
+    """Evaluate zeta_S(z) for z > 1 with a certified error of at most tol,
+    floating-point rounding included; LimitError when no route reaches tol.
 
-    Direct truncated sum always; Euler product besides for rule-based S.
-    The best certified bound must reach tol, else LimitError: with the crude
-    tail T^(1-z)/(z-1), small tolerances near z = 1 need infeasible T (the
-    full set is the exception, its tail encloses between two integrals).
+    Rule-based S: the factored Euler product (_factored_product), which also
+    gives zeta_S'/zeta_S, cross-checked against the truncated series at
+    min(T, SERIES_CHECK_CAP) terms; a disagreement beyond the sum of their
+    bounds raises ConsistencyError. Table-backed S: the truncated series at
+    T terms, its only route. T is the truncation at which the series tail
+    meets tol: the crude tail T^(1-z)/(z-1), or for the full set an
+    enclosure between two integrals. T is capped at DIRECT_TRUNCATION_CAP,
+    and for a table-backed S at its membership bound.
     """
     if z <= 1:
         raise ValueError("series diverges for z <= 1")
@@ -306,10 +481,7 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     else:
         T = int(math.ceil((tol * (z - 1.0)) ** (-1.0 / (z - 1.0)))) + 1
     T = max(T, 64)
-    capped = False
-    if T > DIRECT_TRUNCATION_CAP:
-        T = DIRECT_TRUNCATION_CAP
-        capped = True
+    T = min(T, DIRECT_TRUNCATION_CAP if S.mult is None else SERIES_CHECK_CAP)
     if S.general is not None and T > S.general.bound:
         raise LimitError(
             f"tolerance {tol} unreachable for {S.spec!r}: membership bound "
@@ -320,7 +492,7 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     ns[0] = 1.0
     partial = float(np.sum(rs * ns ** (-z)))
     # rounding: np.sum's pairwise depth <= 19 + log2 T, +5 for each pow and the midpoint
-    rounding = (24 + math.log2(T)) * 2.0 ** -53 * partial
+    rounding = (24 + math.log2(T)) * _U * partial
     tail_bound = _crude_tail(T, z)
     if full:
         lo = _crude_tail(T + 1, z)
@@ -329,22 +501,24 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     else:
         value = partial
         err = tail_bound + rounding
-    ev = eb = ec = None
+    ev = eb = ec = dv = db = None
     if S.mult is not None:
-        ev, eb, ec = _euler_product(S, z, tol)
-        if abs(ev - value) > err + eb + 1e-12:
+        ev, eb, dv, db = _factored_product(S, z)
+        ec = EULER_CUTOFF
+        if abs(ev - value) > err + eb:
             raise ConsistencyError(
                 f"series and product evaluations of zeta_{S.spec}({z}) disagree: "
                 f"{value} vs {ev} beyond {err + eb:.3g}"
             )
     best = min(err, eb) if eb is not None else err
-    if capped and best > tol:
+    if best > tol:
         raise LimitError(
             f"tolerance {tol} unreachable for zeta_{S.spec}({z}): best certified "
-            f"bound {best:.3g} at truncation cap {DIRECT_TRUNCATION_CAP}"
+            f"bound {best:.3g} at truncation {T}"
         )
     return ZetaEvaluation(z=z, value=value, truncation=T, tail_bound=tail_bound,
-                          err_bound=err, euler_value=ev, euler_bound=eb, euler_cutoff=ec)
+                          err_bound=err, euler_value=ev, euler_bound=eb, euler_cutoff=ec,
+                          log_derivative=dv, log_derivative_bound=db)
 
 
 @cache
@@ -360,42 +534,49 @@ def _zeta_full(z: float, tol: float) -> ZetaEvaluation:
     return zeta_S(parse_sset("N"), z, tol)
 
 
-def zeta_S_derivative(S: SSet, z: float, tol: float = 2e-5) -> float:
-    """zeta_S'(z) = -sum rho_S(n) log(n) n^(-z), certified within tol.
+def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> float:
+    """zeta_S'(z) = -sum rho_S(n) log(n) n^(-z), certified within tol, else
+    LimitError.
 
-    Tail bound: integral of log(t) t^(-z) from T, i.e.
-    T^(1-z) (log T / (z-1) + 1/(z-1)^2); the full set again encloses the
-    tail between consecutive integrals and takes the midpoint.
+    Rule-based S: zeta_S(z) times zeta_S'(z)/zeta_S(z), both from the
+    factored product of zeta_S. Table-backed S: the truncated series, whose
+    tail is at most the integral of log(t) t^(-z) from T,
+    T^(1-z) (log T / (z-1) + 1/(z-1)^2), with T doubled from 64 until it
+    meets tol (at most DIRECT_TRUNCATION_CAP and the membership bound).
     """
     if z <= 1:
         raise ValueError("series diverges for z <= 1")
+    if S.mult is not None:
+        ev = zeta_S(S, z, tol)
+        v, dv = ev.euler_value, ev.log_derivative
+        err = (abs(v) * ev.log_derivative_bound + abs(dv) * ev.euler_bound
+               + ev.euler_bound * ev.log_derivative_bound + _U * abs(v * dv)) * _ROUND_UP
+        if err > tol:
+            raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z}): "
+                             f"best certified bound {err:.3g}")
+        return v * dv
 
     def tail(T: float) -> float:
         return T ** (1.0 - z) * (math.log(T) / (z - 1.0) + (z - 1.0) ** -2)
 
-    def err_at(T: int) -> float:
-        return 0.5 * (tail(T) - tail(T + 1)) if full else tail(T)
-
-    full = _is_full_set(S)
     T = 64
-    while err_at(T) > tol and T < DIRECT_TRUNCATION_CAP:
+    while tail(T) > tol and T < DIRECT_TRUNCATION_CAP:
         T *= 2
-    if S.general is not None:
-        T = min(T, S.general.bound)
-    if err_at(T) > tol:
+    T = min(T, S.general.bound)
+    if tail(T) > tol:
         raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z})")
     rs = rho_table(S, T)
     ns = np.arange(T + 1, dtype=np.float64)
     ns[0] = 1.0
-    partial = -float(np.sum(rs * np.log(ns) * ns ** (-z)))
-    if full:
-        return partial - 0.5 * (tail(T) + tail(T + 1))
-    return partial
+    return -float(np.sum(rs * np.log(ns) * ns ** (-z)))
 
 
-def verify_mobius_identity(S: SSet, N: int) -> Verdict:
-    """Check sum_{d | n} mu_S(d) = rho_S(n) for every n <= N."""
-    lhs = dirichlet_sweep(mu_set_table(S, N), np.ones(N + 1, dtype=np.int64), N)
+def verify_mobius_identity(S: SSet, N: int, mu: np.ndarray | None = None) -> Verdict:
+    """Check sum_{d | n} mu_S(d) = rho_S(n) for every n <= N; mu, when given,
+    is mu_set_table(S, N), so a caller that already holds it builds it once."""
+    if mu is None:
+        mu = mu_set_table(S, N)
+    lhs = dirichlet_sweep(mu, np.ones(N + 1, dtype=np.int64), N)
     rs = rho_table(S, N)
     bad = np.flatnonzero(lhs[1:] != rs[1:])
     if len(bad):

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +23,8 @@ from sconv.asymptotics import (
     LOGLOG_FLOOR,
     AsymptoticReport,
     _partial_sums,
+    _sigma_constant,
+    _tau_constants,
     asymptotic_report,
     gronwall_range_max,
     sigma_main_term,
@@ -36,6 +39,7 @@ from sconv.divisor_functions import SELF_CHECK_SEED, sigma_S_table, tau_S_table
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import mu_set_table
 from sconv.sets import ExponentRule, make_mult_sset, parse_sset
+from test_mobius import LOG_TERMS, ORACLE_DPS, ORACLE_PRIMES, ORACLE_SETS, oracle, prime_tail, within
 from test_sweeps import MIXED_RULES, PROPERTY, exponent_rules
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
@@ -114,6 +118,25 @@ def test_tau_main_term_full_set():
     for x in [100.0, 10**4, 10**6]:
         want = x * (math.log(x) + 2 * EULER_GAMMA - 1)
         assert tau_main_term(parse_sset("N"), x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_SETS))
+def test_main_term_constants_hold_against_mpmath(key):
+    """A and B of the tau main term and the sigma constant each lie within
+    their reported bound of the 30-digit oracle, with no slack."""
+    S = ORACLE_SETS[key]
+    zs2, dzs2 = oracle(key, 2.0)
+    with mpmath.workdps(ORACLE_DPS):
+        z2, z3 = mpmath.zeta(2), mpmath.zeta(3)
+        want_a = zs2 / z2
+        want_b = 2 * mpmath.euler - 1 + 2 * dzs2 / zs2 - 2 * mpmath.zeta(2, derivative=1) / z2
+        want_k = z2 * oracle(key, 3.0)[0] / (2 * z3)
+    a, b, err = _tau_constants(S)
+    assert within(a, want_a, err) and within(b, want_b, err), (a, b, err)
+    assert err <= 1e-14
+    k, kerr = _sigma_constant(S)
+    assert within(k, want_k, kerr), (k, kerr)
+    assert kerr <= 1e-14
 
 
 def test_main_term_guards():
@@ -358,6 +381,27 @@ def test_maximal_constant_override_on_finite_default():
     want = E_GAMMA / (math.pi ** 4 / 90) * (1 - 5.0 ** -2) / (1 - 5.0 ** -4)
     assert abs(mc.value - want) <= mc.err_bound
     assert mc.uniform_s is None
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_SETS))
+def test_maximal_constant_holds_against_mpmath(key):
+    # the product itself at 30 digits: the primes <= P0 one by one, the
+    # rest through log(1 - y) = -sum y^n/n and the prime zeta tail
+    S = ORACLE_SETS[key]
+    m = S.mult
+    s0 = m.default_rule.least_excluded()
+    with mpmath.workdps(ORACLE_DPS + 10):
+        want = mpmath.exp(mpmath.euler)
+        for p in ORACLE_PRIMES:
+            s = m.rule_at(p).least_excluded()
+            if s is not None:
+                want *= 1 - mpmath.mpf(p) ** (-2 * s)
+        if s0 is not None:
+            want *= mpmath.exp(-sum(prime_tail(mpmath.mpf(2 * s0 * n))[0] / n
+                                    for n in range(1, LOG_TERMS + 1)))
+    mc = sigma_maximal_constant(S)
+    assert within(mc.value, want, mc.err_bound), (mc.value, mc.err_bound)
+    assert mc.err_bound <= 1e-14
 
 
 def test_closed_form_two_path_agreement():

@@ -9,8 +9,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from sconv import asymptotics, cli, mobius
@@ -374,10 +379,11 @@ VERIFY_FAILURES = {
     "phi_table": (
         ("phi_S_table", 30, {}), "identities", "400",
         with_rows(IDENTITY_ROWS, phi_forms="first failure at n=30")),
+    # the one mu_S table feeds mobius_sum, mu_bound and phi_forms
     "mu_table": (
         ("mu_set_table", 6, {"value": 100}), "identities", "400",
-        with_rows(IDENTITY_ROWS, mu_bound="first failure at n=6",
-                  phi_forms="first failure at n=6")),
+        with_rows(IDENTITY_ROWS, mobius_sum="first failure (6, 99, 0)",
+                  mu_bound="first failure at n=6", phi_forms="first failure at n=6")),
     # calls of s_convolve_table in the algebra suite: 1 f*g, 2 g*f, 3 f*(g+h),
     # 4 f*h, 5 f*delta (distributive and associative read prefixes of call 1)
     "commutative": (
@@ -512,8 +518,8 @@ MAXORDER_HEAD = "  k   t    a        log_n    sigma/n      ratio\n"
 # stdout, constant and rows pinned to the last digit, for a k-free and an s = 1 set
 MAXORDER_GOLDEN = {
     "Q2": (
-        "limsup constant for Q2: 1.6456012054 (err <= 1.65e-12)\n"
-        "uniform s=2: closed form 1.6456012054, |difference| = 8.24e-14 <= 1e-08\n"
+        "limsup constant for Q2: 1.6456012054 (err <= 9.69e-16)\n"
+        "uniform s=2: closed form 1.6456012054, |difference| = 0 <= 1e-08\n"
         + MAXORDER_HEAD +
         "  2   3    -        8.931   3.809524   1.739917\n"
         "  3   3    -       19.671   4.988201   1.674369\n"
@@ -522,7 +528,7 @@ MAXORDER_GOLDEN = {
         "  6   3    -      380.311   9.097215   1.531263\n"
         "  7   3    -     1064.152  10.580084   1.517961\n"
         "  8   3    -     2927.937  12.064373   1.511437\n",
-        {"constant": 1.6456012053655584, "constant_err": 1.6456012053838428e-12,
+        {"constant": 1.6456012053655584, "constant_err": 9.691328527700181e-16,
          "epsilon": 0.1, "k": 8, "mode": "sigma", "uniform_s": 2},
         [(2, 8.930626469173578, 3.8095238095238098, 1.7399165192027597),
          (3, 19.671123422656144, 4.988200653835326, 1.6743694454033475),
@@ -532,8 +538,8 @@ MAXORDER_GOLDEN = {
          (7, 1064.1519011471255, 10.580084299079715, 1.5179605966863257),
          (8, 2927.9366966384323, 12.06437299739315, 1.5114372971725398)]),
     "L2": (
-        "limsup constant for L2: 1.0827621963 (err <= 1.44e-08)\n"
-        "uniform s=1: closed form 1.0827621933, |difference| = 3.05e-09 <= 1e-08\n"
+        "limsup constant for L2: 1.0827621933 (err <= 8.08e-16)\n"
+        "uniform s=1: closed form 1.0827621933, |difference| = 0 <= 1e-08\n"
         + MAXORDER_HEAD +
         "  2   3    -        5.347   2.742857   1.636007\n"
         "  3   3    -       16.088   3.591504   1.292815\n"
@@ -542,7 +548,7 @@ MAXORDER_GOLDEN = {
         "  6   3    -      376.727   6.549995   1.104269\n"
         "  7   3    -     1060.568   7.617661   1.093461\n"
         "  8   3    -     2924.353   8.686349   1.088402\n",
-        {"constant": 1.0827621963088496, "constant_err": 1.4437933797804082e-08,
+        {"constant": 1.0827621932609246, "constant_err": 8.078699965291736e-16,
          "epsilon": 0.1, "k": 8, "mode": "sigma", "uniform_s": 1},
         [(2, 5.3471075307174685, 2.742857142857143, 1.6360071034244228),
          (3, 16.087604484200035, 3.591504470761435, 1.2928153475004454),
@@ -564,6 +570,9 @@ def test_maxorder_sigma_artifacts_are_byte_exact(capsys, tmp_path, spec):
     assert code == 0 and out == stdout
     assert csv_bytes == expected_csv(MAXORDER_FIELDS, rows)
     assert json_bytes == expected_json("maxorder", spec, params, rows)
+    with mpmath.workdps(30):  # the pinned constant holds within its pinned bound
+        want = mpmath.exp(mpmath.euler) / mpmath.zeta(2 * params["uniform_s"])
+        assert abs(mpmath.mpf(params["constant"]) - want) <= params["constant_err"]
 
 
 @pytest.mark.parametrize("spec, evaluations", [("Q2", [(2.0, 1e-9), (4.0, 1e-9)]),
@@ -600,6 +609,21 @@ def test_mu_k_stats_artifacts_are_byte_exact(capsys, tmp_path):
     assert code == 0 and f"  ... {len(rows) - 10} more\n" in out
     assert csv_bytes == expected_csv(["value", "first_a"], rows)
     assert json_bytes == expected_json("mu-k-stats", "-", {"k": 3, "a_max": 100}, rows)
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops after one line closes the pipe while eval still writes
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "sconv", "eval", "--sset", "N", "--fn",
+                             "sigma", "--range", "1..200000"], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_unknown_command_usage_error(capsys):

@@ -57,14 +57,21 @@ from .divisor_functions import (
     tau_S_at,
 )
 from .errors import ConsistencyError, LimitError
-from .mobius import _U, _ROUND_UP, _zeta_em, _zeta_full, mu_set_table, zeta_S, zeta_S_derivative
+from .mobius import (
+    _zeta_full,
+    mu_set_table,
+    relative_error,
+    with_rounding,
+    zeta_S,
+    zeta_S_derivative,
+)
 from .sets import SSet
 
 EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
 # asked of zeta_S(2) and zeta_S'(2) for the tau constants; rule-based S get the
 # factored product's far smaller bounds, table-backed S only the series, which
-# meets 1e-5 at 1e5 and 2^21 terms
-TAU_TOL = 1e-5
+# meets 2e-5 at 5e4 and 2^20 terms (a membership bound of 7.4e5 suffices)
+TAU_TOL = 2e-5
 REPORT_X_CAP = 10**7
 LOGLOG_FLOOR = math.log(16.0)  # maximal-order ratios need n >= 16
 
@@ -80,20 +87,12 @@ def sigma_main_term(S: SSet, x: float) -> float:
     return k * x * x
 
 
-def _rel_err(evals, roundings: int) -> float:
-    """Relative error bound of a product of the best values of evals and
-    their reciprocals, computed with the given number of roundings: a factor
-    v within b of its true value is off by at most a factor 1 + b/(v - b)."""
-    e = sum(ev.best_bound / (ev.best_value - ev.best_bound) for ev in evals) + roundings * _U
-    return math.expm1(e) * math.exp(e) * _ROUND_UP
-
-
 def _sigma_constant(S: SSet) -> tuple[float, float]:
     z2 = _zeta_full(2.0, 1e-9)
     z3 = _zeta_full(3.0, 1e-9)
     zs3 = zeta_S(S, 3.0, tol=1e-9)
     k = z2.best_value * zs3.best_value / (2.0 * z3.best_value)
-    return k, abs(k) * _rel_err((z2, z3, zs3), 2)
+    return k, abs(k) * relative_error((z2, z3, zs3), 2)
 
 
 def tau_main_term(S: SSet, x: float) -> float:
@@ -117,12 +116,13 @@ def _tau_constants(S: SSet) -> tuple[float, float, float]:
         ds, eds = zs2.log_derivative, zs2.log_derivative_bound
     else:
         ds = zeta_S_derivative(S, 2.0, TAU_TOL) / zs2.value
-        eds = (TAU_TOL + abs(ds) * zs2.err_bound) / (zs2.value - zs2.err_bound) + 2 * _U * abs(ds)
+        eds = with_rounding((TAU_TOL + abs(ds) * zs2.err_bound) / (zs2.value - zs2.err_bound),
+                            2, abs(ds))
     a = zs2.best_value / z2.best_value
     terms = (2.0 * EULER_GAMMA, -1.0, 2.0 * ds, -2.0 * z2.log_derivative)
     b = math.fsum(terms)
-    eb = 2.0 * eds + 2.0 * z2.log_derivative_bound + _U * (2.0 * EULER_GAMMA + abs(b))
-    return a, b, max(abs(a) * _rel_err((zs2, z2), 1), eb * _ROUND_UP)
+    eb = with_rounding(2.0 * eds + 2.0 * z2.log_derivative_bound, 1, 2.0 * EULER_GAMMA + abs(b))
+    return a, b, max(abs(a) * relative_error((zs2, z2), 1), eb)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +304,11 @@ def sigma_maximal_constant(S: SSet) -> MaximalConstant:
     rule, the product over every prime is 1/zeta(2 s0) (1 when the default
     is all-in), so the constant is e^gamma/zeta(2 s0) times one exact factor
     (1 - p^(-2 s(p)))/(1 - p^(-2 s0)) per override prime, a 1 standing for
-    the term of an all-in rule. zeta(2 s0) comes from Euler-Maclaurin
-    (mobius._zeta_em) with its certified bound. Rounding, in units of u:
-    e^gamma 3 (gamma's own rounding and exp), the division by zeta 1, and
-    each override 6 (each 1 - p^(-2s) is within 5/3, as p^(-2s) <= 1/4, then
-    the ratio and the multiply).
+    the term of an all-in rule. zeta(2 s0) is the full set's certified
+    best value, the factored product (Euler-Maclaurin for N). Rounding, in
+    units of u: e^gamma 3 (gamma's own rounding and exp), the division by
+    zeta 1, and each override 6 (each 1 - p^(-2s) is within 5/3, as
+    p^(-2s) <= 1/4, then the ratio and the multiply).
     """
     if S.mult is None:
         raise ValueError(f"{S.spec!r} is not a multiplicative set")
@@ -316,25 +316,29 @@ def sigma_maximal_constant(S: SSet) -> MaximalConstant:
     s0 = m.default_rule.least_excluded()
     local = lambda s, p: 1.0 if s is None else 1.0 - float(p) ** (-2.0 * s)
     value = math.exp(EULER_GAMMA)
-    rel = 3 * _U
+    zetas = ()
     if s0 is not None:
-        zv, zb = _zeta_em(2.0 * s0)[:2]
-        value /= zv
-        rel += zb / (zv - zb) + _U
+        zetas = (_zeta_full(2.0 * s0, 1e-9),)
+        value /= zetas[0].best_value
     for p, rule in sorted(m.overrides.items()):
         value *= local(rule.least_excluded(), p) / local(s0, p)
-        rel += 6 * _U
-    uni = s0 if s0 is not None and all(r.least_excluded() == s0 for r in m.overrides.values()) else None
-    return MaximalConstant(sset_spec=S.spec, value=value,
-                           err_bound=value * math.expm1(rel) * _ROUND_UP, uniform_s=uni)
+    uniform = s0 is not None and all(r.least_excluded() == s0 for r in m.overrides.values())
+    err = value * relative_error(zetas, 3 + len(zetas) + 6 * len(m.overrides))
+    return MaximalConstant(sset_spec=S.spec, value=value, err_bound=err,
+                           uniform_s=s0 if uniform else None)
 
 
 def sigma_maximal_constant_uniform(s: int) -> float:
-    """Closed form e^gamma / zeta(2s) for sets with s(p) = s at every prime."""
+    """Closed form e^gamma / zeta(2s) for sets with s(p) = s at every prime.
+
+    zeta(2s) is the full set's truncated series with its integral enclosure
+    of the tail (ZetaEvaluation.value, within about 1e-9), so this is a
+    second route to sigma_maximal_constant, which divides by the
+    Euler-Maclaurin zeta(2s)."""
     if s < 1:
         raise ValueError("s must be >= 1")
     z = _zeta_full(2.0 * s, 1e-9)
-    return math.exp(EULER_GAMMA) / z.best_value
+    return math.exp(EULER_GAMMA) / z.value
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,21 @@ _U = 2.0 ** -53
 _ROUND_UP = 1.0 + 2.0 ** -30
 
 
+def with_rounding(bound: float, units: float, size: float) -> float:
+    """bound plus the rounding of `units` operations on a value of magnitude
+    size (u each), raised by the factor _ROUND_UP."""
+    return (bound + units * _U * size) * _ROUND_UP
+
+
+def relative_error(evals, roundings: int) -> float:
+    """Relative error bound of a product of the best values of the
+    ZetaEvaluations evals and their reciprocals, computed with the given
+    number of roundings: a factor v within b of its true value is off by at
+    most a factor 1 + b/(v - b)."""
+    e = sum(ev.best_bound / (ev.best_value - ev.best_bound) for ev in evals) + roundings * _U
+    return math.expm1(e) * math.exp(e) * _ROUND_UP
+
+
 @dataclass(frozen=True)
 class ZetaEvaluation:
     """A certified evaluation of zeta_S(z) = sum rho_S(n) n^(-z).
@@ -321,6 +336,7 @@ def _exponents(rule: ExponentRule) -> tuple[int, ...]:
     return tuple(e)
 
 
+@cache
 def _log_coefficients(rule: ExponentRule, e: tuple[int, ...]) -> dict[int, int]:
     """c_j with log F(x) + sum_k e_k log(1 - x^k) = sum_j c_j log(1 - x^j) + Phi(x).
 
@@ -336,9 +352,10 @@ def _log_coefficients(rule: ExponentRule, e: tuple[int, ...]) -> dict[int, int]:
     return {j: cj for j, cj in c.items() if cj}
 
 
-def _local_log(rule: ExponentRule, coef: dict[int, int], p: float, z: float) -> tuple:
+def _local_log(rule: ExponentRule, e: tuple[int, ...], p: int, z: float) -> tuple:
     """(g, its bound, dg/dz, its bound) at the prime p, where
-    g = log F(x) + sum_k e_k log(1 - x^k), x = p^-z, F the local factor of rule.
+    g = log F(x) + sum_k e_k log(1 - x^k), x = p^-z, F the local factor of rule,
+    summed as the c_j log(1 - x^j) of _log_coefficients plus Phi.
 
     Rounding of each term, in units of u (x^j = (p^-z)^j carries 2j + 2, and
     x <= 1/2, so |y|/(1 - |y|) <= 1.45 |log(1 - |y|)| for |y| <= 1/2):
@@ -347,9 +364,9 @@ def _local_log(rule: ExponentRule, coef: dict[int, int], p: float, z: float) -> 
     4k + 25; for finite A, log(1 + sum x^a) 2 max A + |A| + 3 and its
     derivative 4 max A + 2 |A| + 8. fsum adds u |g| and u |dg/dz|.
     """
-    x, lp = p ** -z, math.log(p)
+    x, lp = float(p) ** -z, math.log(p)
     g, dg, ge, dge = [], [], 0.0, 0.0
-    for j, cj in coef.items():
+    for j, cj in _log_coefficients(rule, e).items():
         y = x ** j
         g.append(cj * math.log1p(-y))
         dg.append(cj * j * lp * y / (1.0 - y))
@@ -373,14 +390,14 @@ def _local_log(rule: ExponentRule, coef: dict[int, int], p: float, z: float) -> 
     return gs, _U * (ge + abs(gs)), dgs, _U * (dge + abs(dgs))
 
 
-def _cauchy_bound(rule: ExponentRule, coef: dict[int, int]) -> float:
+def _cauchy_bound(rule: ExponentRule, e: tuple[int, ...]) -> float:
     """M >= |g(x)| on the circle |x| = 1/3, g = sum_j c_j log(1 - x^j) + Phi(x).
 
     |log(1 - x^j)| <= -log(1 - 3^-j) there, and |F - 1| <= q < 1 gives
     |Phi| = |log F| <= -log(1 - q), with q = 3^-k/(1 - 1/3) for at_least k
     and q = sum_{a in A} 3^-a for finite A."""
     r = 1.0 / 3.0
-    M = sum(abs(cj) * -math.log1p(-r ** j) for j, cj in coef.items())
+    M = sum(abs(cj) * -math.log1p(-r ** j) for j, cj in _log_coefficients(rule, e).items())
     if rule.kind == "at_least":
         M -= math.log1p(-r ** rule.k / (1.0 - r))
     elif rule.kind == "finite":
@@ -388,20 +405,9 @@ def _cauchy_bound(rule: ExponentRule, coef: dict[int, int]) -> float:
     return M
 
 
-def euler_factors(m: MultiplicativeSSet, primes: np.ndarray, local) -> np.ndarray:
-    """local(rule, ps) at every prime of the ascending float64 array primes.
-
-    local maps one exponent rule and a float64 array of primes to their
-    local factors (one row per prime). It runs once for the default rule;
-    each override prime present in primes is then patched in with its own
-    rule.
-    """
-    out = local(m.default_rule, primes)
-    for p, rule in m.overrides.items():
-        i = int(np.searchsorted(primes, p))
-        if i < len(primes) and primes[i] == p:
-            out[i] = local(rule, primes[i : i + 1])[0]
-    return out
+def euler_factors(m: MultiplicativeSSet, primes, local) -> list:
+    """local(rule, p) at every prime p of primes, rule the one S admits at p."""
+    return [local(m.rule_at(p), p) for p in primes]
 
 
 def _factored_product(S: SSet, z: float) -> tuple[float, float, float, float]:
@@ -427,15 +433,10 @@ def _factored_product(S: SSet, z: float) -> tuple[float, float, float, float]:
     """
     m = S.mult
     e = _exponents(m.default_rule)
-    M = _cauchy_bound(m.default_rule, _log_coefficients(m.default_rule, e))
+    M = _cauchy_bound(m.default_rule, e)
     primes = prime_array(EULER_CUTOFF).tolist() if M else []
-    ps = np.array(sorted({*primes, *m.overrides}), dtype=np.float64)
-
-    def local(rule, qs):
-        coef = _log_coefficients(rule, e)
-        return np.array([_local_log(rule, coef, float(q), z) for q in qs]).reshape(-1, 4)
-
-    rows = euler_factors(m, ps, local)
+    ps = sorted({*primes, *m.overrides})
+    rows = np.array(euler_factors(m, ps, lambda rule, p: _local_log(rule, e, p, z))).reshape(-1, 4)
     K1, s = EULER_ORDER + 1, (EULER_ORDER + 1) * z
     rho_p = 3.0 * EULER_CUTOFF ** -z  # rho at the largest x beyond P
     gain = M * 3.0 ** K1 * EULER_CUTOFF ** (1.0 - s) / (s - 1.0)
@@ -549,8 +550,8 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> float:
     if S.mult is not None:
         ev = zeta_S(S, z, tol)
         v, dv = ev.euler_value, ev.log_derivative
-        err = (abs(v) * ev.log_derivative_bound + abs(dv) * ev.euler_bound
-               + ev.euler_bound * ev.log_derivative_bound + _U * abs(v * dv)) * _ROUND_UP
+        err = with_rounding(abs(v) * ev.log_derivative_bound + abs(dv) * ev.euler_bound
+                            + ev.euler_bound * ev.log_derivative_bound, 1, abs(v * dv))
         if err > tol:
             raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z}): "
                              f"best certified bound {err:.3g}")
@@ -571,11 +572,9 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> float:
     return -float(np.sum(rs * np.log(ns) * ns ** (-z)))
 
 
-def verify_mobius_identity(S: SSet, N: int, mu: np.ndarray | None = None) -> Verdict:
-    """Check sum_{d | n} mu_S(d) = rho_S(n) for every n <= N; mu, when given,
-    is mu_set_table(S, N), so a caller that already holds it builds it once."""
-    if mu is None:
-        mu = mu_set_table(S, N)
+def verify_mobius_identity(S: SSet, N: int, mu: np.ndarray) -> Verdict:
+    """Check sum_{d | n} mu_S(d) = rho_S(n) for every n <= N, with mu the
+    caller's mu_set_table(S, N)."""
     lhs = dirichlet_sweep(mu, np.ones(N + 1, dtype=np.int64), N)
     rs = rho_table(S, N)
     bad = np.flatnonzero(lhs[1:] != rs[1:])

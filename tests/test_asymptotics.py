@@ -139,6 +139,22 @@ def test_main_term_constants_hold_against_mpmath(key):
     assert kerr <= 1e-14
 
 
+def test_tau_constants_certify_from_a_table_bound_of_7e5():
+    """A table-backed S meets TAU_TOL through its series once its membership
+    bound passes about 7.4e5, where the tail of zeta_S'(2) falls to 2e-5;
+    at 1.1e6 a tol of 1e-5 would still miss. F{1,2,6} has an exact zeta_S."""
+    with mpmath.workdps(ORACLE_DPS):
+        zs2 = 1 + mpmath.mpf(1) / 4 + mpmath.mpf(1) / 36
+        dzs2 = -(mpmath.log(2) / 4 + mpmath.log(6) / 36)
+        z2 = mpmath.zeta(2)
+        want_a = zs2 / z2
+        want_b = 2 * mpmath.euler - 1 + 2 * dzs2 / zs2 - 2 * mpmath.zeta(2, derivative=1) / z2
+    a, b, err = _tau_constants(parse_sset("F{1,2,6}", bound=1_100_000))
+    assert within(a, want_a, err) and within(b, want_b, err), (a, b, err)
+    with pytest.raises(LimitError):
+        _tau_constants(parse_sset("F{1,2,6}", bound=700_000))
+
+
 def test_main_term_guards():
     with pytest.raises(ValueError):
         sigma_main_term(parse_sset("N"), 0.5)

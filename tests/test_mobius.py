@@ -177,7 +177,8 @@ def test_mu_set_bounded_by_tau():
 
 def test_verify_mobius_identity():
     for spec in BUILTINS + ["F{1,2,3}"]:
-        v = verify_mobius_identity(parse_sset(spec), 100)
+        S = parse_sset(spec)
+        v = verify_mobius_identity(S, 100, mu_set_table(S, 100))
         assert v.holds, spec
 
 

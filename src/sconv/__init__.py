@@ -15,7 +15,6 @@ average and maximal orders.
 """
 
 from .arith import (
-    chebyshev_theta,
     divisors,
     eval_multiplicative,
     factorize,
@@ -79,7 +78,6 @@ from .mobius import (
     mu_set_table,
     mu_table,
     verify_mobius_identity,
-    verify_series_ratio,
     zeta_S,
     zeta_S_derivative,
 )
@@ -111,7 +109,7 @@ __all__ = [
     "MultiplicativeSSet", "NAMED_FUNCTIONS", "ParseError",
     "PrimeClassification", "SSet", "Verdict", "WitnessSequence",
     "ZeroDivisorPair", "ZetaEvaluation", "associativity_violation_functions",
-    "associativity_witness", "asymptotic_report", "chebyshev_theta",
+    "associativity_witness", "asymptotic_report",
     "check_assoc_identity", "classify_prime", "conv_cm_via_dirichlet",
     "conv_cm_via_unitary", "divisors", "eval_multiplicative", "factorize",
     "gronwall_range_max", "indicator", "inverse_of_I", "is_associative",
@@ -126,6 +124,6 @@ __all__ = [
     "sigma_main_term", "sigma_maximal_constant",
     "sigma_maximal_constant_uniform", "tau_S_at", "tau_S_table",
     "tau_S_via_identity", "tau_main_term", "tau_maximal_ratio",
-    "verify_mobius_identity", "verify_series_ratio", "witness_sequence",
+    "verify_mobius_identity", "witness_sequence",
     "zero_divisor_pair", "zeta_S", "zeta_S_derivative",
 ]

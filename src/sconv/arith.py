@@ -157,15 +157,6 @@ def _sigma_star_pp(p: int, a: int) -> int:
     return p ** a + 1
 
 
-def chebyshev_theta(x: float) -> float:
-    """theta(x) = sum of log p over primes p <= x."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x < 2:
-        return 0.0
-    return float(np.log(prime_array(int(x))).sum())
-
-
 def guard_int64(bound: int, context: str) -> None:
     """Raise before building a table whose entries could exceed int64."""
     if bound >= _INT64_MAX:

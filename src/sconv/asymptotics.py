@@ -57,17 +57,13 @@ from .divisor_functions import (
     tau_S_at,
 )
 from .errors import ConsistencyError, LimitError
-from .mobius import (
-    _zeta_full,
-    mu_set_table,
-    relative_error,
-    with_rounding,
-    zeta_S,
-    zeta_S_derivative,
-)
+from .mobius import Ball, _zeta_full, mu_set_table, zeta_S, zeta_S_derivative
 from .sets import SSet
 
-EULER_GAMMA = 0.57721566490153286  # no finite-sum form; sole hard-coded constant
+# no finite-sum form; sole hard-coded constant. Its 17 digits put the float
+# within u gamma of gamma (5.6e-17 of rounding plus 6e-19 of truncation), as
+# Ball.rounded asks
+EULER_GAMMA = 0.57721566490153286
 # asked of zeta_S(2) and zeta_S'(2) for the tau constants; rule-based S get the
 # factored product's far smaller bounds, table-backed S only the series, which
 # meets 2e-5 at 5e4 and 2^20 terms (a membership bound of 7.4e5 suffices)
@@ -83,16 +79,14 @@ def sigma_main_term(S: SSet, x: float) -> float:
     """Main term zeta(2) zeta_S(3) / (2 zeta(3)) * x^2 of sum sigma_S."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    k, _ = _sigma_constant(S)
-    return k * x * x
+    return _sigma_constant(S).mid * x * x
 
 
-def _sigma_constant(S: SSet) -> tuple[float, float]:
+def _sigma_constant(S: SSet) -> Ball:
     z2 = _zeta_full(2.0, 1e-9)
     z3 = _zeta_full(3.0, 1e-9)
     zs3 = zeta_S(S, 3.0, tol=1e-9)
-    k = z2.best_value * zs3.best_value / (2.0 * z3.best_value)
-    return k, abs(k) * relative_error((z2, z3, zs3), 2)
+    return z2.best * zs3.best / (2.0 * z3.best)
 
 
 def tau_main_term(S: SSet, x: float) -> float:
@@ -101,28 +95,23 @@ def tau_main_term(S: SSet, x: float) -> float:
     - 2 zeta'(2)/zeta(2). For the full set the derivative terms cancel."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    a, b, _ = _tau_constants(S)
-    return a * x * (math.log(x) + b)
+    a, b = _tau_constants(S)
+    return a.mid * x * (math.log(x) + b.mid)
 
 
-def _tau_constants(S: SSet) -> tuple[float, float, float]:
-    """A, B and one bound on the error of each. zeta'/zeta at 2 comes from
-    the factored product, or for table-backed S from the series of zeta_S'
-    over that of zeta_S. B adds the rounding of 2 EULER_GAMMA (2 u gamma)
-    and of its fsum (u |B|); its other terms are exact doublings."""
+def _tau_constants(S: SSet) -> tuple[Ball, Ball]:
+    """A and B. zeta'/zeta at 2 comes from the factored product, or for
+    table-backed S from the series of zeta_S', certified to TAU_TOL, over
+    that of zeta_S."""
     z2 = _zeta_full(2.0, TAU_TOL)
     zs2 = zeta_S(S, 2.0, tol=TAU_TOL)
     if zs2.log_derivative is not None:
-        ds, eds = zs2.log_derivative, zs2.log_derivative_bound
+        ds = Ball(zs2.log_derivative, zs2.log_derivative_bound)
     else:
-        ds = zeta_S_derivative(S, 2.0, TAU_TOL) / zs2.value
-        eds = with_rounding((TAU_TOL + abs(ds) * zs2.err_bound) / (zs2.value - zs2.err_bound),
-                            2, abs(ds))
-    a = zs2.best_value / z2.best_value
-    terms = (2.0 * EULER_GAMMA, -1.0, 2.0 * ds, -2.0 * z2.log_derivative)
-    b = math.fsum(terms)
-    eb = with_rounding(2.0 * eds + 2.0 * z2.log_derivative_bound, 1, 2.0 * EULER_GAMMA + abs(b))
-    return a, b, max(abs(a) * relative_error((zs2, z2), 1), eb)
+        ds = Ball(zeta_S_derivative(S, 2.0, TAU_TOL), TAU_TOL) / Ball(zs2.value, zs2.err_bound)
+    b = Ball.fsum([2.0 * Ball.rounded(EULER_GAMMA), Ball(-1.0), 2.0 * ds,
+                   -2.0 * Ball(z2.log_derivative, z2.log_derivative_bound)])
+    return zs2.best / z2.best, b
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +225,7 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
         raise ValueError(f"samples {samples} above x_max {x_max}")
 
     x0 = max(64, int(round(x_max ** (1.0 / 3.0))))
-    raw = np.unique(np.rint(np.geomspace(x0, x_max, samples)).astype(np.int64))
-    xs = [int(x) for x in raw if x >= 2]
+    xs = sorted({int(x) for x in np.rint(np.geomspace(x0, x_max, samples)) if x >= 2})
     rng = random.Random(SELF_CHECK_SEED)
     checked = [rng.randint(1, x_max) for _ in range(SELF_CHECK_COUNT)]
 
@@ -253,11 +241,13 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
                                    f"{hi - lo} != {want}")
 
     if weighted:
-        k, cerr = _sigma_constant(S)
-        main = lambda x: k * float(x) * float(x)
+        k = _sigma_constant(S)
+        cerr = k.rad
+        main = lambda x: k.mid * float(x) * float(x)
     else:
-        a, b, cerr = _tau_constants(S)
-        main = lambda x: a * float(x) * (math.log(x) + b)
+        a, b = _tau_constants(S)
+        cerr = max(a.rad, b.rad)
+        main = lambda x: a.mid * float(x) * (math.log(x) + b.mid)
 
     mains = [main(x) for x in xs]
     ratios = [p / m for p, m in zip(partial, mains)]
@@ -305,26 +295,20 @@ def sigma_maximal_constant(S: SSet) -> MaximalConstant:
     is all-in), so the constant is e^gamma/zeta(2 s0) times one exact factor
     (1 - p^(-2 s(p)))/(1 - p^(-2 s0)) per override prime, a 1 standing for
     the term of an all-in rule. zeta(2 s0) is the full set's certified
-    best value, the factored product (Euler-Maclaurin for N). Rounding, in
-    units of u: e^gamma 3 (gamma's own rounding and exp), the division by
-    zeta 1, and each override 6 (each 1 - p^(-2s) is within 5/3, as
-    p^(-2s) <= 1/4, then the ratio and the multiply).
+    best value, the factored product (Euler-Maclaurin for N).
     """
     if S.mult is None:
         raise ValueError(f"{S.spec!r} is not a multiplicative set")
     m = S.mult
     s0 = m.default_rule.least_excluded()
-    local = lambda s, p: 1.0 if s is None else 1.0 - float(p) ** (-2.0 * s)
-    value = math.exp(EULER_GAMMA)
-    zetas = ()
+    local = lambda s, p: Ball(1.0) if s is None else 1.0 - Ball(p) ** (-2.0 * s)
+    value = Ball.rounded(EULER_GAMMA).exp()
     if s0 is not None:
-        zetas = (_zeta_full(2.0 * s0, 1e-9),)
-        value /= zetas[0].best_value
+        value /= _zeta_full(2.0 * s0, 1e-9).best
     for p, rule in sorted(m.overrides.items()):
         value *= local(rule.least_excluded(), p) / local(s0, p)
     uniform = s0 is not None and all(r.least_excluded() == s0 for r in m.overrides.values())
-    err = value * relative_error(zetas, 3 + len(zetas) + 6 * len(m.overrides))
-    return MaximalConstant(sset_spec=S.spec, value=value, err_bound=err,
+    return MaximalConstant(sset_spec=S.spec, value=value.mid, err_bound=value.rad,
                            uniform_s=s0 if uniform else None)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import count, islice
 
@@ -38,7 +38,7 @@ from .arith import (
 )
 from .convolve import POINTWISE_SPAN, ArithFunc, _require_associative, s_inverse
 from .errors import ConsistencyError, LimitError
-from .sets import ExponentRule, MultiplicativeSSet, SSet, Verdict, parse_sset, rho, rho_table
+from .sets import ExponentRule, SSet, Verdict, parse_sset, rho, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
 SERIES_CHECK_CAP = 1 << 16  # terms of the series that cross-checks the product
@@ -173,59 +173,132 @@ def mu_k_statistics(k: int, a_max: int) -> MuKStatistics:
 
 # ---------------------------------------------------------------------------
 # Dirichlet series
-#
-# Rounding. Every bound below counts the floating-point rounding of the value
-# it bounds, in units of u = 2^-53, to first order: a basic operation adds u,
-# and each libm call (pow, log, log1p, exp) 2u, since glibc documents at most
-# one ulp for each. Each bound is then raised by the factor _ROUND_UP, which
-# covers the second-order terms and the rounding of the bound's own arithmetic
-# (both far below 2^-30 relative here).
 
-_U = 2.0 ** -53
-_ROUND_UP = 1.0 + 2.0 ** -30
+_U = 2.0 ** -53                # unit roundoff
+_ROUND_UP = 1.0 + 2.0 ** -30   # covers the rounding of a radius's own arithmetic
 
 
-def with_rounding(bound: float, units: float, size: float) -> float:
-    """bound plus the rounding of `units` operations on a value of magnitude
-    size (u each), raised by the factor _ROUND_UP."""
-    return (bound + units * _U * size) * _ROUND_UP
+def _down(x: float) -> float:  # a lower bound of the exact result that x rounds
+    return math.nextafter(x, -math.inf)
 
 
-def relative_error(evals, roundings: int) -> float:
-    """Relative error bound of a product of the best values of the
-    ZetaEvaluations evals and their reciprocals, computed with the given
-    number of roundings: a factor v within b of its true value is off by at
-    most a factor 1 + b/(v - b)."""
-    e = sum(ev.best_bound / (ev.best_value - ev.best_bound) for ev in evals) + roundings * _U
-    return math.expm1(e) * math.exp(e) * _ROUND_UP
+def _result(mid: float, rad: float, ulps: int) -> Ball:  # a computed mid, ulps roundings
+    return Ball(mid, (rad + ulps * _U * abs(mid)) * _ROUND_UP)
+
+
+def _ball(x) -> Ball:
+    return x if isinstance(x, Ball) else Ball(x)
+
+
+class Ball:
+    """A real number within rad of the float mid: midpoint-radius arithmetic
+    after F. Johansson, "Arb: efficient arbitrary-precision midpoint-radius
+    interval arithmetic", IEEE Trans. Comput. 66 (2017), and the one place
+    that knows the rounding policy.
+
+    Each operation computes its midpoint in floating point. Its radius is
+    the input radii times a bound on the derivative over the whole input
+    ball, plus the rounding of the midpoint: u |result| (u = 2^-53) after a
+    basic operation, 2u after a libm call (pow, exp, log, log1p; glibc
+    documents at most one ulp for each), raised by the factor _ROUND_UP.
+    No result may underflow. int and float operands are exact. A division,
+    negative or fractional power, or log whose ball reaches the singularity
+    raises ValueError. Analytic remainders enter as Ball(0.0, remainder).
+    """
+
+    __slots__ = ("mid", "rad")
+
+    def __init__(self, mid: float, rad: float = 0.0):
+        self.mid, self.rad = float(mid), rad
+
+    def __repr__(self) -> str:
+        return f"Ball({self.mid!r}, {self.rad!r})"
+
+    @classmethod
+    def rounded(cls, x: float) -> Ball:
+        """x within u |x| of the real it rounds (a literal, an int / int)."""
+        return cls(x, _U * abs(x))
+
+    @staticmethod
+    def fsum(terms: list) -> Ball:
+        """The sum of Balls; math.fsum rounds the midpoint once."""
+        return _result(math.fsum(t.mid for t in terms), sum(t.rad for t in terms), 1)
+
+    def __neg__(self) -> Ball:
+        return Ball(-self.mid, self.rad)
+
+    def __add__(self, other) -> Ball:
+        o = _ball(other)
+        return _result(self.mid + o.mid, self.rad + o.rad, 1)
+
+    def __sub__(self, other) -> Ball:
+        return self + -_ball(other)
+
+    def __rsub__(self, other) -> Ball:
+        return -self + other
+
+    def __mul__(self, other) -> Ball:
+        o = _ball(other)
+        rad = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
+        return _result(self.mid * o.mid, rad, 1)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other) -> Ball:
+        o = _ball(other)
+        lo = _down(abs(o.mid) - o.rad)  # the least |divisor| on the ball
+        if lo <= 0:
+            raise ValueError(f"{self!r} / {o!r}: the divisor's ball reaches 0")
+        q = self.mid / o.mid
+        return _result(q, (self.rad + abs(q) * o.rad) / lo, 1)
+
+    def __rtruediv__(self, other) -> Ball:
+        return _ball(other) / self
+
+    def __pow__(self, y: float) -> Ball:
+        """self ** y for an exact y: |d t^y/dt| = |y| |t|^(y-1) is largest
+        at the ball's largest |t| when y >= 1, else at its least."""
+        m, r = self.mid, self.rad
+        lo = _down(abs(m) - r)  # the least |t| on the ball
+        if (y < 0 or y != int(y)) and lo <= 0 or y != int(y) and m < 0:
+            raise ValueError(f"{self!r} ** {y}: the ball reaches the singularity at 0")
+        d = abs(y) * (abs(m) + r if y >= 1 else lo) ** (y - 1) if r and y else 0.0
+        return _result(m ** y, r * d, 2)
+
+    def exp(self) -> Ball:
+        return _result(math.exp(self.mid), self.rad * math.exp(self.mid + self.rad), 2)
+
+    def log(self) -> Ball:
+        return self._log(math.log(self.mid), _down(self.mid - self.rad))
+
+    def log1p(self) -> Ball:
+        return self._log(math.log1p(self.mid), _down(_down(1.0 + self.mid) - self.rad))
+
+    def _log(self, mid: float, lo: float) -> Ball:  # lo: the least argument of the log
+        if lo <= 0:
+            raise ValueError(f"log of {self!r}: the ball reaches the singularity")
+        return _result(mid, self.rad / lo, 2)
 
 
 @dataclass(frozen=True)
 class ZetaEvaluation:
     """A certified evaluation of zeta_S(z) = sum rho_S(n) n^(-z).
 
-    value       direct truncated sum (for the full set, plus the certified
-                integral enclosure of the tail, see below)
-    truncation  number of terms kept
-    tail_bound  crude integral bound T^(1-z)/(z-1) on the neglected tail
-    err_bound   certified |value - zeta_S(z)|, rounding included: tail_bound,
-                or for the full set, whose tail lies between the integrals
-                from T and from T+1, half their gap, value at the midpoint
-    euler_value, euler_bound
-                for rule-based S, the factored Euler product (see
-                _factored_product) with its certified bound; the two
-                evaluations must agree within err_bound + euler_bound
-    euler_cutoff
-                the prime cutoff P of that product
+    value, err_bound    the series at truncation terms and its certified
+                        error: the crude tail T^(1-z)/(z-1), or for the full
+                        set the midpoint and half-gap of the integrals from T
+                        and from T+1 that enclose its tail
+    euler_value, euler_bound, euler_cutoff
+                        for rule-based S, the factored Euler product
+                        (_factored_product), its certified bound and prime
+                        cutoff P; the two routes agree within both bounds
     log_derivative, log_derivative_bound
-                for rule-based S, zeta_S'(z)/zeta_S(z) from the same product,
-                with its certified bound
+                        for rule-based S, zeta_S'(z)/zeta_S(z) from the product
     """
 
     z: float
     value: float
     truncation: int
-    tail_bound: float
     err_bound: float
     euler_value: float | None = None
     euler_bound: float | None = None
@@ -234,16 +307,14 @@ class ZetaEvaluation:
     log_derivative_bound: float | None = None
 
     @property
-    def best_value(self) -> float:
+    def best(self) -> Ball:
+        """The evaluation with the smaller bound."""
         if self.euler_bound is not None and self.euler_bound < self.err_bound:
-            return self.euler_value
-        return self.value
+            return Ball(self.euler_value, self.euler_bound)
+        return Ball(self.value, self.err_bound)
 
-    @property
-    def best_bound(self) -> float:
-        if self.euler_bound is not None and self.euler_bound < self.err_bound:
-            return self.euler_bound
-        return self.err_bound
+    best_value = property(lambda self: self.best.mid)
+    best_bound = property(lambda self: self.best.rad)
 
 
 def _crude_tail(T: int, z: float) -> float:
@@ -251,10 +322,8 @@ def _crude_tail(T: int, z: float) -> float:
 
 
 def _is_full_set(S: SSet) -> bool:
-    if S.mult is None:
-        return False
     m = S.mult
-    return m.default_rule.kind == "all" and all(r.kind == "all" for r in m.overrides.values())
+    return m is not None and all(r.kind == "all" for r in (m.default_rule, *m.overrides.values()))
 
 
 # B_2, B_4, ..., B_20 as (numerator, denominator)
@@ -262,9 +331,8 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
               (-3617, 510), (43867, 798), (-174611, 330))
 
 
-def _zeta_em(z: float, k: int = 1) -> tuple[float, float, float, float]:
-    """zeta(s) and zeta'(s) at s = kz by Euler-Maclaurin, each with a certified
-    bound: (zeta, its bound, zeta', its bound).
+def _zeta_em(z: float, k: int = 1) -> tuple[Ball, Ball]:
+    """zeta(s) and zeta'(s) at s = kz by Euler-Maclaurin, as Balls.
 
     With N = EM_TERMS, m = EM_ORDER, b_j = B_2j/(2j)! and (s)_i the rising
     factorial s (s+1) ... (s+i-1),
@@ -278,42 +346,32 @@ def _zeta_em(z: float, k: int = 1) -> tuple[float, float, float, float]:
     -(s)_(2j-1) N^(1-s-2j) (log N - H_(2j-1)), H_i = sum_{i' < i} 1/(s+i');
     its remainder is at most
     |b_m| (s)_(2m) N^(1-a) ((log N + H_(2m))/(a-1) + 1/(a-1)^2), a = s + 2m.
-    n^-s is computed as (n^-z)^k, exact in s although kz may round; N is a
-    power of two, so its powers are exact.
+    n^-s is computed as (n^-z)^k, and s = kz is a Ball, so its rounding is
+    carried; N is a power of two, so its powers are exact.
     """
-    s = k * z
+    s = Ball(z) * k
     N = float(EM_TERMS)
-    ts = [(float(n) ** -z) ** k for n in range(2, EM_TERMS + 1)]  # n^-s, n = 2..N
-    logs = [math.log(n) for n in range(2, EM_TERMS + 1)]
+    ts = [(Ball(n) ** -z) ** k for n in range(2, EM_TERMS + 1)]  # n^-s, n = 2..N
+    logs = [Ball(n).log() for n in range(2, EM_TERMS + 1)]
     tN, lN = ts[-1], logs[-1]
-    ct = 2 * k + 2  # roundings of (n^-z)^k, in units of u
-    val = [1.0, *ts[:-1]]
+    val = [Ball(1.0), *ts[:-1]]
     der = [lg * t for lg, t in zip(logs, ts[:-1])]
-    verr = ct * sum(ts[:-1])
-    derr = (ct + 3) * sum(der)
     sm1 = s - 1.0
     val += [tN * N / sm1, tN / 2.0]
     der += [tN * N * (lN / sm1 + 1.0 / (sm1 * sm1)), lN * tN / 2.0]
-    verr += (ct + 4) * val[-2] + ct * val[-1]
-    derr += (ct + 10) * der[-2] + (ct + 3) * der[-1]
     poch, harm, nj = s, 1.0 / s, 1.0 / N  # (s)_(2j-1), H_(2j-1), N^(1-2j) at j = 1
     for j, (num, den) in enumerate(_BERNOULLI[:EM_ORDER], start=1):
-        c = num / (den * math.factorial(2 * j)) * poch * tN * nj
+        c = Ball.rounded(num / (den * math.factorial(2 * j))) * poch * tN * nj
         val.append(c)
         der.append(c * (lN - harm))
-        verr += (6 * j + ct + 1) * abs(c)
-        derr += (8 * j + ct + 8) * abs(c) * (lN + harm)
-        if j == EM_ORDER:
-            a1 = s + 2 * j - 1
-            rem = abs(c)
-            rem_der = abs(c) * a1 * ((lN + harm + 1.0 / a1) / a1 + 1.0 / (a1 * a1))
-        else:
+        if j < EM_ORDER:
             poch *= (s + 2 * j - 1) * (s + 2 * j)
             harm += 1.0 / (s + 2 * j - 1) + 1.0 / (s + 2 * j)
             nj /= N * N
-    zeta, dz = math.fsum(val), -math.fsum(der)
-    return (zeta, (_U * (verr + zeta) + rem) * _ROUND_UP,
-            dz, (_U * (derr + abs(dz)) + rem_der) * _ROUND_UP)
+    a1 = s + 2 * EM_ORDER - 1
+    rem_der = c * a1 * ((lN + harm + 1.0 / a1) / a1 + 1.0 / (a1 * a1))  # R' <= |rem_der|
+    return (Ball.fsum(val + [Ball(0.0, abs(c.mid) + c.rad)]),  # |R| <= |c|
+            -Ball.fsum(der + [Ball(0.0, abs(rem_der.mid) + rem_der.rad)]))
 
 
 @cache
@@ -352,42 +410,26 @@ def _log_coefficients(rule: ExponentRule, e: tuple[int, ...]) -> dict[int, int]:
     return {j: cj for j, cj in c.items() if cj}
 
 
-def _local_log(rule: ExponentRule, e: tuple[int, ...], p: int, z: float) -> tuple:
-    """(g, its bound, dg/dz, its bound) at the prime p, where
+def _local_log(rule: ExponentRule, e: tuple[int, ...], p: int, z: float) -> tuple[Ball, Ball]:
+    """g and dg/dz at the prime p, as Balls, where
     g = log F(x) + sum_k e_k log(1 - x^k), x = p^-z, F the local factor of rule,
-    summed as the c_j log(1 - x^j) of _log_coefficients plus Phi.
-
-    Rounding of each term, in units of u (x^j = (p^-z)^j carries 2j + 2, and
-    x <= 1/2, so |y|/(1 - |y|) <= 1.45 |log(1 - |y|)| for |y| <= 1/2):
-    c_j log(1 - x^j) 3j + 6; its z-derivative c_j j log(p) x^j/(1 - x^j)
-    4j + 11; for at_least k, log(1 + x^k/(1-x)) 2k + 8 and its derivative
-    4k + 25; for finite A, log(1 + sum x^a) 2 max A + |A| + 3 and its
-    derivative 4 max A + 2 |A| + 8. fsum adds u |g| and u |dg/dz|.
-    """
-    x, lp = float(p) ** -z, math.log(p)
-    g, dg, ge, dge = [], [], 0.0, 0.0
+    summed as the c_j log(1 - x^j) of _log_coefficients plus Phi."""
+    x, lp = Ball(p) ** -z, Ball(p).log()
+    g, dg = [], []
     for j, cj in _log_coefficients(rule, e).items():
         y = x ** j
-        g.append(cj * math.log1p(-y))
+        g.append(cj * (-y).log1p())
         dg.append(cj * j * lp * y / (1.0 - y))
-        ge += (3 * j + 6) * abs(g[-1])
-        dge += (4 * j + 11) * abs(dg[-1])
     if rule.kind == "at_least":
         y = x ** rule.k / (1.0 - x)
-        g.append(math.log1p(y))
+        g.append(y.log1p())
         dg.append(-lp * y * (rule.k + x / (1.0 - x)) / (1.0 + y))
-        ge += (2 * rule.k + 8) * g[-1]
-        dge += (4 * rule.k + 25) * abs(dg[-1])
     elif rule.kind == "finite":
         ys = [(a, x ** a) for a in rule.members]
         w = sum(y for _, y in ys)
-        top, size = max(rule.members), len(rule.members)
-        g.append(math.log1p(w))
+        g.append(w.log1p())
         dg.append(-lp * sum(a * y for a, y in ys) / (1.0 + w))
-        ge += (2 * top + size + 3) * g[-1]
-        dge += (4 * top + 2 * size + 8) * abs(dg[-1])
-    gs, dgs = math.fsum(g), math.fsum(dg)
-    return gs, _U * (ge + abs(gs)), dgs, _U * (dge + abs(dgs))
+    return Ball.fsum(g), Ball.fsum(dg)
 
 
 def _cauchy_bound(rule: ExponentRule, e: tuple[int, ...]) -> float:
@@ -405,14 +447,8 @@ def _cauchy_bound(rule: ExponentRule, e: tuple[int, ...]) -> float:
     return M
 
 
-def euler_factors(m: MultiplicativeSSet, primes, local) -> list:
-    """local(rule, p) at every prime p of primes, rule the one S admits at p."""
-    return [local(m.rule_at(p), p) for p in primes]
-
-
-def _factored_product(S: SSet, z: float) -> tuple[float, float, float, float]:
-    """zeta_S(z) and zeta_S'(z)/zeta_S(z) for rule-based S, each with a
-    certified bound: (value, bound, log-derivative, bound).
+def _factored_product(S: SSet, z: float) -> tuple[Ball, Ball]:
+    """zeta_S(z) and zeta_S'(z)/zeta_S(z) for rule-based S, as Balls.
 
     With e_k = _exponents(default rule) and K = EULER_ORDER,
 
@@ -435,27 +471,20 @@ def _factored_product(S: SSet, z: float) -> tuple[float, float, float, float]:
     e = _exponents(m.default_rule)
     M = _cauchy_bound(m.default_rule, e)
     primes = prime_array(EULER_CUTOFF).tolist() if M else []
-    ps = sorted({*primes, *m.overrides})
-    rows = np.array(euler_factors(m, ps, lambda rule, p: _local_log(rule, e, p, z))).reshape(-1, 4)
+    rows = [_local_log(m.rule_at(p), e, p, z) for p in sorted({*primes, *m.overrides})]
     K1, s = EULER_ORDER + 1, (EULER_ORDER + 1) * z
     rho_p = 3.0 * EULER_CUTOFF ** -z  # rho at the largest x beyond P
     gain = M * 3.0 ** K1 * EULER_CUTOFF ** (1.0 - s) / (s - 1.0)
-    log_p = math.fsum(rows[:, 0])
-    err = float(rows[:, 1].sum()) + _U * abs(log_p) + gain / (1.0 - rho_p) + 2 * _U  # exp
-    dterms = [math.fsum(rows[:, 2])]
-    derr = (float(rows[:, 3].sum()) + _U * abs(dterms[0])
-            + gain * K1 * (math.log(EULER_CUTOFF) + 1.0 / (s - 1.0)) / (1.0 - rho_p) ** 2)
-    value = math.exp(log_p)
+    tail = Ball(0.0, gain / (1.0 - rho_p))
+    dtail = Ball(0.0, gain * K1 * (math.log(EULER_CUTOFF) + 1.0 / (s - 1.0)) / (1.0 - rho_p) ** 2)
+    value = Ball.fsum([g for g, _ in rows] + [tail]).exp()
+    dlog = [Ball.fsum([dg for _, dg in rows] + [dtail])]
     for k, ek in enumerate(e, start=1):
         if ek:
-            zk, bk, dk, dbk = _zeta_em(z, k)
+            zk, dk = _zeta_em(z, k)
             value *= zk ** ek
-            err += abs(ek) * bk / (zk - bk) + 3 * _U  # pow and multiply
-            dterms.append(ek * k * (dk / zk))
-            derr += abs(ek) * k * (dbk + abs(dk / zk) * bk) / (zk - bk) + 3 * _U * abs(dterms[-1])
-    dlog = math.fsum(dterms)
-    return (value, value * math.expm1(err * _ROUND_UP), dlog,
-            (derr + _U * abs(dlog)) * _ROUND_UP)
+            dlog.append(ek * k * (dk / zk))
+    return value, Ball.fsum(dlog)
 
 
 def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
@@ -492,46 +521,40 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     ns = np.arange(T + 1, dtype=np.float64)
     ns[0] = 1.0
     partial = float(np.sum(rs * ns ** (-z)))
-    # rounding: np.sum's pairwise depth <= 19 + log2 T, +5 for each pow and the midpoint
-    rounding = (24 + math.log2(T)) * _U * partial
-    tail_bound = _crude_tail(T, z)
-    if full:
+    # The one rounding count outside the Ball type: numpy's pairwise sum has
+    # no Ball form. Its depth is at most 19 + log2 T; 5 more u cover each pow
+    # and the midpoint.
+    series = Ball(partial, (24 + math.log2(T)) * _U * partial)
+    tail = _crude_tail(T, z)
+    if full:  # the tail lies between the integrals from T + 1 and from T
         lo = _crude_tail(T + 1, z)
-        value = partial + 0.5 * (tail_bound + lo)
-        err = 0.5 * (tail_bound - lo) + rounding
+        series += Ball(0.5 * (tail + lo), 0.5 * (tail - lo))
     else:
-        value = partial
-        err = tail_bound + rounding
-    ev = eb = ec = dv = db = None
+        series += Ball(0.0, tail)
+    ev = ZetaEvaluation(z=z, value=series.mid, truncation=T, err_bound=series.rad)
     if S.mult is not None:
-        ev, eb, dv, db = _factored_product(S, z)
-        ec = EULER_CUTOFF
-        if abs(ev - value) > err + eb:
+        prod, dlog = _factored_product(S, z)
+        if abs(prod.mid - series.mid) > series.rad + prod.rad:
             raise ConsistencyError(
                 f"series and product evaluations of zeta_{S.spec}({z}) disagree: "
-                f"{value} vs {ev} beyond {err + eb:.3g}"
+                f"{series.mid} vs {prod.mid} beyond {series.rad + prod.rad:.3g}"
             )
-    best = min(err, eb) if eb is not None else err
-    if best > tol:
+        ev = replace(ev, euler_value=prod.mid, euler_bound=prod.rad, euler_cutoff=EULER_CUTOFF,
+                     log_derivative=dlog.mid, log_derivative_bound=dlog.rad)
+    if ev.best_bound > tol:
         raise LimitError(
             f"tolerance {tol} unreachable for zeta_{S.spec}({z}): best certified "
-            f"bound {best:.3g} at truncation {T}"
+            f"bound {ev.best_bound:.3g} at truncation {T}"
         )
-    return ZetaEvaluation(z=z, value=value, truncation=T, tail_bound=tail_bound,
-                          err_bound=err, euler_value=ev, euler_bound=eb, euler_cutoff=ec,
-                          log_derivative=dv, log_derivative_bound=db)
+    return ev
 
 
 @cache
 def _zeta_full(z: float, tol: float) -> ZetaEvaluation:
-    """zeta_S(N, z, tol), evaluated once per (z, tol) per process.
-
-    ZetaEvaluation is frozen and zeta_S deterministic, and each distinct
-    evaluation still runs both routes and their cross-check. Only the full
-    set is memoised: MultiplicativeSSet holds a dict and is not hashable,
-    and a FILE: spec names a path, not its contents, so a cache for every
-    S would need a key design that no caller needs.
-    """
+    """zeta_S(N, z, tol), evaluated once per (z, tol) per process: zeta_S is
+    deterministic. Only the full set is memoised, since a MultiplicativeSSet
+    holds a dict and is not hashable, and a FILE: spec names a path, not its
+    contents."""
     return zeta_S(parse_sset("N"), z, tol)
 
 
@@ -549,13 +572,11 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> float:
         raise ValueError("series diverges for z <= 1")
     if S.mult is not None:
         ev = zeta_S(S, z, tol)
-        v, dv = ev.euler_value, ev.log_derivative
-        err = with_rounding(abs(v) * ev.log_derivative_bound + abs(dv) * ev.euler_bound
-                            + ev.euler_bound * ev.log_derivative_bound, 1, abs(v * dv))
-        if err > tol:
+        d = Ball(ev.euler_value, ev.euler_bound) * Ball(ev.log_derivative, ev.log_derivative_bound)
+        if d.rad > tol:
             raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z}): "
-                             f"best certified bound {err:.3g}")
-        return v * dv
+                             f"best certified bound {d.rad:.3g}")
+        return d.mid
 
     def tail(T: float) -> float:
         return T ** (1.0 - z) * (math.log(T) / (z - 1.0) + (z - 1.0) ** -2)
@@ -583,25 +604,3 @@ def verify_mobius_identity(S: SSet, N: int, mu: np.ndarray) -> Verdict:
         return Verdict(False, bound=N, witness=(n, int(lhs[n]), int(rs[n])))
     return Verdict(True, bound=N)
 
-
-def verify_series_ratio(S: SSet, z: float, T: int) -> tuple[float, float]:
-    """Residual |sum_{n<=T} mu_S(n) n^(-z) - zeta_S(z)/zeta(z)| and the bound
-    it must stay under.
-
-    The bound combines the mu_S series tail (|mu_S(n)| <= tau(n) <= 2 sqrt(n)
-    gives 2 T^(3/2-z)/(z-3/2), needs z > 3/2) with the certified errors of
-    the two zeta evaluations.
-    """
-    if z <= 1.5:
-        raise ValueError("the tau-based tail bound needs z > 1.5")
-    ms = mu_set_table(S, T)
-    ns = np.arange(T + 1, dtype=np.float64)
-    ns[0] = 1.0
-    lhs = float(np.sum(ms * ns ** (-z)))
-    zs = zeta_S(S, z, tol=1e-6)
-    zn = _zeta_full(z, 1e-9)
-    ratio = zs.best_value / zn.best_value
-    residual = abs(lhs - ratio)
-    tail = 2.0 * T ** (1.5 - z) / (z - 1.5)
-    bound = tail + zs.best_bound / zn.best_value + zn.best_bound * abs(ratio) / zn.best_value
-    return residual, bound

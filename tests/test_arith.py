@@ -19,7 +19,6 @@ from sconv.arith import (
     _sigma_star_pp,
     _tau_pp,
     _tau_star_pp,
-    chebyshev_theta,
     dirichlet_sweep,
     divisors,
     eval_multiplicative,
@@ -105,14 +104,6 @@ def test_eval_multiplicative_sigma():
     assert eval_multiplicative(sigma_pp, 1) == 1
     for n in range(1, 600):
         assert eval_multiplicative(sigma_pp, n) == sum(brute_divisors(n)), n
-
-
-def test_chebyshev_theta():
-    assert chebyshev_theta(1.5) == 0.0
-    assert chebyshev_theta(10) == pytest.approx(math.log(2 * 3 * 5 * 7), rel=1e-15)
-    got = chebyshev_theta(100)
-    want = sum(math.log(p) for p in sieve_primes(100))
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_guard_int64():

@@ -131,12 +131,13 @@ def test_main_term_constants_hold_against_mpmath(key):
         want_a = zs2 / z2
         want_b = 2 * mpmath.euler - 1 + 2 * dzs2 / zs2 - 2 * mpmath.zeta(2, derivative=1) / z2
         want_k = z2 * oracle(key, 3.0)[0] / (2 * z3)
-    a, b, err = _tau_constants(S)
-    assert within(a, want_a, err) and within(b, want_b, err), (a, b, err)
+    a, b = _tau_constants(S)
+    err = max(a.rad, b.rad)
+    assert within(a.mid, want_a, err) and within(b.mid, want_b, err), (a, b)
     assert err <= 1e-14
-    k, kerr = _sigma_constant(S)
-    assert within(k, want_k, kerr), (k, kerr)
-    assert kerr <= 1e-14
+    k = _sigma_constant(S)
+    assert within(k.mid, want_k, k.rad), k
+    assert k.rad <= 1e-14
 
 
 def test_tau_constants_certify_from_a_table_bound_of_7e5():
@@ -149,8 +150,9 @@ def test_tau_constants_certify_from_a_table_bound_of_7e5():
         z2 = mpmath.zeta(2)
         want_a = zs2 / z2
         want_b = 2 * mpmath.euler - 1 + 2 * dzs2 / zs2 - 2 * mpmath.zeta(2, derivative=1) / z2
-    a, b, err = _tau_constants(parse_sset("F{1,2,6}", bound=1_100_000))
-    assert within(a, want_a, err) and within(b, want_b, err), (a, b, err)
+    a, b = _tau_constants(parse_sset("F{1,2,6}", bound=1_100_000))
+    err = max(a.rad, b.rad)
+    assert within(a.mid, want_a, err) and within(b.mid, want_b, err), (a, b)
     with pytest.raises(LimitError):
         _tau_constants(parse_sset("F{1,2,6}", bound=700_000))
 
@@ -231,6 +233,16 @@ def test_report_partial_sums_pinned_at_4e6(spec, fn, pinned):
     r = asymptotic_report(parse_sset(spec), fn, 4_000_000)
     assert list(zip(r.xs, r.partial_sums)) == pinned
     assert all(type(p) is int for p in r.partial_sums)
+
+
+@pytest.mark.parametrize("x_max, samples, want", [
+    (100, 50, tuple(range(64, 101))),  # 50 geometric points round to 37 integers
+    (2000, 9, (64, 98, 151, 233, 358, 550, 846, 1301, 2000)),
+    (10**6, 7, (100, 464, 2154, 10000, 46416, 215443, 1000000)),
+])
+def test_report_sample_points_pinned(x_max, samples, want):
+    # the distinct rounded geometric points from max(64, x_max^(1/3)) to x_max
+    assert asymptotic_report(parse_sset("N"), "tau_S", x_max, samples).xs == want
 
 
 def test_report_determinism():

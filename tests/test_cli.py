@@ -518,7 +518,7 @@ MAXORDER_HEAD = "  k   t    a        log_n    sigma/n      ratio\n"
 # stdout, constant and rows pinned to the last digit, for a k-free and an s = 1 set
 MAXORDER_GOLDEN = {
     "Q2": (
-        "limsup constant for Q2: 1.6456012054 (err <= 1.88e-15)\n"
+        "limsup constant for Q2: 1.6456012054 (err <= 1.81e-15)\n"
         "uniform s=2: closed form 1.6456012054, |difference| = 1.27e-11 <= 1e-08\n"
         + MAXORDER_HEAD +
         "  2   3    -        8.931   3.809524   1.739917\n"
@@ -528,7 +528,7 @@ MAXORDER_GOLDEN = {
         "  6   3    -      380.311   9.097215   1.531263\n"
         "  7   3    -     1064.152  10.580084   1.517961\n"
         "  8   3    -     2927.937  12.064373   1.511437\n",
-        {"constant": 1.6456012053655584, "constant_err": 1.882625028467381e-15,
+        {"constant": 1.6456012053655584, "constant_err": 1.805388752999101e-15,
          "epsilon": 0.1, "k": 8, "mode": "sigma", "uniform_s": 2},
         [(2, 8.930626469173578, 3.8095238095238098, 1.7399165192027597),
          (3, 19.671123422656144, 4.988200653835326, 1.6743694454033475),
@@ -538,7 +538,7 @@ MAXORDER_GOLDEN = {
          (7, 1064.1519011471255, 10.580084299079715, 1.5179605966863257),
          (8, 2927.9366966384323, 12.06437299739315, 1.5114372971725398)]),
     "L2": (
-        "limsup constant for L2: 1.0827621933 (err <= 1.41e-15)\n"
+        "limsup constant for L2: 1.0827621933 (err <= 1.36e-15)\n"
         "uniform s=1: closed form 1.0827621933, |difference| = 1.98e-14 <= 1e-08\n"
         + MAXORDER_HEAD +
         "  2   3    -        5.347   2.742857   1.636007\n"
@@ -548,7 +548,7 @@ MAXORDER_GOLDEN = {
         "  6   3    -      376.727   6.549995   1.104269\n"
         "  7   3    -     1060.568   7.617661   1.093461\n"
         "  8   3    -     2924.353   8.686349   1.088402\n",
-        {"constant": 1.0827621932609246, "constant_err": 1.4089237565292508e-15,
+        {"constant": 1.0827621932609246, "constant_err": 1.362804778461107e-15,
          "epsilon": 0.1, "k": 8, "mode": "sigma", "uniform_s": 1},
         [(2, 5.3471075307174685, 2.742857142857143, 1.6360071034244228),
          (3, 16.087604484200035, 3.591504470761435, 1.2928153475004454),

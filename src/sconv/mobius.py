@@ -487,6 +487,20 @@ def _factored_product(S: SSet, z: float) -> tuple[Ball, Ball]:
     return value, Ball.fsum(dlog)
 
 
+def _series_partial(S: SSet, T: int, z: float) -> Ball:
+    """sum_{n<=T} rho_S(n) n^-z as a Ball, with no tail.
+
+    The one rounding count outside the Ball type: numpy's pairwise sum has
+    no Ball form. Its depth is at most 19 + log2 T; 5 more u cover each pow
+    and the midpoint.
+    """
+    rs = rho_table(S, T)
+    ns = np.arange(T + 1, dtype=np.float64)
+    ns[0] = 1.0
+    partial = float(np.sum(rs * ns ** (-z)))
+    return Ball(partial, (24 + math.log2(T)) * _U * partial)
+
+
 def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     """Evaluate zeta_S(z) for z > 1 with a certified error of at most tol,
     floating-point rounding included; LimitError when no route reaches tol.
@@ -517,14 +531,7 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
             f"tolerance {tol} unreachable for {S.spec!r}: membership bound "
             f"{S.general.bound} leaves tail {_crude_tail(S.general.bound, z):.3g}"
         )
-    rs = rho_table(S, T)
-    ns = np.arange(T + 1, dtype=np.float64)
-    ns[0] = 1.0
-    partial = float(np.sum(rs * ns ** (-z)))
-    # The one rounding count outside the Ball type: numpy's pairwise sum has
-    # no Ball form. Its depth is at most 19 + log2 T; 5 more u cover each pow
-    # and the midpoint.
-    series = Ball(partial, (24 + math.log2(T)) * _U * partial)
+    series = _series_partial(S, T, z)
     tail = _crude_tail(T, z)
     if full:  # the tail lies between the integrals from T + 1 and from T
         lo = _crude_tail(T + 1, z)

@@ -134,18 +134,18 @@ def test_eval_artifact_json(capsys, tmp_path):
     assert obj["rows"][15] == {"n": 16, "value": 27}  # 1+2+8+16, d=4 dropped
 
 
-def assert_eval_range_artifacts(capsys, tmp_path, hi):
-    """eval sigma over L2 on 1..hi: stdout and both artifacts byte-exact,
+def assert_eval_range_artifacts(capsys, tmp_path, hi, lo=1):
+    """eval sigma over L2 on lo..hi: stdout and both artifacts byte-exact,
     with the values of the library table."""
     table = sigma_S_table(parse_sset("L2"), hi)
-    rows = [{"n": n, "value": int(table[n])} for n in range(1, hi + 1)]
+    rows = [{"n": n, "value": int(table[n])} for n in range(lo, hi + 1)]
     code, out, csv_bytes, json_bytes = artifacts(
-        capsys, tmp_path, ["eval", "--sset", "L2", "--fn", "sigma", "--range", f"1..{hi}"])
+        capsys, tmp_path, ["eval", "--sset", "L2", "--fn", "sigma", "--range", f"{lo}..{hi}"])
     assert code == 0
     assert out == "".join(f"{r['n']} {r['value']}\n" for r in rows)
     assert csv_bytes == expected_csv(["n", "value"], rows)
     assert json_bytes == expected_json(
-        "eval", "L2", {"fn": "sigma", "lo": 1, "hi": hi, "k": None}, rows)
+        "eval", "L2", {"fn": "sigma", "lo": lo, "hi": hi, "k": None}, rows)
 
 
 def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path):
@@ -159,6 +159,26 @@ B = cli._ROW_BLOCK
 @pytest.mark.parametrize("hi", [B - 1, B, B + 1, 2 * B + 1])
 def test_eval_artifacts_at_block_boundaries_are_byte_exact(capsys, tmp_path, hi):
     assert_eval_range_artifacts(capsys, tmp_path, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(700, 2000), (1001, 1001 + 2 * B)])
+def test_eval_artifacts_from_above_one_are_byte_exact(capsys, tmp_path, lo, hi):
+    # a table route and a pointwise route, each ending in a partial block,
+    # with blocks counted from lo rather than from 1
+    assert_eval_range_artifacts(capsys, tmp_path, hi, lo)
+
+
+def test_eval_stdout_prints_other_cells_as_str(capsys, monkeypatch):
+    # eval's values are Python ints; a block holding anything else prints
+    # each cell as str, not through %d, and an all-int block between two
+    # such blocks still matches
+    vals = [3 * n for n in range(2 * B + 3)]
+    vals[1], vals[B + 1], vals[2 * B + 2] = True, -(2**70), 2.5
+    monkeypatch.setattr(cli, "_eval_values", lambda *a: vals)
+    code, out = run(capsys, ["eval", "--fn", "tau", "--range", f"5..{2 * B + 7}"])
+    assert code == 0
+    assert out == "".join(f"{n} {v}\n" for n, v in zip(range(5, 2 * B + 8), vals))
+    assert "6 True\n" in out
 
 
 def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
@@ -206,8 +226,9 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     assert not path.exists()
 
 
-# writer's own tracemalloc peak on 1e5 rows; measured 166 KiB (JSON) and
-# 186 KiB (CSV) at 256-row blocks, 2755 KiB with one 4096-row JSON block
+# writer's own tracemalloc peak on 1e5 rows; measured 59 KiB (JSON) and
+# 180 KiB (CSV, 128 KiB of it csv.writer's record buffer, from the header
+# row) at 256-row blocks of ints, 1166 KiB (JSON) at 4096-row blocks
 EMIT_PEAK_BOUND = 512 * 1024
 
 
@@ -222,6 +243,28 @@ def test_emit_peak_memory_is_bounded(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < EMIT_PEAK_BOUND
+
+
+def test_emit_int_template_gives_the_encoders_bytes(tmp_path):
+    """_emit's one-template route for blocks of exact ints against csv.writer
+    and json.dumps of the whole envelope. Unsorted fieldnames, so the JSON
+    cells are permuted to the sorted keys; each odd cell sits next to a block
+    boundary, so the blocks on both sides of it take the encoder route."""
+    fieldnames = ["value", "first_a"]
+    rows = [(n * 7919 - 10**6, n) for n in range(6 * B + 7)]  # partial last block
+    rows[B - 1] = (True, B - 1)                   # bool is an int, but not an exact one
+    rows[B] = (B, None)
+    rows[2 * B + 5] = (-(2**63) - 1, 2**64 + 1)   # an all-int block, beyond int64
+    rows[4 * B - 1] = (0.1, 4 * B - 1)
+    rows[4 * B] = ('a,"b"', 4 * B)
+    params, dicts = {"k": 3}, [dict(zip(fieldnames, r)) for r in rows]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"x.{fmt}"
+        cli._emit(argparse.Namespace(out=str(path), format=fmt), "mu-k-stats", "-",
+                  params, iter(rows), fieldnames)
+        want = (expected_csv(fieldnames, dicts) if fmt == "csv"
+                else expected_json("mu-k-stats", "-", params, dicts))
+        assert path.read_bytes() == want, fmt
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,21 @@ def test_zeta_bounds_hold_with_rounding(spec, z, tol):
             assert abs(mpmath.mpf(value) - want) <= bound, (value, bound)
 
 
+@pytest.mark.parametrize("spec", ["Q2", "L2", "N", "P{2,3}"])
+@pytest.mark.parametrize("T", [64, 4096, 2**16])
+def test_series_partial_sum_ball_holds_without_tail(spec, T):
+    """The hand-counted rounding of zeta_S's numpy series sum, with no tail
+    to hide it: the sum of rho_S(n) n^-2 over n <= T at 40 digits lies in
+    the Ball. The float sum is off by about 1e-17 to 5e-16 here, so a
+    radius of 0 fails."""
+    S = parse_sset(spec)
+    ball = mobius._series_partial(S, T, 2.0)
+    members = np.flatnonzero(rho_table(S, T)).tolist()
+    with mpmath.workdps(40):
+        want = mpmath.fsum(mpmath.mpf(1) / (n * n) for n in members)
+        assert abs(mpmath.mpf(ball.mid) - want) <= ball.rad, (ball, want)
+
+
 def test_zeta_euler_product_every_rule_kind():
     # a finite default plus one override of each other kind, so every
     # local-factor branch of the Euler product runs
@@ -694,8 +709,9 @@ def test_ball_reaching_a_singularity_raises(op):
 
 def test_rounding_policy_lives_in_the_ball_type():
     """_U and _ROUND_UP are named only where mobius defines them, in the Ball
-    type and its helper _result, and once in zeta_S, whose numpy partial sum
-    has no Ball form. A new hand count of rounding fails here."""
+    type and its helper _result, and once in _series_partial, zeta_S's numpy
+    partial sum, which has no Ball form. A new hand count of rounding fails
+    here."""
     seen = collections.Counter()
     for path in sorted(Path(mobius.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -706,6 +722,6 @@ def test_rounding_policy_lives_in_the_ball_type():
                 if name in ("_U", "_ROUND_UP"):  # a name, an attribute or an import
                     seen[path.name, scope] += 1
     allowed = {("mobius.py", "<module>"), ("mobius.py", "_result"),
-               ("mobius.py", "Ball"), ("mobius.py", "zeta_S")}
+               ("mobius.py", "Ball"), ("mobius.py", "_series_partial")}
     assert set(seen) <= allowed, sorted(set(seen) - allowed)
-    assert seen["mobius.py", "zeta_S"] == 1
+    assert seen["mobius.py", "_series_partial"] == 1

@@ -30,7 +30,6 @@ import random
 import sys
 from collections.abc import Iterable
 from itertools import chain, islice, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -85,10 +84,11 @@ SCHEMA_VERSION = 1
 RANGE_CAP = 10**7
 VERIFY_CAP = 10**5
 # rows per block of eval's stdout and of artifact writes: one % template per
-# block of ints (_int_rows), else one csv.writer or JSON encoder call. Over a
-# 2.5e5-row table, 1024- and 4096-row blocks were no faster in paired runs,
-# while the writer's tracemalloc peak grows with the block (JSON: 59 KiB at
-# 256 rows, 193 KiB at 1024, 1166 KiB at 4096)
+# block of ints, while an artifact block holding anything else is one
+# csv.writer or JSON encoder call (_int_rows). Over a 2.5e5-row table, 1024-
+# and 4096-row blocks were no faster in paired runs, while the writer's
+# tracemalloc peak grows with the block (JSON: 59 KiB at 256 rows, 193 KiB at
+# 1024, 1166 KiB at 4096)
 _ROW_BLOCK = 256
 
 
@@ -169,9 +169,10 @@ def _emit(args, command: str, sset: str, params: dict, rows: Iterable[tuple],
           fieldnames: list[str]) -> None:
     """The one artifact writer: writes --out, if given, reading rows (tuples in
     fieldnames order) once as a stream, _ROW_BLOCK rows at a time; a block of
-    exact ints is one % template (_int_rows), any other block goes through
-    csv.writer or the JSON encoder. JSON gets the bytes json.dump would write
-    for the whole envelope."""
+    exact ints is one % template (_int_rows), except in JSON with unsorted
+    fieldnames, and any other block goes through csv.writer or the JSON
+    encoder. JSON gets the bytes json.dump would write for the whole
+    envelope."""
     if not args.out:
         return
     rows = iter(rows)
@@ -196,15 +197,16 @@ def _emit(args, command: str, sset: str, params: dict, rows: Iterable[tuple],
             {"schema_version": SCHEMA_VERSION, "command": command, "sset": sset,
              "params": params, "rows": []}, sort_keys=True).partition('"rows": []')
         encode = json.JSONEncoder(sort_keys=True).encode
-        keys = sorted(fieldnames)
-        template = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %d"
-                                   for k in keys) + "}"
-        order = None if keys == fieldnames else itemgetter(*map(fieldnames.index, keys))
+        # the template needs the encoder's key order; eval's ["n", "value"] is sorted
+        template = None
+        if sorted(fieldnames) == fieldnames:
+            template = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %d"
+                                       for k in fieldnames) + "}"
         fh.write(head + '"rows": [')
         sep = ""
         while block := list(islice(rows, _ROW_BLOCK)):
-            cells = chain.from_iterable(block if order is None else map(order, block))
-            text = _int_rows(template, ", ", tuple(cells), len(block))
+            cells = tuple(chain.from_iterable(block))
+            text = _int_rows(template, ", ", cells, len(block)) if template else None
             if text is None:
                 # one C-encoder call per block; "[...]" minus its brackets
                 text = encode([dict(zip(fieldnames, r)) for r in block])[1:-1]
@@ -236,15 +238,12 @@ def _cmd_eval(args) -> int:
     if lo == hi:
         print(values[0])
     else:
+        # every _eval_values route gives exact ints, which %d writes as str does
         for i in range(0, len(values), _ROW_BLOCK):
             vals = values[i : i + _ROW_BLOCK]
-            ns = range(lo + i, lo + i + len(vals))
             cells = [0] * (2 * len(vals))  # n and value, interleaved
-            cells[::2], cells[1::2] = ns, vals
-            text = _int_rows("%d %d\n", "", tuple(cells), len(vals))
-            if text is None:
-                text = "".join(f"{n} {v}\n" for n, v in zip(ns, vals))
-            sys.stdout.write(text)
+            cells[::2], cells[1::2] = range(lo + i, lo + i + len(vals)), vals
+            sys.stdout.write("%d %d\n" * len(vals) % tuple(cells))
     _emit(args, "eval", S.spec, {"fn": args.fn, "lo": lo, "hi": hi, "k": args.k},
           zip(range(lo, hi + 1), values), ["n", "value"])
     return 0

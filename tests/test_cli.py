@@ -168,19 +168,6 @@ def test_eval_artifacts_from_above_one_are_byte_exact(capsys, tmp_path, lo, hi):
     assert_eval_range_artifacts(capsys, tmp_path, hi, lo)
 
 
-def test_eval_stdout_prints_other_cells_as_str(capsys, monkeypatch):
-    # eval's values are Python ints; a block holding anything else prints
-    # each cell as str, not through %d, and an all-int block between two
-    # such blocks still matches
-    vals = [3 * n for n in range(2 * B + 3)]
-    vals[1], vals[B + 1], vals[2 * B + 2] = True, -(2**70), 2.5
-    monkeypatch.setattr(cli, "_eval_values", lambda *a: vals)
-    code, out = run(capsys, ["eval", "--fn", "tau", "--range", f"5..{2 * B + 7}"])
-    assert code == 0
-    assert out == "".join(f"{n} {v}\n" for n, v in zip(range(5, 2 * B + 8), vals))
-    assert "6 True\n" in out
-
-
 def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
     code, out, csv_bytes, json_bytes = artifacts(
         capsys, tmp_path, ["eval", "--sset", "Q2", "--fn", "sigma", "--n", "16"])
@@ -245,12 +232,13 @@ def test_emit_peak_memory_is_bounded(tmp_path, fmt):
     assert peak < EMIT_PEAK_BOUND
 
 
-def test_emit_int_template_gives_the_encoders_bytes(tmp_path):
+@pytest.mark.parametrize("fieldnames", [["first_a", "value"], ["value", "first_a"]])
+def test_emit_int_template_gives_the_encoders_bytes(tmp_path, fieldnames):
     """_emit's one-template route for blocks of exact ints against csv.writer
-    and json.dumps of the whole envelope. Unsorted fieldnames, so the JSON
-    cells are permuted to the sorted keys; each odd cell sits next to a block
-    boundary, so the blocks on both sides of it take the encoder route."""
-    fieldnames = ["value", "first_a"]
+    and json.dumps of the whole envelope, with sorted fieldnames and with
+    unsorted ones, which JSON sends to the encoder; each odd cell sits next to
+    a block boundary, so the blocks on both sides of it take the encoder
+    route."""
     rows = [(n * 7919 - 10**6, n) for n in range(6 * B + 7)]  # partial last block
     rows[B - 1] = (True, B - 1)                   # bool is an int, but not an exact one
     rows[B] = (B, None)

@@ -105,12 +105,9 @@ def _tau_constants(S: SSet) -> tuple[Ball, Ball]:
     that of zeta_S."""
     z2 = _zeta_full(2.0, TAU_TOL)
     zs2 = zeta_S(S, 2.0, tol=TAU_TOL)
-    if zs2.log_derivative is not None:
-        ds = Ball(zs2.log_derivative, zs2.log_derivative_bound)
-    else:
-        ds = Ball(zeta_S_derivative(S, 2.0, TAU_TOL), TAU_TOL) / Ball(zs2.value, zs2.err_bound)
+    ds = zs2.log_derivative or zeta_S_derivative(S, 2.0, TAU_TOL) / zs2.series
     b = Ball.fsum([2.0 * Ball.rounded(EULER_GAMMA), Ball(-1.0), 2.0 * ds,
-                   -2.0 * Ball(z2.log_derivative, z2.log_derivative_bound)])
+                   -2.0 * z2.log_derivative])
     return zs2.best / z2.best, b
 
 
@@ -312,17 +309,16 @@ def sigma_maximal_constant(S: SSet) -> MaximalConstant:
                            uniform_s=s0 if uniform else None)
 
 
-def sigma_maximal_constant_uniform(s: int) -> float:
+def sigma_maximal_constant_uniform(s: int) -> Ball:
     """Closed form e^gamma / zeta(2s) for sets with s(p) = s at every prime.
 
     zeta(2s) is the full set's truncated series with its integral enclosure
-    of the tail (ZetaEvaluation.value, within about 1e-9), so this is a
+    of the tail (ZetaEvaluation.series, within about 1e-9), so this is a
     second route to sigma_maximal_constant, which divides by the
     Euler-Maclaurin zeta(2s)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    z = _zeta_full(2.0 * s, 1e-9)
-    return math.exp(EULER_GAMMA) / z.value
+    return Ball.rounded(EULER_GAMMA).exp() / _zeta_full(2.0 * s, 1e-9).series
 
 
 @dataclass(frozen=True)
@@ -374,8 +370,8 @@ def witness_sequence(S: SSet, epsilon: float, k: int) -> WitnessSequence:
     m = S.mult
 
     # least t with prod_{p > t} (1 - p^-2) >= 1 - eps, via certified zeta(2)
-    z2 = _zeta_full(2.0, 1e-9)
-    z2_hi = z2.best_value + z2.best_bound
+    z2 = _zeta_full(2.0, 1e-9).best
+    z2_hi = z2.mid + z2.rad
     t = 1
     prod_le = 1.0
     while 1.0 / (z2_hi * prod_le) < 1.0 - epsilon:

@@ -132,8 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--mode", required=True, choices=("sigma", "tau"))
     pm.add_argument("--k", type=int, help="sigma: top witness index (<= 15); tau: primorial length")
     pm.add_argument("--epsilon", type=float, default=0.1)
-    pm.add_argument("--tol", type=float, default=1e-8,
-                    help="two-path agreement tolerance for uniform-s sets")
 
     ps = sub.add_parser("mu-k-stats", parents=[common],
                         help="value statistics of mu_k on prime powers")
@@ -481,17 +479,15 @@ def _cmd_maxorder(args) -> int:
         raise ParseError("--k must lie in 2..15 for witness sequences")
     if not 0.0 < args.epsilon < 1.0:
         raise ParseError("--epsilon must lie in (0, 1)")
-    if not args.tol >= 0.0:
-        raise ParseError("--tol must be >= 0")
     mc = sigma_maximal_constant(S)
     print(f"limsup constant for {S.spec}: {mc.value:.10f} (err <= {mc.err_bound:.3g})")
     status = 0
     if mc.uniform_s is not None:
         closed = sigma_maximal_constant_uniform(mc.uniform_s)
-        diff = abs(mc.value - closed)
-        agree = diff <= args.tol
-        print(f"uniform s={mc.uniform_s}: closed form {closed:.10f},"
-              f" |difference| = {diff:.3g} {'<=' if agree else '>'} {args.tol:g}")
+        diff, radii = abs(mc.value - closed.mid), mc.err_bound + closed.rad
+        agree = diff <= radii  # the two certified Balls overlap
+        print(f"uniform s={mc.uniform_s}: closed form {closed.mid:.10f},"
+              f" |difference| = {diff:.3g} {'<=' if agree else '>'} {radii:.3g}")
         if not agree:
             status = 1
     rows = []

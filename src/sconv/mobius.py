@@ -201,7 +201,8 @@ class Ball:
     ball, plus the rounding of the midpoint: u |result| (u = 2^-53) after a
     basic operation, 2u after a libm call (pow, exp, log, log1p; glibc
     documents at most one ulp for each), raised by the factor _ROUND_UP.
-    No result may underflow. int and float operands are exact. A division,
+    No result may underflow. float operands are exact, and so are ints that
+    convert to float exactly; any other int gets the radius u |mid|. A division,
     negative or fractional power, or log whose ball reaches the singularity
     raises ValueError. Analytic remainders enter as Ball(0.0, remainder).
     """
@@ -210,6 +211,8 @@ class Ball:
 
     def __init__(self, mid: float, rad: float = 0.0):
         self.mid, self.rad = float(mid), rad
+        if isinstance(mid, int) and self.mid != mid:  # an int beyond 2^53 rounds
+            self.rad = (rad + _U * abs(self.mid)) * _ROUND_UP
 
     def __repr__(self) -> str:
         return f"Ball({self.mid!r}, {self.rad!r})"
@@ -284,41 +287,40 @@ class Ball:
 class ZetaEvaluation:
     """A certified evaluation of zeta_S(z) = sum rho_S(n) n^(-z).
 
-    value, err_bound    the series at truncation terms and its certified
-                        error: the crude tail T^(1-z)/(z-1), or for the full
-                        set the midpoint and half-gap of the integrals from T
-                        and from T+1 that enclose its tail
-    euler_value, euler_bound, euler_cutoff
-                        for rule-based S, the factored Euler product
-                        (_factored_product), its certified bound and prime
-                        cutoff P; the two routes agree within both bounds
-    log_derivative, log_derivative_bound
-                        for rule-based S, zeta_S'(z)/zeta_S(z) from the product
+    series          the series at truncation terms with its tail: the crude
+                    tail T^(1-z)/(z-1), or for the full set the midpoint and
+                    half-gap of the integrals from T and from T+1 that
+                    enclose it
+    product, euler_cutoff
+                    for rule-based S, the factored Euler product
+                    (_factored_product) and its prime cutoff P; the two
+                    routes overlap
+    log_derivative  for rule-based S, zeta_S'(z)/zeta_S(z) from the product
     """
 
     z: float
-    value: float
     truncation: int
-    err_bound: float
-    euler_value: float | None = None
-    euler_bound: float | None = None
+    series: Ball
+    product: Ball | None = None
     euler_cutoff: int | None = None
-    log_derivative: float | None = None
-    log_derivative_bound: float | None = None
+    log_derivative: Ball | None = None
 
     @property
     def best(self) -> Ball:
-        """The evaluation with the smaller bound."""
-        if self.euler_bound is not None and self.euler_bound < self.err_bound:
-            return Ball(self.euler_value, self.euler_bound)
-        return Ball(self.value, self.err_bound)
-
-    best_value = property(lambda self: self.best.mid)
-    best_bound = property(lambda self: self.best.rad)
+        """The evaluation with the smaller radius."""
+        if self.product is not None and self.product.rad < self.series.rad:
+            return self.product
+        return self.series
 
 
 def _crude_tail(T: int, z: float) -> float:
     return T ** (1.0 - z) / (z - 1.0)
+
+
+def _log_tail(T: int, z: float) -> float:
+    """The integral of log(t) t^(-z) from T, at least sum_{n>T} log(n) n^(-z)
+    since the integrand decreases beyond e^(1/z) < T."""
+    return T ** (1.0 - z) * (math.log(T) / (z - 1.0) + (z - 1.0) ** -2)
 
 
 def _is_full_set(S: SSet) -> bool:
@@ -487,18 +489,32 @@ def _factored_product(S: SSet, z: float) -> tuple[Ball, Ball]:
     return value, Ball.fsum(dlog)
 
 
-def _series_partial(S: SSet, T: int, z: float) -> Ball:
-    """sum_{n<=T} rho_S(n) n^-z as a Ball, with no tail.
+def _series_partial(rs: np.ndarray, z: float, weight=None) -> Ball:
+    """sum_{n<=T} rs[n] w(n) n^-z as a Ball, with no tail: rs the rho_S table
+    to T, w = 1, or the ufunc weight (np.log for -zeta_S').
 
     The one rounding count outside the Ball type: numpy's pairwise sum has
     no Ball form. Its depth is at most 19 + log2 T; 5 more u cover each pow
-    and the midpoint.
+    and the midpoint, and 3 more a weight (the ufunc, within one ulp, and
+    its product).
     """
-    rs = rho_table(S, T)
+    T = len(rs) - 1
     ns = np.arange(T + 1, dtype=np.float64)
     ns[0] = 1.0
-    partial = float(np.sum(rs * ns ** (-z)))
-    return Ball(partial, (24 + math.log2(T)) * _U * partial)
+    terms = rs * ns ** (-z)
+    if weight is not None:
+        terms *= weight(ns)
+    partial = float(np.sum(terms))
+    return Ball(partial, (24 + 3 * (weight is not None) + math.log2(T)) * _U * partial)
+
+
+def _overlap(what: str, series: Ball, product: Ball) -> None:
+    """ConsistencyError unless the series and product Balls of what overlap."""
+    if abs(series.mid - product.mid) > series.rad + product.rad:
+        raise ConsistencyError(
+            f"series and product evaluations of {what} disagree: "
+            f"{series.mid} vs {product.mid} beyond {series.rad + product.rad:.3g}"
+        )
 
 
 def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
@@ -507,11 +523,12 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
 
     Rule-based S: the factored Euler product (_factored_product), which also
     gives zeta_S'/zeta_S, cross-checked against the truncated series at
-    min(T, SERIES_CHECK_CAP) terms; a disagreement beyond the sum of their
-    bounds raises ConsistencyError. Table-backed S: the truncated series at
-    T terms, its only route. T is the truncation at which the series tail
-    meets tol: the crude tail T^(1-z)/(z-1), or for the full set an
-    enclosure between two integrals. T is capped at DIRECT_TRUNCATION_CAP,
+    min(T, SERIES_CHECK_CAP) terms: zeta_S against the series, and zeta_S'
+    against the log-weighted series with its tail _log_tail; two Balls that
+    do not overlap raise ConsistencyError. Table-backed S: the truncated
+    series at T terms, its only route. T is the truncation at which the
+    series tail meets tol: the crude tail T^(1-z)/(z-1), or for the full set
+    an enclosure between two integrals. T is capped at DIRECT_TRUNCATION_CAP,
     and for a table-backed S at its membership bound.
     """
     if z <= 1:
@@ -531,27 +548,25 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
             f"tolerance {tol} unreachable for {S.spec!r}: membership bound "
             f"{S.general.bound} leaves tail {_crude_tail(S.general.bound, z):.3g}"
         )
-    series = _series_partial(S, T, z)
+    rs = rho_table(S, T)
+    series = _series_partial(rs, z)
     tail = _crude_tail(T, z)
     if full:  # the tail lies between the integrals from T + 1 and from T
         lo = _crude_tail(T + 1, z)
         series += Ball(0.5 * (tail + lo), 0.5 * (tail - lo))
     else:
         series += Ball(0.0, tail)
-    ev = ZetaEvaluation(z=z, value=series.mid, truncation=T, err_bound=series.rad)
+    ev = ZetaEvaluation(z=z, truncation=T, series=series)
     if S.mult is not None:
         prod, dlog = _factored_product(S, z)
-        if abs(prod.mid - series.mid) > series.rad + prod.rad:
-            raise ConsistencyError(
-                f"series and product evaluations of zeta_{S.spec}({z}) disagree: "
-                f"{series.mid} vs {prod.mid} beyond {series.rad + prod.rad:.3g}"
-            )
-        ev = replace(ev, euler_value=prod.mid, euler_bound=prod.rad, euler_cutoff=EULER_CUTOFF,
-                     log_derivative=dlog.mid, log_derivative_bound=dlog.rad)
-    if ev.best_bound > tol:
+        _overlap(f"zeta_{S.spec}({z})", series, prod)
+        deriv = -(_series_partial(rs, z, np.log) + Ball(0.0, _log_tail(T, z)))
+        _overlap(f"zeta_{S.spec}'({z})", deriv, prod * dlog)
+        ev = replace(ev, product=prod, euler_cutoff=EULER_CUTOFF, log_derivative=dlog)
+    if ev.best.rad > tol:
         raise LimitError(
             f"tolerance {tol} unreachable for zeta_{S.spec}({z}): best certified "
-            f"bound {ev.best_bound:.3g} at truncation {T}"
+            f"bound {ev.best.rad:.3g} at truncation {T}"
         )
     return ev
 
@@ -565,39 +580,30 @@ def _zeta_full(z: float, tol: float) -> ZetaEvaluation:
     return zeta_S(parse_sset("N"), z, tol)
 
 
-def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> float:
-    """zeta_S'(z) = -sum rho_S(n) log(n) n^(-z), certified within tol, else
-    LimitError.
+def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> Ball:
+    """zeta_S'(z) = -sum rho_S(n) log(n) n^(-z) as a Ball of radius at most
+    tol, else LimitError.
 
     Rule-based S: zeta_S(z) times zeta_S'(z)/zeta_S(z), both from the
-    factored product of zeta_S. Table-backed S: the truncated series, whose
-    tail is at most the integral of log(t) t^(-z) from T,
-    T^(1-z) (log T / (z-1) + 1/(z-1)^2), with T doubled from 64 until it
-    meets tol (at most DIRECT_TRUNCATION_CAP and the membership bound).
+    factored product of zeta_S. Table-backed S: the log-weighted series,
+    whose tail is at most _log_tail(T), with T doubled from 64 until that
+    tail meets tol (at most DIRECT_TRUNCATION_CAP and the membership bound).
     """
     if z <= 1:
         raise ValueError("series diverges for z <= 1")
     if S.mult is not None:
         ev = zeta_S(S, z, tol)
-        d = Ball(ev.euler_value, ev.euler_bound) * Ball(ev.log_derivative, ev.log_derivative_bound)
-        if d.rad > tol:
-            raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z}): "
-                             f"best certified bound {d.rad:.3g}")
-        return d.mid
-
-    def tail(T: float) -> float:
-        return T ** (1.0 - z) * (math.log(T) / (z - 1.0) + (z - 1.0) ** -2)
-
-    T = 64
-    while tail(T) > tol and T < DIRECT_TRUNCATION_CAP:
-        T *= 2
-    T = min(T, S.general.bound)
-    if tail(T) > tol:
-        raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z})")
-    rs = rho_table(S, T)
-    ns = np.arange(T + 1, dtype=np.float64)
-    ns[0] = 1.0
-    return -float(np.sum(rs * np.log(ns) * ns ** (-z)))
+        d = ev.product * ev.log_derivative
+    else:
+        T = 64
+        while _log_tail(T, z) > tol and T < DIRECT_TRUNCATION_CAP:
+            T *= 2
+        T = min(T, S.general.bound)
+        d = -(_series_partial(rho_table(S, T), z, np.log) + Ball(0.0, _log_tail(T, z)))
+    if d.rad > tol:
+        raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z}): "
+                         f"best certified bound {d.rad:.3g}")
+    return d
 
 
 def verify_mobius_identity(S: SSet, N: int, mu: np.ndarray) -> Verdict:

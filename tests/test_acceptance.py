@@ -327,8 +327,9 @@ def test_criterion_7_sigma_maximal_order():
         if mc.uniform_s != s:
             problems.append((spec, "uniform s missed", mc.uniform_s))
             continue
-        gap = abs(mc.value - sigma_maximal_constant_uniform(s))
-        if gap > 1e-8:
+        closed = sigma_maximal_constant_uniform(s)
+        gap = abs(mc.value - closed.mid)
+        if gap > mc.err_bound + closed.rad:  # the two certified Balls are disjoint
             problems.append((spec, "two-path gap", gap))
     seq_text = []
     eps = 0.1

@@ -433,16 +433,19 @@ def test_maximal_constant_holds_against_mpmath(key):
 
 
 def test_closed_form_two_path_agreement():
+    # the two certified Balls overlap
     for spec, s in [("1", 1), ("Q2", 2), ("Q3", 3), ("L2", 1)]:
-        product = sigma_maximal_constant(parse_sset(spec)).value
+        mc = sigma_maximal_constant(parse_sset(spec))
         closed = sigma_maximal_constant_uniform(s)
-        assert abs(product - closed) <= 1e-8, spec
+        assert abs(mc.value - closed.mid) <= mc.err_bound + closed.rad, (spec, closed)
 
 
 def test_uniform_closed_form_values():
-    assert sigma_maximal_constant_uniform(1) == pytest.approx(E_GAMMA_OVER_ZETA_2, abs=2e-9)
-    assert sigma_maximal_constant_uniform(2) == pytest.approx(E_GAMMA_OVER_ZETA_4, abs=2e-9)
-    assert sigma_maximal_constant_uniform(3) == pytest.approx(E_GAMMA_OVER_ZETA_6, abs=2e-9)
+    for s in [1, 2, 3]:
+        closed = sigma_maximal_constant_uniform(s)
+        with mpmath.workdps(ORACLE_DPS):
+            want = mpmath.exp(mpmath.euler) / mpmath.zeta(2 * s)
+        assert within(closed.mid, want, closed.rad) and closed.rad <= 2e-9, (s, closed)
 
 
 def test_maximal_constant_rejects_general_sets():

@@ -96,10 +96,12 @@ def test_eval_phi_full_set(capsys):
 def test_eval_rejects_bad_range(capsys):
     # out-of-range arguments are usage errors (2), not resource limits (3)
     for argv in (["eval", "--fn", "tau", "--range", "9..3"],
-                 ["mu-k-stats", "--k", "2", "--a-max", "0"],
-                 ["maxorder", "--sset", "Q2", "--mode", "sigma", "--tol", "-1"]):
+                 ["mu-k-stats", "--k", "2", "--a-max", "0"]):
         code, _ = run(capsys, argv)
         assert code == 2, argv
+    with pytest.raises(SystemExit) as ei:  # maxorder has no --tol: argparse refuses it
+        main(["maxorder", "--sset", "Q2", "--mode", "sigma", "--tol", "1e-8"])
+    assert ei.value.code == 2
 
 
 def test_eval_range_cap(capsys):
@@ -550,7 +552,7 @@ MAXORDER_HEAD = "  k   t    a        log_n    sigma/n      ratio\n"
 MAXORDER_GOLDEN = {
     "Q2": (
         "limsup constant for Q2: 1.6456012054 (err <= 1.81e-15)\n"
-        "uniform s=2: closed form 1.6456012054, |difference| = 1.27e-11 <= 1e-08\n"
+        "uniform s=2: closed form 1.6456012054, |difference| = 1.27e-11 <= 1.44e-09\n"
         + MAXORDER_HEAD +
         "  2   3    -        8.931   3.809524   1.739917\n"
         "  3   3    -       19.671   4.988201   1.674369\n"
@@ -570,7 +572,7 @@ MAXORDER_GOLDEN = {
          (8, 2927.9366966384323, 12.06437299739315, 1.5114372971725398)]),
     "L2": (
         "limsup constant for L2: 1.0827621933 (err <= 1.36e-15)\n"
-        "uniform s=1: closed form 1.0827621933, |difference| = 1.98e-14 <= 1e-08\n"
+        "uniform s=1: closed form 1.0827621933, |difference| = 1.98e-14 <= 6.58e-10\n"
         + MAXORDER_HEAD +
         "  2   3    -        5.347   2.742857   1.636007\n"
         "  3   3    -       16.088   3.591504   1.292815\n"

@@ -272,8 +272,8 @@ def test_mu_k_statistics_guards():
 def test_zeta_full_set():
     for z, want in [(2.0, ZETA_2), (3.0, ZETA_3)]:
         ev = zeta_S(parse_sset("N"), z)
-        assert ev.err_bound <= 1e-9
-        assert abs(ev.best_value - want) <= ev.err_bound + 1e-12
+        assert ev.series.rad <= 1e-9
+        assert abs(ev.best.mid - want) <= ev.series.rad + 1e-12
 
 
 def test_zeta_restricted_values_z3():
@@ -286,22 +286,22 @@ def test_zeta_restricted_values_z3():
     ]
     for spec, want in cases:
         ev = zeta_S(parse_sset(spec), 3.0)
-        assert abs(ev.best_value - want) <= ev.best_bound + 1e-12, spec
-        assert ev.best_bound <= 1e-9, spec
+        assert abs(ev.best.mid - want) <= ev.best.rad + 1e-12, spec
+        assert ev.best.rad <= 1e-9, spec
 
 
 def test_zeta_restricted_values_z2():
     # at z = 2 the generic series tail only certifies ~1/T; ask for 1e-6
     for spec, want in [("Q2", ZETA_Q2_2), ("L2", ZETA_L2_2)]:
         ev = zeta_S(parse_sset(spec), 2.0, tol=1e-6)
-        assert ev.best_bound <= 1e-6, spec
-        assert abs(ev.best_value - want) <= ev.best_bound + 1e-12, spec
+        assert ev.best.rad <= 1e-6, spec
+        assert abs(ev.best.mid - want) <= ev.best.rad + 1e-12, spec
 
 
 def test_zeta_euler_cross_check_ran():
     ev = zeta_S(parse_sset("Q2"), 3.0)
-    assert ev.euler_value is not None
-    assert abs(ev.euler_value - ZETA_Q2_3) <= ev.euler_bound + 1e-12
+    assert ev.product is not None
+    assert abs(ev.product.mid - ZETA_Q2_3) <= ev.product.rad + 1e-12
 
 
 # zeta_S in closed form, for mpmath at 40 digits
@@ -321,24 +321,30 @@ def test_zeta_bounds_hold_with_rounding(spec, z, tol):
     ev = zeta_S(parse_sset(spec), float(z), tol)
     with mpmath.workdps(40):
         want = MP_ZETA[spec](z)
-        for value, bound in [(ev.value, ev.err_bound), (ev.euler_value, ev.euler_bound),
-                             (ev.best_value, ev.best_bound)]:
-            assert abs(mpmath.mpf(value) - want) <= bound, (value, bound)
+        for ball in [ev.series, ev.product, ev.best]:
+            assert abs(mpmath.mpf(ball.mid) - want) <= ball.rad, ball
 
 
-@pytest.mark.parametrize("spec", ["Q2", "L2", "N", "P{2,3}"])
-@pytest.mark.parametrize("T", [64, 4096, 2**16])
-def test_series_partial_sum_ball_holds_without_tail(spec, T):
-    """The hand-counted rounding of zeta_S's numpy series sum, with no tail
-    to hide it: the sum of rho_S(n) n^-2 over n <= T at 40 digits lies in
-    the Ball. The float sum is off by about 1e-17 to 5e-16 here, so a
-    radius of 0 fails."""
+SERIES_CASES = [(spec, T, weight) for weight in (None, "log")
+                for spec in ["Q2", "L2", "N", "P{2,3}"] for T in [64, 4096, 2**16]]
+
+
+@pytest.mark.parametrize(
+    "spec, T, weight", SERIES_CASES,
+    ids=[f"{w}-{T}-{spec}" if w else f"{T}-{spec}" for spec, T, w in SERIES_CASES])
+def test_series_partial_sum_ball_holds_without_tail(spec, T, weight):
+    """The hand-counted rounding of zeta_S's numpy series sums, with no tail
+    to hide it: the sum of rho_S(n) n^-2, or of rho_S(n) log(n) n^-2 (the
+    series of -zeta_S'), over n <= T at 40 digits lies in the Ball. Each
+    float sum is off by about 1e-17 to 1e-15 here, so a radius of 0 fails."""
     S = parse_sset(spec)
-    ball = mobius._series_partial(S, T, 2.0)
-    members = np.flatnonzero(rho_table(S, T)).tolist()
+    rs = rho_table(S, T)
+    ball = mobius._series_partial(rs, 2.0, np.log if weight else None)
     with mpmath.workdps(40):
-        want = mpmath.fsum(mpmath.mpf(1) / (n * n) for n in members)
-        assert abs(mpmath.mpf(ball.mid) - want) <= ball.rad, (ball, want)
+        w = mpmath.log if weight else (lambda n: 1)
+        want = mpmath.fsum(w(n) / mpmath.mpf(n * n) for n in np.flatnonzero(rs).tolist())
+        assert mpmath.mpf(ball.mid) != want and abs(mpmath.mpf(ball.mid) - want) <= ball.rad, (
+            ball, want)
 
 
 def test_zeta_euler_product_every_rule_kind():
@@ -349,7 +355,22 @@ def test_zeta_euler_product_every_rule_kind():
                         5: ExponentRule.none_(), 7: ExponentRule.all_()})
     for z, tol in [(2.0, 1e-6), (3.0, 1e-9)]:
         ev = zeta_S(S, z, tol=tol)  # raises if series and product disagree
-        assert ev.euler_value is not None, z
+        assert ev.product is not None, z
+
+
+def test_zeta_log_derivative_cross_check_catches_a_perturbed_product(monkeypatch):
+    # the product's zeta_S'/zeta_S off by 1e-2 leaves the log-weighted
+    # series (radius about 2e-4 at z = 2) while the values still agree
+    fresh = mobius._factored_product
+
+    def perturbed(S, z):
+        value, dlog = fresh(S, z)
+        return value, dlog + 1e-2
+
+    monkeypatch.setattr(mobius, "_factored_product", perturbed)
+    for spec in ["N", "Q2", "L2"]:
+        with pytest.raises(ConsistencyError, match=r"zeta_\w+'\(2.0\)"):
+            zeta_S(parse_sset(spec), 2.0)
 
 
 def test_zeta_full_memo_matches_fresh_evaluation():
@@ -358,7 +379,10 @@ def test_zeta_full_memo_matches_fresh_evaluation():
         memo = _zeta_full(z, tol)
         for field in dataclasses.fields(fresh):
             name = field.name
-            assert getattr(memo, name) == getattr(fresh, name), (z, tol, name)
+            got, want = getattr(memo, name), getattr(fresh, name)
+            if isinstance(want, mobius.Ball):
+                got, want = (got.mid, got.rad), (want.mid, want.rad)
+            assert got == want, (z, tol, name)
         assert _zeta_full(z, tol) is memo
 
 
@@ -369,7 +393,7 @@ def test_zeta_guards():
     ev = zeta_S(parse_sset("Q2"), 1.05, tol=1e-12)
     with mpmath.workdps(40):
         want = MP_ZETA["Q2"](mpmath.mpf(1.05))
-        assert abs(mpmath.mpf(ev.best_value) - want) <= ev.best_bound <= 1e-12
+        assert abs(mpmath.mpf(ev.best.mid) - want) <= ev.best.rad <= 1e-12
     # a table-backed set has only the series: at its membership bound, and
     # at the truncation cap below it, the tail leaves tol out of reach
     with pytest.raises(LimitError, match="membership bound"):
@@ -380,14 +404,15 @@ def test_zeta_guards():
 
 def test_zeta_derivative_full_set():
     got = zeta_S_derivative(parse_sset("N"), 2.0)
-    assert abs(got - ZETA_PRIME_2) <= 2e-5
-    assert got < 0
+    assert abs(got.mid - ZETA_PRIME_2) <= got.rad + 1e-12
+    assert got.mid + got.rad < 0
 
 
 def test_zeta_derivative_restricted_sign():
     # coefficients are nonnegative, so the derivative cannot be positive
     for spec in ["Q2", "L2"]:
-        assert zeta_S_derivative(parse_sset(spec), 2.0) < 0, spec
+        got = zeta_S_derivative(parse_sset(spec), 2.0)
+        assert got.mid + got.rad < 0, spec
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +534,11 @@ def test_zeta_and_derivative_bounds_hold_against_mpmath(key, z):
     S = ORACLE_SETS[key]
     want, dwant = oracle(key, z)
     ev = zeta_S(S, z, tol=1e-9)
-    for value, bound in [(ev.value, ev.err_bound), (ev.euler_value, ev.euler_bound),
-                         (ev.best_value, ev.best_bound)]:
-        assert within(value, want, bound), (value, bound)
-    assert within(ev.log_derivative, dwant / want, ev.log_derivative_bound)
-    assert within(zeta_S_derivative(S, z, tol=1e-13), dwant, 1e-13)
+    for ball in [ev.series, ev.product, ev.best]:
+        assert within(ball.mid, want, ball.rad), ball
+    assert within(ev.log_derivative.mid, dwant / want, ev.log_derivative.rad)
+    d = zeta_S_derivative(S, z, tol=1e-13)
+    assert within(d.mid, dwant, d.rad) and d.rad <= 1e-13, d
 
 
 @pytest.mark.parametrize("key", sorted(ORACLE_SETS))
@@ -523,15 +548,15 @@ def test_zeta_never_returns_a_bound_above_tol(key):
         want = oracle(key, z)[0]
         for tol in [1e-11, 1e-9, 1e-6, 1e-4]:
             ev = zeta_S(ORACLE_SETS[key], z, tol)
-            assert ev.best_bound <= tol, (z, tol, ev.best_bound)
-            assert within(ev.best_value, want, ev.best_bound), (z, tol)
+            assert ev.best.rad <= tol, (z, tol, ev.best)
+            assert within(ev.best.mid, want, ev.best.rad), (z, tol)
 
 
 @pytest.mark.parametrize("spec", BUILTINS)
 def test_zeta_certifies_1e_14_at_2(spec):
     ev = zeta_S(parse_sset(spec), 2.0, tol=1e-14)
-    assert ev.best_bound <= 1e-14
-    assert within(ev.best_value, oracle(spec, 2.0)[0], ev.best_bound)
+    assert ev.best.rad <= 1e-14
+    assert within(ev.best.mid, oracle(spec, 2.0)[0], ev.best.rad)
 
 
 def test_exponents_of_builtin_rules():
@@ -564,8 +589,8 @@ def test_exponents_reproduce_the_local_factor(default, overrides):
     S = make_mult_sset(default, overrides)
     ev = zeta_S(S, 2.0, tol=1e-12)
     want, dwant = mp_zeta_S(S, 2.0)
-    assert within(ev.best_value, want, ev.best_bound)
-    assert within(ev.log_derivative, dwant / want, ev.log_derivative_bound)
+    assert within(ev.best.mid, want, ev.best.rad)
+    assert within(ev.log_derivative.mid, dwant / want, ev.log_derivative.rad)
 
 
 # At the shipped EM_TERMS, EM_ORDER and EULER_CUTOFF the remainder terms are
@@ -687,6 +712,15 @@ def test_ball_fsum_and_constants_enclose_mpmath():
     assert ball_contains(mobius.Ball.rounded(0.57721566490153286), mpmath.euler)
     assert ball_contains(mobius.Ball.rounded(-691 / 2730), mpmath.mpf(-691) / 2730)
     assert ball_contains(mobius.Ball(2.0) * 3, 6) and (mobius.Ball(2.0) * 3).rad > 0
+
+
+def test_ball_of_an_int_covers_its_float_conversion():
+    # ints beyond 2^53 round when they become the float midpoint
+    for n in [2**53 + 1, 10**24 + 1, -2**63 - 1]:
+        b = mobius.Ball(n)
+        assert 0 < abs(Fraction(b.mid) - n) <= Fraction(b.rad), (n, b)
+    for n in [0, 1, -7, 2**53, 10**15, -2**63]:
+        assert mobius.Ball(n).rad == 0.0, n
 
 
 @pytest.mark.parametrize("op", [

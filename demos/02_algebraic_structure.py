@@ -11,7 +11,6 @@ import random
 from sconv import (
     DEFAULT_SEED,
     associativity_violation_functions,
-    associativity_witness,
     is_associative,
     is_multiplicative,
     parse_sset,
@@ -29,15 +28,13 @@ def main() -> None:
     for spec in SPECS:
         S = parse_sset(spec)
         mult = "yes" if is_multiplicative(S) else "no"
-        if is_associative(S):
-            assoc = "yes"
-        else:
-            assoc = f"no, witness triple {associativity_witness(S)}"
+        av = is_associative(S)
+        assoc = "yes" if av else f"no, witness triple {av.witness}"
         print(f"  S={spec:7s} multiplicative: {mult:3s}  associative: {assoc}")
 
     print("\nthe Q2 witness, made concrete:")
     S = parse_sset("Q2")
-    f, g, h, n = associativity_violation_functions(S)
+    f, g, h, n = associativity_violation_functions(is_associative(S).witness)
     lhs = s_convolve_at(S, s_convolve(S, f, g), h, n)
     rhs = s_convolve_at(S, f, s_convolve(S, g, h), n)
     print(f"  ((f*g)*h)({n}) = {lhs}   but   (f*(g*h))({n}) = {rhs}")

@@ -88,7 +88,6 @@ from .sets import (
     PrimeClassification,
     SSet,
     Verdict,
-    associativity_witness,
     check_assoc_identity,
     classify_prime,
     is_associative,
@@ -109,7 +108,7 @@ __all__ = [
     "MultiplicativeSSet", "NAMED_FUNCTIONS", "ParseError",
     "PrimeClassification", "SSet", "Verdict", "WitnessSequence",
     "ZeroDivisorPair", "ZetaEvaluation", "associativity_violation_functions",
-    "associativity_witness", "asymptotic_report",
+    "asymptotic_report",
     "check_assoc_identity", "classify_prime", "conv_cm_via_dirichlet",
     "conv_cm_via_unitary", "divisors", "eval_multiplicative", "factorize",
     "gronwall_range_max", "indicator", "inverse_of_I", "is_associative",

@@ -72,7 +72,7 @@ from .mobius import (
 )
 from .sets import (
     SSet,
-    associativity_witness,
+    Verdict,
     classify_prime,
     coprime_product_failure,
     is_associative,
@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise ParseError(f"range must look like A..B, got {text!r}")
     a, b = int(lo), int(hi)
     if not 1 <= a <= b:
@@ -260,19 +260,22 @@ def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> list:
 # ---------------------------------------------------------------------------
 # classify
 
+def _scope(v: Verdict) -> str:
+    """How far a bound-limited verdict was checked; empty when absolute."""
+    return "" if v.bound is None else f" (checked to {v.bound})"
+
+
 def _cmd_classify(args) -> int:
     S = parse_sset(args.sset)
     mv = is_multiplicative(S)
     av = is_associative(S)
     print(f"set: {S.spec}")
-    scope = "" if mv.bound is None else f" (checked to {mv.bound})"
-    print(f"multiplicative: {'yes' if mv else 'no'}{scope}"
+    print(f"multiplicative: {'yes' if mv else 'no'}{_scope(mv)}"
           + ("" if mv else f", witness {mv.witness}"))
-    print(f"associative: {'yes' if av else 'no'}")
+    print(f"associative: {'yes' if av else 'no'}{_scope(av)}")
     rows = []
     if not av:
-        w = associativity_witness(S)
-        print(f"  witness triple (n, d, e) = {w}")
+        print(f"  witness triple (n, d, e) = {av.witness}")
     if S.mult is not None:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             c = classify_prime(S, p)
@@ -363,19 +366,15 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
                     f"(f*g)*h = f*(g*h) to {na}" if n_bad is None
                     else f"first failure at n={n_bad}"))
     else:
-        trip = associativity_violation_functions(S)
-        if trip is None:
-            out.append(("associative", False, "no witness found though structure test failed"))
-        else:
-            u, v, w, n = trip
-            uv = ArithFunc.from_table(s_convolve_table(S, u, v, n))
-            vw = ArithFunc.from_table(s_convolve_table(S, v, w, n))
-            left = s_convolve_at(S, uv, w, n)
-            right = s_convolve_at(S, u, vw, n)
-            out.append(("associative", False,
-                        f"violated at n={n} by indicator functions: "
-                        f"((f*g)*h)({n})={left} != (f*(g*h))({n})={right}, "
-                        f"witness triple {associativity_witness(S)}"))
+        u, v, w, n = associativity_violation_functions(av.witness)
+        uv = ArithFunc.from_table(s_convolve_table(S, u, v, n))
+        vw = ArithFunc.from_table(s_convolve_table(S, v, w, n))
+        left = s_convolve_at(S, uv, w, n)
+        right = s_convolve_at(S, u, vw, n)
+        out.append(("associative", False,
+                    f"violated at n={n} by indicator functions: "
+                    f"((f*g)*h)({n})={left} != (f*(g*h))({n})={right}, "
+                    f"witness triple {av.witness}"))
 
     zd = zero_divisor_pair(S)
     if zd is None:
@@ -389,8 +388,7 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
         nm = min(N, 10**4)
         fm = random_multiplicative_func(rng, nm)
         gm = random_multiplicative_func(rng, nm)
-        t = s_convolve_table(S, fm, gm, nm).tolist()  # exact products in the scan
-        bad = coprime_product_failure(t, nm)
+        bad = coprime_product_failure(s_convolve_table(S, fm, gm, nm), nm)
         out.append(("mult_preserved", bad is None,
                     f"f*g multiplicative on coprime products <= {nm}" if bad is None
                     else f"first failure at coprime pair {bad}"))

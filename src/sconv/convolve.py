@@ -28,11 +28,11 @@ from .arith import (
     dirichlet_sweep,
     divisors,
     eval_multiplicative,
+    multiplicative_table,
 )
 from .errors import ConsistencyError, LimitError
 from .sets import (
     SSet,
-    associativity_witness,
     is_associative,
     is_multiplicative,
     rho,
@@ -175,10 +175,11 @@ def _require_associative(S: SSet) -> None:
     """ValueError unless 1 is in S and the S-convolution associates."""
     if rho(S, 1) != 1:
         raise ValueError(f"{S.spec!r} does not contain 1; no identity, no inverses")
-    if not is_associative(S):
+    av = is_associative(S)
+    if not av:
         raise ValueError(
             f"{S.spec!r} gives a non-associative convolution; sconv computes inverses "
-            f"only under associative convolutions (witness triple {associativity_witness(S)})"
+            f"only under associative convolutions (witness triple {av.witness})"
         )
 
 
@@ -325,17 +326,13 @@ def _split_violates(S: SSet, m: int, d: int, n: int, e: int) -> bool:
     return lhs != rhs
 
 
-def associativity_violation_functions(S: SSet):
-    """Concrete (f, g, h, n) with ((f*g)*h)(n) != (f*(g*h))(n), built from the
-    associativity witness triple; None when the convolution associates.
+def associativity_violation_functions(trip: tuple[int, int, int]):
+    """Concrete (f, g, h, n) with ((f*g)*h)(n) != (f*(g*h))(n), built from
+    the witness triple (n, d, e) of a False is_associative verdict.
 
-    With witness (n, d, e) the indicators of e, d/e and n/d disagree at n:
-    one bracketing picks up rho((d, n/d)) rho((e, d/e)), the other
-    rho((e, n/e)) rho((d/e, n/d)).
+    The indicators of e, d/e and n/d disagree at n: one bracketing picks up
+    rho((d, n/d)) rho((e, d/e)), the other rho((e, n/e)) rho((d/e, n/d)).
     """
-    trip = associativity_witness(S)
-    if trip is None:
-        return None
     n, d, e = trip
     return (indicator(e), indicator(d // e), indicator(n // d), n)
 
@@ -357,14 +354,9 @@ def random_arith_func(rng: random.Random, N: int, unit: bool = False,
 
 
 def random_multiplicative_func(rng: random.Random, N: int, name: str = "randmult") -> ArithFunc:
-    """Random multiplicative function: prime-power values drawn in [-9, 9]
-    (f(1) = 1 by construction), consistent across the table to N."""
-    cache: dict[tuple[int, int], int] = {}
-
-    def ppv(p, a):
-        if (p, a) not in cache:
-            cache[(p, a)] = rng.randint(-9, 9)
-        return cache[(p, a)]
-
-    vals = [0] + [eval_multiplicative(ppv, n) for n in range(1, N + 1)]
-    return ArithFunc.from_table(vals, name=name)
+    """Random multiplicative function tabulated to N: one draw in [-9, 9]
+    per prime power, requested by multiplicative_table (f(1) = 1). Its int64
+    guard can refuse N above about 9.6e5, where a draw of +-9 at p = 2
+    could overflow (9^log2(N) >= 2^63)."""
+    return ArithFunc.from_table(multiplicative_table(N, lambda p, a: rng.randint(-9, 9)),
+                                name=name)

@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import eval_multiplicative, is_prime, multiplicative_table
+from .arith import _abs_max, eval_multiplicative, is_prime, multiplicative_table
 from .errors import ConsistencyError, LimitError, ParseError
 
 MAX_FINITE_EXPONENT = 64   # largest member a finite exponent rule may list
 DEFAULT_FINITE_BOUND = 100
+_SCAN_BLOCK = 1 << 16  # bounds the temporaries of coprime_product_failure
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def _parse_int_list(body: str, what: str) -> list[int]:
     out = []
     for tok in body.split(","):
         tok = tok.strip()
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise ParseError(f"bad {what} entry {tok!r}")
         out.append(int(tok))
     return out
@@ -285,7 +286,7 @@ def parse_sset(text: str, bound: int | None = None) -> SSet:
         raise ParseError("empty set expression")
     if text in _BUILTIN_MULT:
         return SSet(spec=text, mult=_BUILTIN_MULT[text]())
-    if text[0] in "QL" and text[1:].isdigit():
+    if text[0] in "QL" and text[1:].isdecimal():
         k = int(text[1:])
         if k < 1:
             raise ParseError(f"{text!r}: index must be >= 1")
@@ -319,7 +320,7 @@ def parse_sset(text: str, bound: int | None = None) -> SSet:
             raise ParseError(f"set file {path!r}: bad bound line {lines[0]!r}") from exc
         members = []
         for ln in lines[1:]:
-            if not ln.isdigit():
+            if not ln.isdecimal():
                 raise ParseError(f"set file {path!r}: bad member line {ln!r}")
             members.append(int(ln))
         return make_general_sset(members, b, spec=text)
@@ -378,11 +379,22 @@ def is_multiplicative(S: SSet) -> Verdict:
 
 def coprime_product_failure(t, limit: int) -> tuple[int, int] | None:
     """First coprime pair (m, n), 2 <= m < n and m n <= limit, ascending in
-    (m, n), with t[mn] != t[m] t[n]; None when t is multiplicative there."""
+    (m, n), with t[mn] != t[m] t[n]; None when t is multiplicative there.
+
+    One numpy pass per m (per _SCAN_BLOCK values of n) over exact values:
+    an ndarray t is compared in int64 while no product t[m] t[n] can
+    overflow, and as Python ints (object dtype) otherwise, as is a list.
+    """
+    if not isinstance(t, np.ndarray):
+        t = np.array(t, dtype=object)
+    exact = t.dtype == object or _abs_max(t, limit) ** 2 >= 1 << 63
+    t = t[: limit + 1].astype(object if exact else np.int64, copy=False)
     for m in range(2, math.isqrt(limit) + 1):
-        for n in range(m + 1, limit // m + 1):
-            if math.gcd(m, n) == 1 and t[m * n] != t[m] * t[n]:
-                return (m, n)
+        for lo in range(m + 1, limit // m + 1, _SCAN_BLOCK):
+            n = np.arange(lo, min(lo + _SCAN_BLOCK, limit // m + 1))
+            bad = (np.gcd(n, m) == 1) & (t[m * n] != t[m] * t[n])
+            if bad.any():
+                return (m, int(n[bad.argmax()]))
     return None
 
 
@@ -440,29 +452,20 @@ def _assoc_scan(S: SSet, limit: int) -> tuple | None:
 def is_associative(S: SSet) -> Verdict:
     """Does the S-restricted convolution associate?
 
+    A triple (n, d, e), e | d | n, that violates the associativity identity
+    is the witness, and it makes a False verdict absolute (bound None).
+
     Rule-based sets: absolute verdict, true iff every prime's rule is
-    upward-closed (the set is multiplicative by construction). Table-backed
-    sets: scan of the associativity identity up to min(bound, 4096).
-    """
-    if S.mult is not None:
-        m = S.mult
-        rules = [m.default_rule] + list(m.overrides.values())
-        return Verdict(all(r.upward_closed() for r in rules))
-    limit = min(S.general.bound, ASSOC_SCAN_CAP)
-    w = _assoc_scan(S, limit)
-    return Verdict(w is None, bound=limit, witness=w)
+    upward-closed. Otherwise the triple is built from the first
+    non-upward-closed prime rule: with j the least admitted exponent and
+    l > j the least excluded one, it is (p^(l+2j), p^(l+j), p^l) when
+    l < 2j and (p^(2l), p^l, p^(l-j)) otherwise. Every exponent in [j, l)
+    is admitted, which makes the triple violate the identity. The triple is
+    checked before it is returned; a failed check raises ConsistencyError.
 
-
-def associativity_witness(S: SSet) -> tuple | None:
-    """A triple (n, d, e), e | d | n, violating the associativity identity,
-    or None when the convolution associates (within bound for table sets).
-
-    For rule-based sets the triple is built from the first non-upward-closed
-    prime rule: with j the least admitted exponent and l > j the least
-    excluded one, the triple is (p^(l+2j), p^(l+j), p^l) when l < 2j and
-    (p^(2l), p^l, p^(l-j)) otherwise. Every exponent in [j, l) is admitted,
-    which makes the triple violate the identity. The triple is checked
-    before it is returned; a failed check raises ConsistencyError.
+    Table-backed sets: a multiplicativity witness (M, N) gives the candidate
+    ((MN)^2, MN, M); failing that, the identity is scanned up to
+    min(bound, ASSOC_SCAN_CAP), and a clean scan holds to that bound only.
     """
     if S.mult is not None:
         m = S.mult
@@ -470,7 +473,7 @@ def associativity_witness(S: SSet) -> tuple | None:
         if not m.default_rule.upward_closed():
             bad.append(m.least_default_prime())
         if not bad:
-            return None
+            return Verdict(True)
         p = min(bad)
         rule = m.rule_at(p)
         j = rule.least_included()
@@ -480,16 +483,18 @@ def associativity_witness(S: SSet) -> tuple | None:
         trip = _proof_triple(p, j, ell)
         if check_assoc_identity(S, *trip):
             raise ConsistencyError(f"triple {trip} does not violate associativity in {S.spec!r}")
-        return trip
-    # table-backed: try the non-multiplicativity construction, then scan
+        return Verdict(False, witness=trip)
     mv = is_multiplicative(S)
-    if not mv and mv.witness is not None and mv.witness != (1, 1):
+    if mv.witness not in (None, (1, 1)):
         M, N = mv.witness  # gcd queries stay <= M*N <= bound
         trip = ((M * N) ** 2, M * N, M)
         if not check_assoc_identity(S, *trip):
-            return trip
+            return Verdict(False, witness=trip)
     limit = min(S.general.bound, ASSOC_SCAN_CAP)
-    return _assoc_scan(S, limit)
+    w = _assoc_scan(S, limit)
+    if w is not None:
+        return Verdict(False, witness=w)
+    return Verdict(True, bound=limit)
 
 
 def _proof_triple(p: int, j: int, ell: int) -> tuple[int, int, int]:

@@ -41,8 +41,8 @@ from sconv.divisor_functions import (
 )
 from sconv.mobius import mu_k_at, mu_k_prime_power, mu_set_table
 from sconv.sets import (
-    associativity_witness,
     check_assoc_identity,
+    is_associative,
     parse_sset,
     rho_table,
 )
@@ -241,10 +241,10 @@ def test_criterion_4_algebraic_laws():
                 problems.append((spec, "associativity", n))
                 break
     # the squarefree set must yield a concrete, verified violation
-    trip = associativity_witness(parse_sset("Q2"))
+    trip = is_associative(parse_sset("Q2")).witness
     if trip is None or check_assoc_identity(parse_sset("Q2"), *trip):
         problems.append(("Q2", "witness triple missing or unverified"))
-    built = associativity_violation_functions(parse_sset("Q2"))
+    built = associativity_violation_functions(trip) if trip else None
     if built is None:
         problems.append(("Q2", "no violating functions"))
     else:

@@ -22,7 +22,8 @@ from sconv import asymptotics, cli, mobius
 from sconv.cli import SCHEMA_VERSION, main
 from sconv.convolve import ArithFunc, s_inverse
 from sconv.divisor_functions import sigma_S_table
-from sconv.sets import parse_sset
+from sconv.errors import ParseError
+from sconv.sets import Verdict, is_associative, parse_sset
 
 
 def run(capsys, argv):
@@ -102,6 +103,12 @@ def test_eval_rejects_bad_range(capsys):
     with pytest.raises(SystemExit) as ei:  # maxorder has no --tol: argparse refuses it
         main(["maxorder", "--sset", "Q2", "--mode", "sigma", "--tol", "1e-8"])
     assert ei.value.code == 2
+
+
+def test_eval_range_rejects_unicode_digits(capsys):
+    # '\u00b2'.isdigit() is True, but int('\u00b2') raises
+    assert main(["eval", "--fn", "tau", "--range", "1..\u00b2"]) == 2
+    assert capsys.readouterr().err.startswith("error: range must look like A..B")
 
 
 def test_eval_range_cap(capsys):
@@ -277,6 +284,59 @@ def test_classify_non_associative(capsys):
     assert "multiplicative: yes" in out
     assert "associative: no" in out
     assert "(16, 4, 2)" in out
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("N", "associative: yes"),
+    ("L2", "associative: yes"),
+    ("Q2", "associative: no"),
+    ("F{1,5}", "associative: yes (checked to 100)"),
+    ("F{1,4}", "associative: yes (checked to 100)"),
+    ("F{1,2,6}", "associative: no"),
+])
+def test_classify_states_the_scope_of_the_associativity_verdict(capsys, spec, line):
+    code, out = run(capsys, ["classify", "--sset", spec])
+    assert code == 0
+    assert out.splitlines()[2] == line
+
+
+def test_table_set_associativity_witness_beyond_the_scan_cap(capsys, tmp_path):
+    # every n <= 20000 but 5005: multiplicativity fails at (2, 5005), while
+    # every triple below the scan cap of 4096 is clean
+    path = tmp_path / "no5005.txt"
+    path.write_text("bound 20000\n" + "".join(f"{n}\n" for n in range(1, 20001) if n != 5005))
+    spec = f"FILE:{path}"
+    assert is_associative(parse_sset(spec)) == Verdict(False, None, (100200100, 10010, 2))
+    code, out = run(capsys, ["classify", "--sset", spec])
+    assert code == 0
+    assert out.splitlines()[1:4] == [
+        "multiplicative: no (checked to 20000), witness (2, 5005)",
+        "associative: no",
+        "  witness triple (n, d, e) = (100200100, 10010, 2)"]
+    code, out = run(capsys, ["verify", "--sset", spec, "--suite", "inversion", "--n", "100"])
+    assert code == 1
+    assert out.startswith("FAIL inverse_of_I: ")
+    assert "(witness triple (100200100, 10010, 2))" in out
+
+
+@pytest.mark.parametrize("text", [
+    None,                       # no such file: unreadable
+    "",                         # empty file: no bound header
+    "1\n2\n",                   # no bound header
+    "bound x\n1\n",
+    "bound 0\n",
+    "bound 10\n1\n-2\n",
+    "bound 10\n1\n20\n",
+    "bound 10\n1\n\u00b2\n",    # a superscript digit
+])
+def test_file_set_parse_errors(capsys, tmp_path, text):
+    path = tmp_path / "set.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ParseError):
+        parse_sset(f"FILE:{path}")
+    assert main(["classify", "--sset", f"FILE:{path}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_classify_full_set(capsys):

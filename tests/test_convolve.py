@@ -27,7 +27,7 @@ from sconv.convolve import (
     zero_divisor_pair,
 )
 from sconv.errors import LimitError
-from sconv.sets import parse_sset
+from sconv.sets import is_associative, parse_sset
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 
@@ -242,14 +242,10 @@ def test_associativity_where_it_holds():
 def test_associativity_violation_functions():
     for spec in ["Q2", "Q3"]:
         S = parse_sset(spec)
-        built = associativity_violation_functions(S)
-        assert built is not None
-        f, g, h, n = built
+        f, g, h, n = associativity_violation_functions(is_associative(S).witness)
         fg = s_convolve(S, f, g)
         gh = s_convolve(S, g, h)
         assert s_convolve_at(S, fg, h, n) != s_convolve_at(S, f, gh, n), spec
-    for spec in ["N", "L2"]:
-        assert associativity_violation_functions(parse_sset(spec)) is None
 
 
 # ---------------------------------------------------------------------------

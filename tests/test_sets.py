@@ -11,13 +11,15 @@ import random
 import numpy as np
 import pytest
 
+from sconv.arith import eval_multiplicative
 from sconv.errors import LimitError, ParseError
 from sconv.sets import (
     MAX_FINITE_EXPONENT,
     ExponentRule,
-    associativity_witness,
+    Verdict,
     check_assoc_identity,
     classify_prime,
+    coprime_product_failure,
     is_associative,
     is_multiplicative,
     make_mult_sset,
@@ -83,7 +85,9 @@ def test_q1_canonicalizes_to_unitary():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "Q0", "L0", "junk", "F{}", "P{}", "F{0}", "Q-1"]:
+    # superscript digits pass str.isdigit but not int()
+    for bad in ["", "Q0", "L0", "junk", "F{}", "P{}", "F{0}", "Q-1",
+                "Q\u00b2", "L\u00b3", "F{1,\u00b2}", "P{\u00b2}"]:
         with pytest.raises(ParseError):
             parse_sset(bad)
 
@@ -167,6 +171,40 @@ def test_general_multiplicative_verdicts():
     assert math.gcd(m, n) == 1
 
 
+def loop_coprime_product_failure(t, limit):
+    """The reference double loop over Python ints."""
+    for m in range(2, math.isqrt(limit) + 1):
+        for n in range(m + 1, limit // m + 1):
+            if math.gcd(m, n) == 1 and t[m * n] != t[m] * t[n]:
+                return (m, n)
+    return None
+
+
+def test_coprime_product_failure_matches_loop():
+    # multiplicative tables with 0-2 corrupted entries: small int64 values,
+    # int64 values whose products overflow, and values past int64 as lists
+    # and as object arrays
+    rng = random.Random(8191)
+    for trial in range(300):
+        limit = rng.randrange(1, 500)
+        top = (10, 1 << 20, 1 << 40)[trial % 3]
+        pp = {}
+        vals = [0] + [eval_multiplicative(
+            lambda p, a: pp.setdefault((p, a), rng.randrange(-top, top)), n)
+            for n in range(1, limit + 1)]
+        for _ in range(rng.randrange(3)):
+            vals[rng.randrange(1, limit + 1)] += rng.choice((-1, 1))
+        want = loop_coprime_product_failure(vals, limit)
+        tables = [vals, np.array(vals, dtype=object)]
+        if max(map(abs, vals)) < 1 << 63:
+            tables.append(np.array(vals, dtype=np.int64))
+        for t in tables:
+            assert coprime_product_failure(t, limit) == want, (trial, type(t))
+    # 2^32 * 2^32 wraps to 0 = t[6] in int64
+    t = np.array([0, 1, 1 << 32, 1 << 32, 0, 0, 0], dtype=np.int64)
+    assert coprime_product_failure(t, 6) == (2, 3)
+
+
 def test_associativity_verdicts():
     assoc = {"N": True, "1": True, "Q2": False, "Q3": False,
              "L2": True, "L3": True, "P{2,3}": True}
@@ -176,19 +214,19 @@ def test_associativity_verdicts():
 
 
 def test_q2_witness_triple():
-    assert associativity_witness(parse_sset("Q2")) == (16, 4, 2)
+    assert is_associative(parse_sset("Q2")) == Verdict(False, None, (16, 4, 2))
 
 
 def test_witness_triples_verified():
     for spec in ["Q2", "Q3"]:
         S = parse_sset(spec)
-        trip = associativity_witness(S)
+        trip = is_associative(S).witness
         assert trip is not None
         n, d, e = trip
         assert n % d == 0 and d % e == 0
         assert not check_assoc_identity(S, n, d, e), spec
     for spec in ["N", "1", "L2", "L3", "P{2,3}"]:
-        assert associativity_witness(parse_sset(spec)) is None, spec
+        assert is_associative(parse_sset(spec)) == Verdict(True), spec
 
 
 def non_upward_closed_rule_sets():
@@ -206,7 +244,7 @@ def non_upward_closed_rule_sets():
 def test_witness_construction_on_non_upward_closed_rules():
     # the constructed triple itself must violate the identity
     for S in non_upward_closed_rule_sets():
-        n, d, e = associativity_witness(S)
+        n, d, e = is_associative(S).witness
         assert n % d == 0 and d % e == 0, S.spec
         assert not check_assoc_identity(S, n, d, e), S.spec
 
@@ -243,7 +281,7 @@ def test_classify_prime_finite_rule_at_the_depth_cap():
     S = make_mult_sset(ExponentRule.finite(range(1, MAX_FINITE_EXPONENT + 1)))
     c = classify_prime(S, 2)
     assert (c.case, c.least_excluded) == ("not-upward-closed", MAX_FINITE_EXPONENT + 1)
-    n, d, e = associativity_witness(S)
+    n, d, e = is_associative(S).witness
     assert not check_assoc_identity(S, n, d, e)
 
 

@@ -250,10 +250,10 @@ class ZeroDivisorPair:
 def _least_excluded_member(S: SSet) -> int | None:
     if S.general is not None:
         g = S.general
-        for m in range(2, g.bound + 1):
-            if m not in g.members:
-                return m
-        return None  # saturated table: nothing excluded within the bound
+        b = g.members[g.members.searchsorted(2):]  # b[k] = k + 2 up to the first gap
+        gap = np.flatnonzero(b != np.arange(2, len(b) + 2))
+        m = int(gap[0]) + 2 if len(gap) else len(b) + 2
+        return m if m <= g.bound else None  # saturated table: nothing excluded within the bound
     ms = S.mult
     cands = []
     for p, r in ms.overrides.items():

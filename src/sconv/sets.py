@@ -22,14 +22,17 @@ Text expressions (--sset in the CLI):
     Lk          k-full integers, e.g. L2 = squarefull
     P{2,3}      products of powers of the listed primes (and 1)
     F{1,2,6}    explicit finite membership list
-    FILE:path   explicit membership from a file: first line "bound B",
-                then one member per line
+    FILE:path   explicit membership from a file: "bound B", then the
+                members (ASCII decimal), separated by whitespace,
+                conventionally one per line
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,17 +157,39 @@ class MultiplicativeSSet:
         return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralSSet:
-    bound: int
-    members: frozenset[int]
+    """Membership to bound (built by make_general_sset): members is sorted,
+    duplicate-free, read-only int64; equal only to itself, verdicts computed once."""
 
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ParseError("bound must be >= 1")
-        bad = [m for m in self.members if not 1 <= m <= self.bound]
-        if bad:
-            raise ParseError(f"members outside 1..{self.bound}: {sorted(bad)[:5]}")
+    bound: int
+    members: np.ndarray
+
+    def __contains__(self, m: int) -> bool:
+        i = self.members.searchsorted(min(m, (1 << 63) - 1))
+        return bool(i < len(self.members) and self.members[i] == m)
+
+    def table(self, limit: int) -> np.ndarray:
+        """int64 0/1 indicator on 0..limit, limit <= bound."""
+        t = np.zeros(limit + 1, dtype=np.int64)
+        t[self.members[: self.members.searchsorted(limit, "right")]] = 1
+        return t
+
+    @cached_property
+    def multiplicative(self) -> Verdict:
+        w = coprime_product_failure(self.table(self.bound), self.bound) if 1 in self else (1, 1)
+        return Verdict(w is None, bound=self.bound, witness=w)
+
+    @cached_property
+    def associative(self) -> Verdict:
+        # a coprime witness (M, N) gives the candidate; gcd queries stay <= M*N <= bound
+        M, N = self.multiplicative.witness or (1, 1)
+        trip = ((M * N) ** 2, M * N, M)
+        if M > 1 and not _rho_of_gcds_ok(self.__contains__, *trip):
+            return Verdict(False, witness=trip)
+        limit = min(self.bound, ASSOC_SCAN_CAP)
+        w = _assoc_scan(self.table(limit), limit)
+        return Verdict(True, bound=limit) if w is None else Verdict(False, witness=w)
 
 
 @dataclass(frozen=True)
@@ -224,15 +249,9 @@ _BUILTIN_MULT = {
 
 
 def _parse_int_list(body: str, what: str) -> list[int]:
-    if not body:
-        raise ParseError(f"empty {what} list")
-    out = []
-    for tok in body.split(","):
-        tok = tok.strip()
-        if not tok.isdecimal():
-            raise ParseError(f"bad {what} entry {tok!r}")
-        out.append(int(tok))
-    return out
+    if not re.fullmatch(r"\s*\d+\s*(?:,\s*\d+\s*)*", body):
+        raise ParseError(f"bad {what} list {body!r}")
+    return list(map(int, body.split(",")))
 
 
 def _canonical_mult_spec(m: MultiplicativeSSet) -> str:
@@ -268,19 +287,28 @@ def make_mult_sset(default_rule: ExponentRule, overrides: dict[int, ExponentRule
 
 
 def make_general_sset(members, bound: int, spec: str | None = None) -> SSet:
-    g = GeneralSSet(bound=bound, members=frozenset(int(m) for m in members))
+    """Table-backed set of the given members (ints, or decimal str or bytes)
+    with membership known to bound; spec defaults to the F{...} form."""
+    if bound < 1:
+        raise ParseError("bound must be >= 1")
+    try:
+        a = np.sort(np.fromiter(members, dtype=np.int64))
+    except OverflowError as exc:
+        raise ParseError(f"set members must fit int64: {exc}") from exc
+    a = np.delete(a, np.flatnonzero(a[1:] == a[:-1]))
+    bad = a[(a < 1) | (a > bound)]
+    if len(bad):
+        raise ParseError(f"members outside 1..{bound}: {bad[:5].tolist()}")
+    a.flags.writeable = False
     if spec is None:
-        spec = "F{" + ",".join(str(m) for m in sorted(g.members)) + "}"
-    return SSet(spec=spec, general=g)
+        spec = "F{" + ",".join(map(str, a.tolist())) + "}"
+    return SSet(spec=spec, general=GeneralSSet(bound=bound, members=a))
 
 
-def parse_sset(text: str, bound: int | None = None) -> SSet:
-    """Parse a set expression (grammar in the module docstring).
-
-    bound overrides the default membership bound of F{...} lists
-    (max(100, 2*max member)); it is ignored for the other forms, which are
-    either rule-based or carry their own bound (FILE).
-    """
+def parse_sset(text: str) -> SSet:
+    """Parse a set expression (grammar in the module docstring). An F{...}
+    list is known to max(100, 2 * its largest member); make_general_sset
+    takes any other bound."""
     text = text.strip()
     if not text:
         raise ParseError("empty set expression")
@@ -303,27 +331,21 @@ def parse_sset(text: str, bound: int | None = None) -> SSet:
         return SSet(spec=_canonical_mult_spec(m), mult=m)
     if text.startswith("F{") and text.endswith("}"):
         members = _parse_int_list(text[2:-1], "member")
-        b = bound if bound is not None else max(DEFAULT_FINITE_BOUND, 2 * max(members))
-        return make_general_sset(members, b)
+        return make_general_sset(members, max(DEFAULT_FINITE_BOUND, 2 * max(members)))
     if text.startswith("FILE:"):
         path = text[5:]
         try:
-            with open(path) as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
+            with open(path, "rb") as fh:
+                tag, b, body = (fh.read().split(maxsplit=2) + [b""] * 3)[:3]
         except OSError as exc:
             raise ParseError(f"cannot read set file {path!r}: {exc}") from exc
-        if not lines or not lines[0].lower().startswith("bound"):
+        if not tag.lower().startswith(b"bound") or not b.isdigit():
             raise ParseError(f"set file {path!r} must start with 'bound B'")
-        try:
-            b = int(lines[0].split()[1])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"set file {path!r}: bad bound line {lines[0]!r}") from exc
-        members = []
-        for ln in lines[1:]:
-            if not ln.isdecimal():
-                raise ParseError(f"set file {path!r}: bad member line {ln!r}")
-            members.append(int(ln))
-        return make_general_sset(members, b, spec=text)
+        bad = len(body) - len(body.lstrip(b"0123456789 \t\n\r\x0b\x0c"))  # first other byte
+        if bad < len(body):
+            line = body[body.rfind(b"\n", 0, bad) + 1 :].split(b"\n", 1)[0].strip()
+            raise ParseError(f"set file {path!r}: bad member line {line.decode(errors='replace')!r}")
+        return make_general_sset(body.split(), int(b), spec=text)
     raise ParseError(f"unrecognized set expression {text!r}")
 
 
@@ -336,10 +358,9 @@ def rho(S: SSet, m: int) -> int:
         raise ValueError("rho is defined on positive integers")
     if S.general is not None:
         if m > S.general.bound:
-            raise LimitError(
-                f"membership of {m} unknown: set {S.spec!r} bounded at {S.general.bound}"
-            )
-        return 1 if m in S.general.members else 0
+            raise LimitError(f"membership of {m} unknown: set {S.spec!r} "
+                             f"bounded at {S.general.bound}")
+        return int(m in S.general)
     return eval_multiplicative(S.mult.rho_prime_power, m)
 
 
@@ -347,14 +368,8 @@ def rho_table(S: SSet, limit: int) -> np.ndarray:
     """int64 0/1 table of the indicator on 0..limit (index 0 unused, = 0)."""
     if S.general is not None:
         if limit > S.general.bound:
-            raise LimitError(
-                f"table to {limit} exceeds bound {S.general.bound} of {S.spec!r}"
-            )
-        t = np.zeros(limit + 1, dtype=np.int64)
-        idx = [m for m in S.general.members if m <= limit]
-        if idx:
-            t[np.array(idx)] = 1
-        return t
+            raise LimitError(f"table to {limit} exceeds bound {S.general.bound} of {S.spec!r}")
+        return S.general.table(limit)
     return multiplicative_table(limit, S.mult.rho_prime_power)
 
 
@@ -368,13 +383,7 @@ def is_multiplicative(S: SSet) -> Verdict:
     Table-backed sets get an exhaustive scan of coprime pairs with product
     inside the bound; the verdict is only valid up to that bound.
     """
-    if S.mult is not None:
-        return Verdict(True)
-    g = S.general
-    if 1 not in g.members:
-        return Verdict(False, bound=g.bound, witness=(1, 1))
-    w = coprime_product_failure(rho_table(S, g.bound), g.bound)
-    return Verdict(w is None, bound=g.bound, witness=w)
+    return Verdict(True) if S.mult is not None else S.general.multiplicative
 
 
 def coprime_product_failure(t, limit: int) -> tuple[int, int] | None:
@@ -433,10 +442,10 @@ def check_assoc_identity(S: SSet, n: int, d: int, e: int) -> bool:
 ASSOC_SCAN_CAP = 4096
 
 
-def _assoc_scan(S: SSet, limit: int) -> tuple | None:
-    """First (n, d, e) with e | d | n <= limit violating the associativity
-    identity, ascending in (n, d, e); None if the scan is clean."""
-    r = rho_table(S, limit).__getitem__
+def _assoc_scan(t: np.ndarray, limit: int) -> tuple | None:
+    """First (n, d, e), e | d | n <= limit, ascending, at which the indicator
+    table t violates the associativity identity; None if the scan is clean."""
+    r = t.__getitem__
     divlists: list[list[int]] = [[] for _ in range(limit + 1)]
     for d in range(1, limit + 1):
         for m in range(d, limit + 1, d):
@@ -484,17 +493,7 @@ def is_associative(S: SSet) -> Verdict:
         if check_assoc_identity(S, *trip):
             raise ConsistencyError(f"triple {trip} does not violate associativity in {S.spec!r}")
         return Verdict(False, witness=trip)
-    mv = is_multiplicative(S)
-    if mv.witness not in (None, (1, 1)):
-        M, N = mv.witness  # gcd queries stay <= M*N <= bound
-        trip = ((M * N) ** 2, M * N, M)
-        if not check_assoc_identity(S, *trip):
-            return Verdict(False, witness=trip)
-    limit = min(S.general.bound, ASSOC_SCAN_CAP)
-    w = _assoc_scan(S, limit)
-    if w is not None:
-        return Verdict(False, witness=w)
-    return Verdict(True, bound=limit)
+    return S.general.associative
 
 
 def _proof_triple(p: int, j: int, ell: int) -> tuple[int, int, int]:

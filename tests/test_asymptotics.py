@@ -38,7 +38,7 @@ from sconv.cli import main
 from sconv.divisor_functions import SELF_CHECK_SEED, sigma_S_table, tau_S_table
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import mu_set_table
-from sconv.sets import ExponentRule, make_mult_sset, parse_sset
+from sconv.sets import ExponentRule, make_general_sset, make_mult_sset, parse_sset
 from test_mobius import LOG_TERMS, ORACLE_DPS, ORACLE_PRIMES, ORACLE_SETS, oracle, prime_tail, within
 from test_sweeps import MIXED_RULES, PROPERTY, exponent_rules
 
@@ -150,11 +150,11 @@ def test_tau_constants_certify_from_a_table_bound_of_7e5():
         z2 = mpmath.zeta(2)
         want_a = zs2 / z2
         want_b = 2 * mpmath.euler - 1 + 2 * dzs2 / zs2 - 2 * mpmath.zeta(2, derivative=1) / z2
-    a, b = _tau_constants(parse_sset("F{1,2,6}", bound=1_100_000))
+    a, b = _tau_constants(make_general_sset([1, 2, 6], 1_100_000))
     err = max(a.rad, b.rad)
     assert within(a.mid, want_a, err) and within(b.mid, want_b, err), (a, b)
     with pytest.raises(LimitError):
-        _tau_constants(parse_sset("F{1,2,6}", bound=700_000))
+        _tau_constants(make_general_sset([1, 2, 6], 700_000))
 
 
 def test_main_term_guards():

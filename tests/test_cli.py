@@ -18,12 +18,12 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from sconv import asymptotics, cli, mobius
+from sconv import asymptotics, cli, mobius, sets
 from sconv.cli import SCHEMA_VERSION, main
 from sconv.convolve import ArithFunc, s_inverse
 from sconv.divisor_functions import sigma_S_table
 from sconv.errors import ParseError
-from sconv.sets import Verdict, is_associative, parse_sset
+from sconv.sets import Verdict, is_associative, parse_sset, rho_table
 
 
 def run(capsys, argv):
@@ -328,6 +328,11 @@ def test_table_set_associativity_witness_beyond_the_scan_cap(capsys, tmp_path):
     "bound 10\n1\n-2\n",
     "bound 10\n1\n20\n",
     "bound 10\n1\n\u00b2\n",    # a superscript digit
+    "bound 10\n1\n" + "1" * 25 + "\n",  # a member past int64
+    "bound 10\n0\n1\n",
+    "bound 10\n1\n11\n",
+    "bound 10\n1\n12a\n",
+    "bound 10\n1\n+5\n",
 ])
 def test_file_set_parse_errors(capsys, tmp_path, text):
     path = tmp_path / "set.txt"
@@ -350,6 +355,34 @@ def test_classify_general_set(capsys):
     code, out = run(capsys, ["classify", "--sset", "F{1,2,3}"])
     assert code == 0
     assert "multiplicative: no" in out
+
+
+def test_file_set_members_listed_twice_count_once(capsys, tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("bound 10\n\n1\n 4 \n4\n2\n1\n")
+    S = parse_sset(f"FILE:{path}")
+    assert rho_table(S, 10).tolist() == [0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0]
+    code, out = run(capsys, ["classify", "--sset", f"FILE:{path}"])
+    assert code == 0
+    assert "  explicit membership up to 10 (3 members)" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["verify", "--suite", "all", "--n", "500"]])
+def test_table_set_scans_once_per_command(capsys, tmp_path, monkeypatch, argv):
+    # the verdicts are kept on the set: classify, verify's algebra suite and
+    # both inverses all read one multiplicativity and one associativity scan
+    path = tmp_path / "l2.txt"
+    members = rho_table(parse_sset("L2"), 5000).nonzero()[0]
+    path.write_text("bound 5000\n" + "".join(f"{m}\n" for m in members))
+    calls = {"coprime_product_failure": 0, "_assoc_scan": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(sets, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sets, name, counting)
+    code, _ = run(capsys, [argv[0], "--sset", f"FILE:{path}", *argv[1:]])
+    assert code == 0
+    assert calls == {"coprime_product_failure": 1, "_assoc_scan": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from sconv.convolve import (
     DEFAULT_SEED,
     NAMED_FUNCTIONS,
     ArithFunc,
+    _least_excluded_member,
     associativity_violation_functions,
     indicator,
     mult_preservation_witness,
@@ -27,7 +28,7 @@ from sconv.convolve import (
     zero_divisor_pair,
 )
 from sconv.errors import LimitError
-from sconv.sets import is_associative, parse_sset
+from sconv.sets import is_associative, make_general_sset, parse_sset
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 
@@ -365,3 +366,12 @@ def test_random_multiplicative_is_multiplicative():
         for n in range(2, 500 // m + 1):
             if math.gcd(m, n) == 1:
                 assert f(m * n) == f(m) * f(n), (m, n)
+
+
+def test_least_excluded_member_of_table_sets():
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(200):
+        bound = rng.randint(1, 30)
+        members = [m for m in range(1, bound + 1) if rng.random() < 0.9]
+        want = next((m for m in range(2, bound + 1) if m not in members), None)
+        assert _least_excluded_member(make_general_sset(members, bound)) == want, (members, bound)

@@ -46,7 +46,7 @@ from sconv.mobius import (
     zeta_S,
     zeta_S_derivative,
 )
-from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho, rho_table
+from sconv.sets import ExponentRule, make_general_sset, make_mult_sset, parse_sset, rho, rho_table
 from test_sweeps import PROPERTY, exponent_rules
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
@@ -399,7 +399,7 @@ def test_zeta_guards():
     with pytest.raises(LimitError, match="membership bound"):
         zeta_S(parse_sset("F{1,2,6}"), 1.05, tol=1e-12)
     with pytest.raises(LimitError, match="best certified bound"):
-        zeta_S(parse_sset("F{1,2,6}", bound=5_000_000), 1.05, tol=1e-12)
+        zeta_S(make_general_sset([1, 2, 6], 5_000_000), 1.05, tol=1e-12)
 
 
 def test_zeta_derivative_full_set():

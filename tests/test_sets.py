@@ -22,6 +22,7 @@ from sconv.sets import (
     coprime_product_failure,
     is_associative,
     is_multiplicative,
+    make_general_sset,
     make_mult_sset,
     parse_sset,
     rho,
@@ -96,7 +97,7 @@ def test_parse_general_bound():
     S = parse_sset("F{1,2,3}")
     assert S.general is not None
     assert S.general.bound == 100
-    S = parse_sset("F{1,2,3}", bound=500)
+    S = make_general_sset([1, 2, 3], 500)
     assert S.general.bound == 500
 
 
@@ -147,6 +148,31 @@ def test_rho_general_set_beyond_bound():
     assert rho(S, 2) == 1 and rho(S, 4) == 0
     with pytest.raises(LimitError):
         rho(S, 101)
+
+
+@pytest.mark.parametrize("members, bound, probes", [
+    ([1, 2, 10**12], 10**12, {10**12: 1, 10**12 - 1: 0, 3: 0}),
+    ([1, 2, 7], 2**64, {2**64: 0, 2**64 - 1: 0, 8: 0, 2**63: 0, 2**63 - 1: 0}),
+])
+def test_table_set_with_a_huge_sparse_bound(members, bound, probes):
+    S = make_general_sset(members, bound)
+    assert S.general.members.nbytes == 8 * len(members)  # nothing sized by the bound
+    assert {m: rho(S, m) for m in probes} == probes
+    assert rho_table(S, 100).tolist() == [int(m in members) for m in range(101)]
+    with pytest.raises(LimitError):
+        rho(S, bound + 1)
+
+
+def test_table_set_members_are_one_sorted_array():
+    S = make_general_sset([6, 1, 2, 6, 1, 2**63 - 1], 2**63)
+    assert S.spec == f"F{{1,2,6,{2**63 - 1}}}"
+    assert S.general.members.dtype == np.int64
+    assert S.general.members.tolist() == [1, 2, 6, 2**63 - 1]
+    with pytest.raises(ValueError):
+        S.general.members[0] = 3  # read-only
+    for members, bound in [([1, 2**63], 2**64), ([0, 1], 10), ([1, 11], 10), ([1], 0)]:
+        with pytest.raises(ParseError):
+            make_general_sset(members, bound)
 
 
 # ---------------------------------------------------------------------------

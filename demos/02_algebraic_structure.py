@@ -46,7 +46,7 @@ def main() -> None:
             print(f"  S={spec:7s} none: every gcd value is admitted")
         else:
             print(f"  S={spec:7s} indicator of {z.excluded} squares to zero "
-                  f"(checked through n = {z.checked_to})")
+                  f"(checked exactly at n = {z.checked_at}: its one candidate term)")
 
     print("\nrandom sanity pass (seeded):")
     rng = random.Random(DEFAULT_SEED)

@@ -258,11 +258,12 @@ def _abs_max(a: np.ndarray, N: int) -> int:
 
 def _admitted(member, k: int, vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """vals[lo:hi] with entry j zeroed where gcd(k, j) is not in S (member
-    None keeps all). The mask has period k in j: one gather of k entries."""
+    None keeps all). The mask has period k in j: one gather of k entries,
+    tiled (np.resize would concatenate a tuple of (hi - lo) / k copies)."""
     part = vals[lo:hi]
     if member is None:
         return part
     pat = member[np.gcd(k, np.arange(lo, lo + min(k, hi - lo)))]
     if pat.all():
         return part
-    return np.where(np.resize(pat, hi - lo), part, 0)
+    return np.where(np.tile(pat, -(-(hi - lo) // len(pat)))[: hi - lo], part, 0)

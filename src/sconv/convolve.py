@@ -48,12 +48,16 @@ class ArithFunc:
 
     Values are exact Python ints (or Fractions for inverses). The one flag,
     completely_multiplicative, lets the Dirichlet and unitary expansions of
-    divisor_functions refuse inputs they do not hold for.
+    divisor_functions refuse inputs they do not hold for. A function may also
+    carry array(N), its int64 table on 0..N, which the bulk sweeps read in
+    place of N pointwise calls.
     """
 
-    def __init__(self, fn, name: str = "f", completely_multiplicative: bool = False):
+    def __init__(self, fn, name: str = "f", completely_multiplicative: bool = False,
+                 array=None):
         self._fn = fn
         self._values = None  # the stored list of a from_table function
+        self._array = array  # N -> int64 table on 0..N, or None
         self.name = name
         self.completely_multiplicative = completely_multiplicative
 
@@ -73,7 +77,8 @@ class ArithFunc:
         """From a 1-indexed dense table (values[0] unused).
 
         An ndarray is stored as values.tolist(), so an int64 table yields
-        Python ints and pointwise arithmetic on them cannot wrap.
+        Python ints and pointwise arithmetic on them cannot wrap; an int64
+        table is also kept, not copied, as a read-only view for array().
         """
         vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
 
@@ -84,6 +89,16 @@ class ArithFunc:
 
         func = cls(fn, name=name)
         func._values = vals
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            view = values.view()
+            view.flags.writeable = False
+
+            def array(N, _a=view):
+                if N >= len(_a):
+                    raise LimitError(f"{name} tabulated only to {len(_a) - 1}")
+                return _a[: N + 1]
+
+            func._array = array
         return func
 
     @classmethod
@@ -104,12 +119,20 @@ class ArithFunc:
             return [0, *self._values[1 : N + 1]]
         return [0] + [self(n) for n in range(1, N + 1)]
 
+    def array(self, N: int) -> np.ndarray | None:
+        """The int64 table on 0..N (index 0 unused), or None when the
+        function carries none."""
+        return None if self._array is None else self._array(N)
+
 
 _NAMED = {
-    "I": lambda: ArithFunc(lambda n: 1, name="I", completely_multiplicative=True),
-    "E": lambda: ArithFunc(lambda n: n, name="E", completely_multiplicative=True),
+    "I": lambda: ArithFunc(lambda n: 1, name="I", completely_multiplicative=True,
+                           array=lambda N: (np.arange(N + 1) > 0).astype(np.int64)),
+    "E": lambda: ArithFunc(lambda n: n, name="E", completely_multiplicative=True,
+                           array=lambda N: np.arange(N + 1, dtype=np.int64)),
     "delta": lambda: ArithFunc(lambda n: 1 if n == 1 else 0, name="delta",
-                               completely_multiplicative=True),
+                               completely_multiplicative=True,
+                               array=lambda N: (np.arange(N + 1) == 1).astype(np.int64)),
     "mu": lambda: ArithFunc.from_prime_powers(_mu_pp, name="mu"),
     "tau": lambda: ArithFunc.from_prime_powers(_tau_pp, name="tau"),
     "sigma": lambda: ArithFunc.from_prime_powers(_sigma_pp, name="sigma"),
@@ -138,15 +161,14 @@ def s_convolve_table(S: SSet, f: ArithFunc, g: ArithFunc, N: int) -> np.ndarray:
     """Dense table of f * g on 0..N (index 0 holds 0) as an ndarray.
 
     One arith.dirichlet_sweep, with S read from a table to isqrt(N) (every
-    gcd(d, e) with d e <= N is at most that); the tables go in as int64 when
-    every value is a Python int in int64 range, else as exact objects.
+    gcd(d, e) with d e <= N is at most that). A function that carries an
+    int64 array goes in as that array; any other is tabulated pointwise and
+    goes in as int64 when every value is a Python int in int64 range, else
+    as exact objects (the sweep then runs both on objects).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    fv, gv = f.table(N), g.table(N)
-    dtype = _sweep_dtype(fv, gv)
-    return dirichlet_sweep(np.array(fv, dtype=dtype), np.array(gv, dtype=dtype), N,
-                           _membership(S, N))
+    return dirichlet_sweep(_sweep_table(f, N), _sweep_table(g, N), N, _membership(S, N))
 
 
 def _membership(S: SSet, N: int) -> np.ndarray:
@@ -154,13 +176,18 @@ def _membership(S: SSet, N: int) -> np.ndarray:
     return rho_table(S, math.isqrt(N)).astype(bool)
 
 
-def _sweep_dtype(fv: list, gv: list):
-    """int64 when every value is a Python int that fits in it, else object;
-    np.array would infer float64 for an int past int64."""
-    if set(map(type, fv)) | set(map(type, gv)) == {int}:
-        if -1 << 63 <= min(min(fv), min(gv)) and max(max(fv), max(gv)) < 1 << 63:
-            return np.int64
-    return object
+def _sweep_table(f: ArithFunc, N: int) -> np.ndarray:
+    """f on 0..N for dirichlet_sweep: its own int64 array when it carries
+    one, else its pointwise table as int64 when every value is a Python int
+    that fits, else as objects (np.array would infer float64 for an int
+    past int64)."""
+    arr = f.array(N)
+    if arr is not None:
+        return arr
+    fv = f.table(N)
+    if set(map(type, fv)) == {int} and -1 << 63 <= min(fv) and max(fv) < 1 << 63:
+        return np.array(fv, dtype=np.int64)
+    return np.array(fv, dtype=object)
 
 
 def s_convolve(S: SSet, f: ArithFunc, g: ArithFunc) -> ArithFunc:
@@ -235,16 +262,17 @@ def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
 
 @dataclass(frozen=True)
 class ZeroDivisorPair:
-    """Nonzero f, g with f * g identically zero (checked on n <= checked_to).
+    """Nonzero f, g with f * g identically zero.
 
-    Both are the indicator of the least m outside S; the only candidate
-    convolution value sits at m^2 and carries the factor rho(m) = 0.
+    Both are the indicator of the least m outside S, so (f * g)(n) has a
+    term only at d = n/d = m: every n but checked_at = m^2 is zero with no
+    term at all, and the value at m^2, rho(m) = 0, is computed exactly.
     """
 
     f: ArithFunc
     g: ArithFunc
     excluded: int
-    checked_to: int
+    checked_at: int
 
 
 def _least_excluded_member(S: SSet) -> int | None:
@@ -274,21 +302,18 @@ def zero_divisor_pair(S: SSet) -> ZeroDivisorPair | None:
     """Zero divisors of the convolution, or None when S admits none.
 
     The full set N is the only S whose convolution has no zero divisors;
-    every other S excludes some m, and ind_m * ind_m vanishes identically.
-    The pair is verified by direct convolution on n <= 4m^2 (clamped to the
-    range a table-backed S can answer).
+    every other S excludes some m, and ind_m * ind_m vanishes identically:
+    ind_m(d) ind_m(n/d) is nonzero only at d = m, n = m^2, so the one value
+    at m^2 is verified by direct convolution (its gcd queries stop at m, in
+    range of a table-backed S).
     """
     m = _least_excluded_member(S)
     if m is None:
         return None
     f = indicator(m)
-    limit = 4 * m * m
-    if S.general is not None:
-        limit = min(limit, S.general.bound ** 2)  # gcd queries reach sqrt(n)
-    for n in range(1, limit + 1):
-        if s_convolve_at(S, f, f, n) != 0:
-            raise ConsistencyError(f"ind_{m} * ind_{m} over {S.spec!r} is nonzero at {n}")
-    return ZeroDivisorPair(f=f, g=f, excluded=m, checked_to=limit)
+    if s_convolve_at(S, f, f, m * m) != 0:
+        raise ConsistencyError(f"ind_{m} * ind_{m} over {S.spec!r} is nonzero at {m * m}")
+    return ZeroDivisorPair(f=f, g=f, excluded=m, checked_at=m * m)
 
 
 def mult_preservation_witness(S: SSet, N: int):
@@ -342,15 +367,32 @@ def associativity_violation_functions(trip: tuple[int, int, int]):
 
 def random_arith_func(rng: random.Random, N: int, unit: bool = False,
                       name: str = "rand") -> ArithFunc:
-    """Random integer-valued table function with values in [-9, 9].
+    """Random integer-valued table function with values uniform on [-9, 9],
+    drawn in bulk from rng and backed by an int64 array.
 
     unit=True forces f(1) != 0 so the function is invertible.
     """
-    vals = [0] + [rng.randint(-9, 9) for _ in range(N)]
-    if unit:
+    vals = np.zeros(N + 1, dtype=np.int64)
+    vals[1:] = _uniform_digits(rng, N)
+    if unit and N >= 1:
         while vals[1] == 0:
-            vals[1] = rng.randint(-9, 9)
+            vals[1] = _uniform_digits(rng, 1)[0]
     return ArithFunc.from_table(vals, name=name)
+
+
+def _uniform_digits(rng: random.Random, count: int) -> np.ndarray:
+    """count values uniform on [-9, 9], from rng.randbytes: a byte b < 247 =
+    13 * 19 gives b % 19 - 9, a larger byte is dropped and drawn again."""
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        need = count - done
+        b = np.frombuffer(rng.randbytes(need + (need >> 4) + 1), dtype=np.uint8)
+        b = b[b < 247][:need]
+        out[done : done + len(b)] = b % 19
+        done += len(b)
+    out -= 9
+    return out
 
 
 def random_multiplicative_func(rng: random.Random, N: int, name: str = "randmult") -> ArithFunc:

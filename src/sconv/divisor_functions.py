@@ -38,6 +38,7 @@ from .arith import (
     dirichlet_sweep,
     divisors,
     eval_multiplicative,
+    factorize,
     guard_int64,
     multiplicative_table,
 )
@@ -154,10 +155,23 @@ def phi_S_at(S: SSet, n: int) -> int:
 
 
 def _phi_direct(S: SSet, n: int) -> int:
-    """#{j <= n : gcd(j, n) in S}: the gcds counted once, rho_S read only at
-    the divisors of n."""
-    counts = np.bincount(np.gcd(np.arange(1, n + 1, dtype=np.int64), n))
-    return sum(int(counts[d]) for d in divisors(n) if rho(S, d))
+    """#{j <= n : gcd(j, n) in S}, by enumeration: each j <= n is d k with
+    d = gcd(j, n) and gcd(k, n/d) = 1, so for each divisor d of n in S it
+    counts the k <= n/d left by a sieve striking the multiples of every
+    prime of n/d. No phi formula is used."""
+    primes = [p for p, _ in factorize(n)]
+    alive = np.empty(n + 1, dtype=bool)
+    total = 0
+    for d in divisors(n):
+        if rho(S, d):
+            m = n // d
+            live = alive[: m + 1]
+            live[1:] = True
+            for p in primes:
+                if m % p == 0:
+                    live[p::p] = False
+            total += int(np.count_nonzero(live[1:]))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,16 @@ def test_table_set_associativity_witness_beyond_the_scan_cap(capsys, tmp_path):
     assert code == 1
     assert out.startswith("FAIL inverse_of_I: ")
     assert "(witness triple (100200100, 10010, 2))" in out
+    # the algebra suite reads the witness and the zero divisor at n ~ 1e8
+    # and 5005^2 ~ 2.5e7 through their divisors only, not through tables
+    code, out = run(capsys, ["verify", "--sset", spec, "--suite", "algebra", "--n", "100"])
+    assert code == 1
+    assert out.splitlines()[3:5] == [
+        "FAIL associative: violated at n=100200100 by indicator functions: "
+        "((f*g)*h)(100200100)=1 != (f*(g*h))(100200100)=0, "
+        "witness triple (100200100, 10010, 2)",
+        "ok   zero_divisors: indicator of 5005 squares to zero "
+        "(checked exactly at n=25050025: its one candidate term)"]
 
 
 @pytest.mark.parametrize("text", [
@@ -434,7 +444,8 @@ VERIFY_GOLDEN = {
         ("distributive", True, "f*(g+h) = f*g + f*h to 400"),
         ("identity_element", True, "f*delta = f to 400"),
         ("associative", True, "(f*g)*h = f*(g*h) to 200"),
-        ("zero_divisors", True, "indicator of 2 squares to zero (checked to 16)"),
+        ("zero_divisors", True,
+         "indicator of 2 squares to zero (checked exactly at n=4: its one candidate term)"),
         ("mult_preserved", True, "f*g multiplicative on coprime products <= 400"),
         ("inverse_of_I", True, "I^(-1) * I = delta to 400"),
         ("inverse_random_unit", True, "f^(-1) * f = delta to 400 for a seeded unit"),
@@ -445,7 +456,8 @@ VERIFY_GOLDEN = {
         ("identity_element", True, "f*delta = f to 200"),
         ("associative", False, "violated at n=16 by indicator functions: "
          "((f*g)*h)(16)=0 != (f*(g*h))(16)=1, witness triple (16, 4, 2)"),
-        ("zero_divisors", True, "indicator of 4 squares to zero (checked to 64)"),
+        ("zero_divisors", True,
+         "indicator of 4 squares to zero (checked exactly at n=16: its one candidate term)"),
         ("mult_preserved", True, "f*g multiplicative on coprime products <= 200"),
     ]),
 }
@@ -525,12 +537,13 @@ VERIFY_FAILURES = {
         ("s_inverse", 8, {}), "inversion", "400",
         [("inverse_of_I", False, "first failure at n=8"),
          ("inverse_random_unit", False, "first failure at n=8")]),
-    # g(1) = 2 breaks (g*f)(1) and, through d = 1, every later n: the first
-    # n >= 2 is reported ahead of n = 1
+    # g(1) = 2 breaks (g*f)(1) and, through d = 1, every later n with
+    # f(n) != 0: the first such n >= 2 is reported ahead of n = 1 (the
+    # seeded unit has f(2) = -6)
     "inverse_at_1": (
         ("s_inverse", 1, {}), "inversion", "400",
         [("inverse_of_I", False, "first failure at n=2"),
-         ("inverse_random_unit", False, "first failure at n=3")]),
+         ("inverse_random_unit", False, "first failure at n=2")]),
     # n = 1 is reported only when nothing fails from n = 2 on
     "inverse_at_1_only": (
         ("s_inverse", 1, {}), "inversion", "1",

@@ -8,8 +8,10 @@ Everything random is seeded.
 import math
 import random
 
+import numpy as np
 import pytest
 
+from sconv import convolve
 from sconv.convolve import (
     DEFAULT_SEED,
     NAMED_FUNCTIONS,
@@ -27,7 +29,7 @@ from sconv.convolve import (
     s_inverse,
     zero_divisor_pair,
 )
-from sconv.errors import LimitError
+from sconv.errors import ConsistencyError, LimitError
 from sconv.sets import is_associative, make_general_sset, parse_sset
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
@@ -298,6 +300,19 @@ def test_inverse_refuses_non_associative_set():
 # zero divisors and multiplicativity preservation
 
 
+def pointwise_zero_to(S, m: int) -> int:
+    """The brute-force oracle for a zero-divisor pair: ind_m * ind_m by
+    pointwise convolution on every n <= 4 m^2 (to bound^2 on a table-backed
+    S, whose gcd queries reach sqrt(n)). Returns the checked limit."""
+    f = indicator(m)
+    limit = 4 * m * m
+    if S.general is not None:
+        limit = min(limit, S.general.bound ** 2)
+    for n in range(1, limit + 1):
+        assert s_convolve_at(S, f, f, n) == 0, (S.spec, n)
+    return limit
+
+
 def test_zero_divisor_pairs():
     expected_excluded = {"1": 2, "Q2": 4, "Q3": 8, "L2": 2, "L3": 2, "P{2,3}": 5}
     assert zero_divisor_pair(parse_sset("N")) is None
@@ -308,9 +323,30 @@ def test_zero_divisor_pairs():
         assert z.excluded == m, spec
         assert not member_oracle(spec, m)
         assert all(member_oracle(spec, j) for j in range(1, m))
-        assert z.checked_to >= 4 * m * m
-        for n in range(1, z.checked_to + 1):
-            assert s_convolve_at(S, z.f, z.g, n) == 0, (spec, n)
+        assert z.checked_at == m * m
+        assert pointwise_zero_to(S, m) == 4 * m * m
+
+
+def test_zero_divisor_pair_general_set():
+    S = parse_sset("F{1,2,6}")
+    z = zero_divisor_pair(S)
+    assert (z.excluded, z.checked_at) == (3, 9)
+    assert pointwise_zero_to(S, 3) == 36
+
+
+def test_zero_divisor_pair_large_excluded_member(tmp_path):
+    # every n <= 20000 but 5005: the old pointwise check ran to 5005^2 ~ 2.5e7
+    path = tmp_path / "gap.txt"
+    path.write_text("bound 20000\n" + "".join(f"{n}\n" for n in range(1, 20001) if n != 5005))
+    z = zero_divisor_pair(parse_sset(f"FILE:{path}"))
+    assert (z.excluded, z.checked_at) == (5005, 5005**2)
+
+
+def test_zero_divisor_pair_check_catches_a_member(monkeypatch):
+    # were the least excluded member wrong, its square would not vanish at m^2
+    monkeypatch.setattr(convolve, "_least_excluded_member", lambda S: 2)
+    with pytest.raises(ConsistencyError, match="nonzero at 4"):
+        zero_divisor_pair(parse_sset("N"))
 
 
 def test_indicator():
@@ -375,3 +411,31 @@ def test_least_excluded_member_of_table_sets():
         members = [m for m in range(1, bound + 1) if rng.random() < 0.9]
         want = next((m for m in range(2, bound + 1) if m not in members), None)
         assert _least_excluded_member(make_general_sset(members, bound)) == want, (members, bound)
+
+
+def test_random_arith_func_bulk_draw():
+    f = random_arith_func(random.Random(DEFAULT_SEED), 10**4)
+    a = f.array(10**4)
+    assert a.dtype == np.int64 and a[0] == 0
+    assert np.array_equal(a, random_arith_func(random.Random(DEFAULT_SEED), 10**4).array(10**4))
+    assert -9 <= a[1:].min() and a[1:].max() <= 9
+    assert set(a[1:].tolist()) == set(range(-9, 10))  # all 19 values
+    assert [f(n) for n in range(1, 10**4 + 1)] == a[1:].tolist()
+    assert all(type(f(n)) is int for n in (1, 2, 10**4))
+
+
+def test_random_arith_func_is_uniform():
+    # a draw that kept bytes >= 247 would weight -9..-1 by 14/13 against 0..9
+    N = 19 * 10**5
+    counts = np.bincount(random_arith_func(random.Random(1), N).array(N)[1:] + 9)
+    assert len(counts) == 19
+    assert np.abs(counts - N // 19).max() < 0.02 * (N // 19)
+
+
+def test_random_arith_func_unit_and_successive_draws():
+    for seed in range(200):
+        rng = random.Random(seed)
+        assert random_arith_func(rng, 1, unit=True)(1) != 0, seed
+    rng = random.Random(DEFAULT_SEED)
+    f, g = random_arith_func(rng, 50), random_arith_func(rng, 50)
+    assert f.table(50) != g.table(50)

@@ -11,9 +11,12 @@ import random
 import numpy as np
 import pytest
 
-from sconv.arith import eval_multiplicative
+from sconv.arith import divisors, eval_multiplicative
 from sconv.convolve import ArithFunc
 from sconv.divisor_functions import (
+    PHI_DIRECT_CAP,
+    SELF_CHECK_SEED,
+    _phi_direct,
     _square_divisor_table,
     conv_cm_via_dirichlet,
     conv_cm_via_unitary,
@@ -30,7 +33,7 @@ from sconv.divisor_functions import (
     tau_S_via_identity,
 )
 from sconv.errors import LimitError
-from sconv.sets import ExponentRule, make_mult_sset, parse_sset
+from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 # one set using every rule kind: default below 3, then at_least, finite, none, all
@@ -205,6 +208,36 @@ def test_phi_matches_gcd_count():
         S = parse_sset(spec)
         for n in range(1, 200):
             assert phi_S_at(S, n) == brute_phi(spec, n), (spec, n)
+
+
+def phi_gcd_count(S, n: int) -> int:
+    """The gcd-table count: np.gcd of n with every j <= n, tallied once per
+    gcd, with rho_S read at the divisors of n."""
+    counts = np.bincount(np.gcd(np.arange(1, n + 1, dtype=np.int64), n))
+    return sum(int(counts[d]) for d in divisors(n) if rho(S, d))
+
+
+# n with several distinct primes (a sieve striking only some primes of n/d
+# fails there), prime powers, primes, the cap and a seeded spread to 1e5
+_rng = random.Random(SELF_CHECK_SEED)
+PHI_SIEVE_POINTS = sorted({*range(1, 151), 30030, 510510, 720720, 2**19, 3**12, 999983,
+                           997**2, PHI_DIRECT_CAP,
+                           *(_rng.randint(1, 10**5) for _ in range(50))})
+
+
+@pytest.mark.parametrize("spec", ["Q2", "L2", "N", "1", "P{2,3}", "Q3"])
+def test_phi_direct_sieve_matches_gcd_count(spec):
+    S = parse_sset(spec)
+    assert len(PHI_SIEVE_POINTS) >= 200
+    for n in PHI_SIEVE_POINTS:
+        assert _phi_direct(S, n) == phi_gcd_count(S, n), (spec, n)
+
+
+def test_phi_direct_sieve_matches_gcd_count_general_set():
+    S = parse_sset("F{1,2,6}")
+    for n in range(1, 101):
+        brute = sum(1 for j in range(1, n + 1) if rho(S, math.gcd(j, n)))
+        assert _phi_direct(S, n) == phi_gcd_count(S, n) == brute, n
 
 
 def test_phi_full_set_is_n():

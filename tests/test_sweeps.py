@@ -9,6 +9,7 @@ and sets come from hypothesis, derandomized so a run repeats exactly.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,15 @@ from hypothesis import strategies as st
 
 from sconv.arith import eval_multiplicative
 from sconv.cli import main
-from sconv.convolve import ArithFunc, s_convolve_at, s_convolve_table, s_inverse
+from sconv.convolve import (
+    DEFAULT_SEED,
+    ArithFunc,
+    random_arith_func,
+    random_multiplicative_func,
+    s_convolve_at,
+    s_convolve_table,
+    s_inverse,
+)
 from sconv.errors import LimitError
 from sconv.mobius import _inverse_of_I_pp, inverse_of_I
 from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho
@@ -140,6 +149,62 @@ def test_from_table_of_int64_array_gives_python_ints():
     S = parse_sset("N")
     assert s_convolve_at(S, f, f, 1) == 2**80
     assert s_convolve_at(S, f, f, 2) == 2**81
+
+
+def array_func(vals, name="a"):
+    return ArithFunc.from_table(np.array([0] + list(vals), dtype=np.int64), name)
+
+
+@pytest.mark.parametrize("key", sorted(SETS))
+def test_convolve_table_array_route_matches_list_route(key):
+    # random_arith_func and int64 tables reach the sweep as their own arrays;
+    # the same values as lists take the pointwise tabulation
+    S, N = SETS[key], 100
+    fa = random_arith_func(random.Random(DEFAULT_SEED), N)
+    fl = table_func(fa.table(N)[1:])
+    g = random_multiplicative_func(random.Random(DEFAULT_SEED), N)
+    assert fa.array(N) is not None and fl.array(N) is None and g.array(N) is not None
+    tab = check_against_pointwise(S, fa, g, N)
+    assert tab.dtype == np.int64
+    for pair in ((fl, g), (fa, table_func(g.table(N)[1:])), (g, fa)):
+        assert np.array_equal(s_convolve_table(S, *pair, N), tab)
+    for name in ("I", "E", "delta"):
+        h = ArithFunc.named(name)
+        assert h.array(N).tolist() == h.table(N)
+        assert np.array_equal(s_convolve_table(S, fa, h, N),
+                              s_convolve_table(S, fl, table_func(h.table(N)[1:]), N))
+
+
+@pytest.mark.parametrize("key", ["N", "L2", "Q3", "F{1,2,6}"])
+def test_convolve_table_array_route_object_fallbacks(key):
+    S, N = SETS[key], 60
+    fa = random_arith_func(random.Random(DEFAULT_SEED), N)
+    big = table_func([2**63] + [n - 30 for n in range(2, N + 1)])  # past int64: objects
+    tab = check_against_pointwise(S, fa, big, N)
+    assert tab.dtype == object and all(type(v) is int for v in tab.tolist())
+    near = array_func([2**62] * N)  # int64 in, but the sweep's product guard trips
+    tab = check_against_pointwise(S, near, fa, N)
+    assert tab.dtype == object and all(type(v) is int for v in tab.tolist())
+
+
+@pytest.mark.parametrize("spec", ASSOCIATIVE)
+def test_convolve_table_array_route_with_fraction_inverse(spec):
+    S, N = SETS[spec], 64
+    f = random_arith_func(random.Random(DEFAULT_SEED), N)
+    f = array_func([3] + f.table(N)[2:])  # f(1) = 3: the inverse holds Fractions
+    inv = ArithFunc.from_table(s_inverse(S, f, N))
+    assert inv.array(N) is None and inv(1) == Fraction(1, 3)
+    conv = check_against_pointwise(S, inv, f, N)
+    assert conv.dtype == object
+    assert conv[1] == 1 and not any(conv[2:])
+
+
+def test_int64_table_array_is_bounded():
+    f = array_func([4, 5, 6])
+    assert f.array(2).tolist() == [0, 4, 5]
+    assert not f.array(2).flags.writeable  # a sweep cannot change the function
+    with pytest.raises(LimitError):
+        f.array(4)
 
 
 def test_convolve_table_needs_membership_to_isqrt_n():

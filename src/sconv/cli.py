@@ -28,8 +28,8 @@ import math
 import os
 import random
 import sys
+from collections import deque
 from collections.abc import Iterable
-from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -84,13 +84,14 @@ from .sets import (
 SCHEMA_VERSION = 1
 RANGE_CAP = 10**7
 VERIFY_CAP = 10**5
-# rows per block of eval's stdout and of artifact writes: one % template per
-# block of ints, while an artifact block holding anything else is one
-# csv.writer or JSON encoder call (_int_rows). Over a 2.5e5-row table, 1024-
-# and 4096-row blocks were no faster in paired runs, while the writer's
-# tracemalloc peak grows with the block (JSON: 59 KiB at 256 rows, 193 KiB at
-# 1024, 1166 KiB at 4096)
-_ROW_BLOCK = 256
+# rows per block of eval's output: one % operation renders a block, and
+# stdout and the artifact both take that text. On the two table-export runs
+# (Q2 sigma to 2.5e5, CSV and JSON, fresh interpreters, 6 rounds) 256, 1024
+# and 4096 rows took 0.89, 0.86 and 0.84 s (parent 1.10 s); the writer's
+# tracemalloc peak over 1e5 rows is 271 KiB (CSV, 128 KiB of it csv.writer's
+# header buffer) and 205 KiB (JSON) at 1024 rows, 680 and 799 KiB at 4096,
+# past the 512 KiB that tests/test_cli.py allows
+_ROW_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +155,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _int_rows(template: str, sep: str, cells: tuple, count: int) -> str | None:
-    """count rows of template joined by sep, filled from cells in one %
-    operation; None unless every cell is an exact int. %d writes
-    int.__repr__, as str, csv and json do for an int, but not for a bool,
-    float or numpy scalar."""
-    if {*map(type, cells)} != {int}:
-        return None
-    return sep.join(repeat(template, count)) % cells
-
-
-def _emit(args, command: str, sset: str, params: dict, rows: Iterable[tuple],
-          fieldnames: list[str]) -> None:
-    """The one artifact writer: writes --out, if given, reading rows (tuples in
-    fieldnames order) once as a stream, _ROW_BLOCK rows at a time; a block of
-    exact ints is one % template (_int_rows), except in JSON with unsorted
-    fieldnames, and any other block goes through csv.writer or the JSON
-    encoder. JSON gets the bytes json.dump would write for the whole
+def _emit(args, command: str, sset: str, params: dict, rows: Iterable,
+          fieldnames: list[str], text: bool = False) -> None:
+    """The one artifact writer: writes --out, if given, reading rows once as
+    a stream. Rows are tuples in fieldnames order, which go through
+    csv.writer or the JSON encoder one row at a time; or, with text=True,
+    blocks of eval's stdout lines "a b\n" of two int columns, each turned
+    into CSV or JSON by str.replace alone (%d, csv and json all write an int
+    as its repr). JSON gets the bytes json.dump would write for the whole
     envelope."""
     if not args.out:
         return
-    rows = iter(rows)
     try:
         fh = open(args.out, "w", newline="" if args.format == "csv" else None)
     except OSError as exc:
@@ -183,33 +174,27 @@ def _emit(args, command: str, sset: str, params: dict, rows: Iterable[tuple],
         if args.format == "csv":
             w = csv.writer(fh)
             w.writerow(fieldnames)
-            template = ",".join(["%d"] * len(fieldnames)) + "\r\n"
-            while block := list(islice(rows, _ROW_BLOCK)):
-                text = _int_rows(template, "", tuple(chain.from_iterable(block)), len(block))
-                if text is None:
-                    w.writerows(block)
-                else:
-                    fh.write(text)
+            if text:
+                for t in rows:
+                    fh.write(t.replace(" ", ",").replace("\n", "\r\n"))
+            else:
+                w.writerows(rows)
             return
         # a quote inside a JSON string is escaped, so only the key itself matches
         head, _, tail = json.dumps(
             {"schema_version": SCHEMA_VERSION, "command": command, "sset": sset,
              "params": params, "rows": []}, sort_keys=True).partition('"rows": []')
-        encode = json.JSONEncoder(sort_keys=True).encode
-        # the template needs the encoder's key order; eval's ["n", "value"] is sorted
-        template = None
-        if sorted(fieldnames) == fieldnames:
-            template = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %d"
-                                       for k in fieldnames) + "}"
+        if text:  # eval's ["n", "value"] is already in the encoder's key order
+            first, second = (json.dumps(k) + ": " for k in fieldnames)
+            items = ("{" + first + t[:-1].replace(" ", ", " + second)
+                     .replace("\n", "}, {" + first) + "}" for t in rows)
+        else:
+            encode = json.JSONEncoder(sort_keys=True).encode
+            items = (encode(dict(zip(fieldnames, r))) for r in rows)
         fh.write(head + '"rows": [')
         sep = ""
-        while block := list(islice(rows, _ROW_BLOCK)):
-            cells = tuple(chain.from_iterable(block))
-            text = _int_rows(template, ", ", cells, len(block)) if template else None
-            if text is None:
-                # one C-encoder call per block; "[...]" minus its brackets
-                text = encode([dict(zip(fieldnames, r)) for r in block])[1:-1]
-            fh.write(sep + text)
+        for item in items:
+            fh.write(sep + item)
             sep = ", "
         fh.write("]" + tail + "\n")
 
@@ -236,26 +221,40 @@ def _cmd_eval(args) -> int:
     values = _eval_values(S, args.fn, args.k, lo, hi)
     if lo == hi:
         print(values[0])
-    else:
-        # every _eval_values route gives exact ints, which %d writes as str does
-        for i in range(0, len(values), _ROW_BLOCK):
-            vals = values[i : i + _ROW_BLOCK]
-            cells = [0] * (2 * len(vals))  # n and value, interleaved
-            cells[::2], cells[1::2] = range(lo + i, lo + i + len(vals)), vals
-            sys.stdout.write("%d %d\n" * len(vals) % tuple(cells))
+    blocks = _eval_blocks(lo, values, echo=lo < hi)
     _emit(args, "eval", S.spec, {"fn": args.fn, "lo": lo, "hi": hi, "k": args.k},
-          zip(range(lo, hi + 1), values), ["n", "value"])
+          blocks, ["n", "value"], text=True)
+    deque(blocks, maxlen=0)  # without --out, _emit reads no block
     return 0
 
 
-def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> list:
+def _eval_blocks(lo: int, values, echo: bool):
+    """The rows "n value\n" of n = lo, lo + 1, ... in blocks of _ROW_BLOCK,
+    each one % operation, written to stdout when echo is set. An int64 table
+    becomes Python ints one block at a time; every route gives exact ints,
+    which %d writes as str does."""
+    for i in range(0, len(values), _ROW_BLOCK):
+        vals = values[i : i + _ROW_BLOCK]
+        cells = [0] * (2 * len(vals))  # n and value, interleaved
+        cells[::2] = range(lo + i, lo + i + len(vals))
+        cells[1::2] = vals.tolist() if isinstance(vals, np.ndarray) else vals
+        text = "%d %d\n" * len(vals) % tuple(cells)
+        if echo:
+            sys.stdout.write(text)
+        yield text
+
+
+def _eval_values(S: SSet, fn: str, k: int | None, lo: int,
+                 hi: int) -> list | np.ndarray:
+    """Values on lo..hi: a list of ints on the pointwise routes, else a
+    slice of the int64 table to hi."""
     if fn in ("mu", "mu_k"):  # mu_k is the S-inverse of I over L_k
         return inverse_of_I(S if fn == "mu" else parse_sset(f"L{k}"), lo, hi)
     if hi - lo < POINTWISE_SPAN:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
         return [at(S, n) for n in range(lo, hi + 1)]
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
-    return tab(S, hi)[lo : hi + 1].tolist()
+    return tab(S, hi)[lo : hi + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class ArithFunc:
     def __init__(self, fn, name: str = "f", completely_multiplicative: bool = False,
                  array=None):
         self._fn = fn
-        self._values = None  # the stored list of a from_table function
+        self._values = None  # a from_table function's ndarray or list
         self._array = array  # N -> int64 table on 0..N, or None
         self.name = name
         self.completely_multiplicative = completely_multiplicative
@@ -76,19 +76,15 @@ class ArithFunc:
     def from_table(cls, values, name: str = "table") -> "ArithFunc":
         """From a 1-indexed dense table (values[0] unused).
 
-        An ndarray is stored as values.tolist(), so an int64 table yields
-        Python ints and pointwise arithmetic on them cannot wrap; an int64
-        table is also kept, not copied, as a read-only view for array().
+        Pointwise calls and table() read the values as a list, so an int64
+        table yields Python ints and pointwise arithmetic on them cannot
+        wrap. An ndarray becomes that list (tolist) only at the first such
+        call, since the sweeps read an int64 table alone: it is kept, not
+        copied, as a read-only view for array().
         """
-        vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
-
-        def fn(n, _v=vals):
-            if n >= len(_v):
-                raise LimitError(f"{name} tabulated only to {len(_v) - 1}")
-            return _v[n]
-
-        func = cls(fn, name=name)
-        func._values = vals
+        func = cls(None, name=name)
+        func._values = values if isinstance(values, np.ndarray) else list(values)
+        func._fn = func._first_call
         if isinstance(values, np.ndarray) and values.dtype == np.int64:
             view = values.view()
             view.flags.writeable = False
@@ -100,6 +96,26 @@ class ArithFunc:
 
             func._array = array
         return func
+
+    def _listed(self) -> list:
+        """A from_table function's values as a list, built once from its
+        ndarray."""
+        if isinstance(self._values, np.ndarray):
+            self._values = self._values.tolist()
+        return self._values
+
+    def _first_call(self, n):
+        """A from_table function's first pointwise call: list the values and
+        bind the lookup that serves every later call."""
+        vals, name = self._listed(), self.name
+
+        def lookup(n):
+            if n >= len(vals):
+                raise LimitError(f"{name} tabulated only to {len(vals) - 1}")
+            return vals[n]
+
+        self._fn = lookup
+        return lookup(n)
 
     @classmethod
     def from_prime_powers(cls, ppv, name: str = "mult") -> "ArithFunc":
@@ -116,7 +132,7 @@ class ArithFunc:
     def table(self, N: int) -> list:
         """Dense 1-indexed value table [0, f(1), ..., f(N)]."""
         if self._values is not None and N < len(self._values):
-            return [0, *self._values[1 : N + 1]]
+            return [0, *self._listed()[1 : N + 1]]
         return [0] + [self(n) for n in range(1, N + 1)]
 
     def array(self, N: int) -> np.ndarray | None:

@@ -93,19 +93,20 @@ def _inverse_of_I_pp(rule: ExponentRule, a: int) -> int:
     return g[a]
 
 
-def inverse_of_I(S: SSet, lo: int, hi: int) -> list:
+def inverse_of_I(S: SSet, lo: int, hi: int) -> list | np.ndarray:
     """g(lo..hi), g the inverse of I = 1 under the S-convolution; not
     mu_S = rho_S * mu (over L2, g(4) = -1 and mu_S(4) = 1). Rule-based S:
-    g is multiplicative, pointwise when hi - lo < POINTWISE_SPAN, else one
-    multiplicative_table to hi. Table-backed S: s_inverse, also the tests'
-    cross-check of this route. Refuses what s_inverse refuses (ValueError)."""
+    g is multiplicative, a list of pointwise values when hi - lo <
+    POINTWISE_SPAN, else a slice of one int64 multiplicative_table to hi.
+    Table-backed S: a list from s_inverse, also the tests' cross-check of
+    this route. Refuses what s_inverse refuses (ValueError)."""
     if S.mult is None:
         return s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]
     _require_associative(S)
     ppv = lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
     if hi - lo < POINTWISE_SPAN:
         return [eval_multiplicative(ppv, n) for n in range(lo, hi + 1)]
-    return multiplicative_table(hi, ppv)[lo : hi + 1].tolist()
+    return multiplicative_table(hi, ppv)[lo : hi + 1]
 
 
 def _mu_k_sequence(k: int):

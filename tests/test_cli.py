@@ -16,11 +16,12 @@ import tracemalloc
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from sconv import asymptotics, cli, mobius, sets
 from sconv.cli import SCHEMA_VERSION, main
-from sconv.convolve import ArithFunc, s_inverse
+from sconv.convolve import POINTWISE_SPAN, ArithFunc, s_inverse
 from sconv.divisor_functions import sigma_S_table
 from sconv.errors import ParseError
 from sconv.sets import Verdict, is_associative, parse_sset, rho_table
@@ -165,15 +166,16 @@ def test_eval_range_artifacts_are_byte_exact(capsys, tmp_path):
 B = cli._ROW_BLOCK
 
 
-@pytest.mark.parametrize("hi", [B - 1, B, B + 1, 2 * B + 1])
+# spans inside one block, pointwise, then spans ending at each side of a block edge
+@pytest.mark.parametrize("hi", [255, 256, 257, 513, B - 1, B, B + 1, 2 * B + 1])
 def test_eval_artifacts_at_block_boundaries_are_byte_exact(capsys, tmp_path, hi):
     assert_eval_range_artifacts(capsys, tmp_path, hi)
 
 
-@pytest.mark.parametrize("lo, hi", [(700, 2000), (1001, 1001 + 2 * B)])
+@pytest.mark.parametrize("lo, hi", [(700, 2000), (1001, 1513), (1001, 1001 + 2 * B)])
 def test_eval_artifacts_from_above_one_are_byte_exact(capsys, tmp_path, lo, hi):
-    # a table route and a pointwise route, each ending in a partial block,
-    # with blocks counted from lo rather than from 1
+    # two table routes, one across two block edges, and a pointwise route, each
+    # ending in a partial block, with blocks counted from lo rather than from 1
     assert_eval_range_artifacts(capsys, tmp_path, hi, lo)
 
 
@@ -192,6 +194,8 @@ def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
     (["--sset", "L2", "--fn", "mu", "--range", "1..1001"], "L2", None, 1, 1001),  # a table to hi
     (["--sset", "P{2,3}", "--fn", "mu", "--n", "65536"], "P{2,3}", None, 65536, 65536),
     (["--fn", "mu_k", "--k", "3", "--range", "1..1200"], "N", 3, 1, 1200),
+    # a table across two block boundaries: negative values in derived blocks
+    (["--sset", "L2", "--fn", "mu", "--range", f"1..{2 * B + 1}"], "L2", None, 1, 2 * B + 1),
 ])
 def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, hi):
     """eval --fn mu and --fn mu_k: stdout and both artifacts byte-exact, with
@@ -211,6 +215,34 @@ def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, h
         "eval", sset, {"fn": argv[argv.index("--fn") + 1], "lo": lo, "hi": hi, "k": k}, rows)
 
 
+@pytest.mark.parametrize("spec", ["L2", "P{2,3}"])
+@pytest.mark.parametrize("fn, k", [("tau", None), ("sigma", None), ("phi", None),
+                                   ("mu", None), ("mu_k", 3)])
+@pytest.mark.parametrize("lo, hi", [(1, 1001), (4001, 6000), (1, 1000), (4001, 5000), (7, 7)])
+def test_eval_values_stay_int64_on_table_routes(spec, fn, k, lo, hi):
+    """A span of POINTWISE_SPAN rows or more is a slice of the int64 table,
+    a shorter one a list of Python ints; both give the pointwise values."""
+    S = parse_sset(spec)
+    got = cli._eval_values(S, fn, k, lo, hi)
+    if hi - lo >= POINTWISE_SPAN:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    else:
+        assert type(got) is list and {*map(type, got)} == {int}
+    assert len(got) == hi - lo + 1
+    for n in (lo, (lo + hi) // 2, hi):
+        assert got[n - lo] == cli._eval_values(S, fn, k, n, n)[0]
+
+
+def test_eval_values_of_a_table_backed_set_mu_is_a_list(tmp_path):
+    # s_inverse's list, even on a span that a rule-based set takes as a table
+    members = rho_table(parse_sset("L2"), 3000).nonzero()[0]
+    path = tmp_path / "l2.txt"
+    path.write_text("bound 3000\n" + "\n".join(map(str, members)) + "\n")
+    got = cli._eval_values(parse_sset(f"FILE:{path}"), "mu", None, 1, 2000)
+    want = cli._eval_values(parse_sset("L2"), "mu", None, 1, 2000)
+    assert type(got) is list and got == want.tolist()
+
+
 @pytest.mark.parametrize("argv", [["eval", "--fn", "tau", "--range", "1..5"],
                                   ["verify", "--sset", "L2", "--n", "100"]])
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
@@ -222,9 +254,11 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     assert not path.exists()
 
 
-# writer's own tracemalloc peak on 1e5 rows; measured 59 KiB (JSON) and
-# 180 KiB (CSV, 128 KiB of it csv.writer's record buffer, from the header
-# row) at 256-row blocks of ints, 1166 KiB (JSON) at 4096-row blocks
+# writer's own tracemalloc peak on 1e5 rows; measured at 1024-row blocks:
+# tuples 186 KiB (CSV, 128 KiB of it csv.writer's record buffer, from the
+# header row) and 41 KiB (JSON, one encoder call per row); eval's text blocks
+# 271 KiB (CSV) and 205 KiB (JSON), rendering included; 680 and 799 KiB at
+# 4096-row blocks
 EMIT_PEAK_BOUND = 512 * 1024
 
 
@@ -241,17 +275,31 @@ def test_emit_peak_memory_is_bounded(tmp_path, fmt):
     assert peak < EMIT_PEAK_BOUND
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_text_blocks_peak_memory_is_bounded(tmp_path, fmt):
+    # eval's route; the blocks are rendered inside the traced span, as in eval
+    args = argparse.Namespace(out=str(tmp_path / f"x.{fmt}"), format=fmt)
+    values = np.arange(1, 10**5 + 1, dtype=np.int64) * 7919
+    tracemalloc.start()
+    try:
+        blocks = cli._eval_blocks(1, values, echo=False)
+        cli._emit(args, "eval", "N", {}, blocks, ["n", "value"], text=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EMIT_PEAK_BOUND
+
+
 @pytest.mark.parametrize("fieldnames", [["first_a", "value"], ["value", "first_a"]])
 def test_emit_int_template_gives_the_encoders_bytes(tmp_path, fieldnames):
-    """_emit's one-template route for blocks of exact ints against csv.writer
-    and json.dumps of the whole envelope, with sorted fieldnames and with
-    unsorted ones, which JSON sends to the encoder; each odd cell sits next to
-    a block boundary, so the blocks on both sides of it take the encoder
-    route."""
-    rows = [(n * 7919 - 10**6, n) for n in range(6 * B + 7)]  # partial last block
+    """_emit's tuple route against csv.writer and json.dumps of the whole
+    envelope, with sorted fieldnames and with unsorted ones, which the
+    encoder sorts: exact ints beside bools, None, floats, ints past int64
+    and a string that needs quoting."""
+    rows = [(n * 7919 - 10**6, n) for n in range(6 * B + 7)]
     rows[B - 1] = (True, B - 1)                   # bool is an int, but not an exact one
     rows[B] = (B, None)
-    rows[2 * B + 5] = (-(2**63) - 1, 2**64 + 1)   # an all-int block, beyond int64
+    rows[2 * B + 5] = (-(2**63) - 1, 2**64 + 1)   # exact ints beyond int64
     rows[4 * B - 1] = (0.1, 4 * B - 1)
     rows[4 * B] = ('a,"b"', 4 * B)
     params, dicts = {"k": 3}, [dict(zip(fieldnames, r)) for r in rows]

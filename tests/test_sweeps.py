@@ -151,6 +151,20 @@ def test_from_table_of_int64_array_gives_python_ints():
     assert s_convolve_at(S, f, f, 2) == 2**81
 
 
+def test_sweep_of_an_array_backed_function_builds_no_list():
+    # from_table keeps an int64 table as it is; the Python-int list appears
+    # at the first pointwise call, and the sweeps never make one
+    S, N = SETS["L2"], 1000
+    f = random_arith_func(random.Random(DEFAULT_SEED), N)
+    g = random_multiplicative_func(random.Random(DEFAULT_SEED), N)
+    s_convolve_table(S, f, g, N)
+    s_convolve_table(S, f, ArithFunc.named("I"), N)
+    assert isinstance(f._values, np.ndarray) and isinstance(g._values, np.ndarray)
+    assert type(f(N)) is int and type(f._values) is list
+    assert f.table(N) == [0] + f.array(N)[1:].tolist()
+    assert g.table(N) == [0] + g.array(N)[1:].tolist() and type(g._values) is list
+
+
 def array_func(vals, name="a"):
     return ArithFunc.from_table(np.array([0] + list(vals), dtype=np.int64), name)
 
@@ -286,7 +300,8 @@ def test_inverse_recurrence_matches_brute_force(key):
 def test_inverse_of_I_matches_push_sieve(spec):
     S, N = SETS[spec], 10**4
     want = s_inverse(S, ArithFunc.named("I"), N)
-    assert inverse_of_I(S, 1, N) == want[1:]  # one table to N
+    table = inverse_of_I(S, 1, N)  # a slice of one int64 table to N
+    assert table.dtype == np.int64 and table.tolist() == want[1:]
     assert inverse_of_I(S, N - 999, N) == want[N - 999 :]  # pointwise
     assert inverse_of_I(S, 7, 7) == [want[7]]
 

@@ -43,7 +43,6 @@ from .convolve import (
     ZeroDivisorPair,
     associativity_violation_functions,
     indicator,
-    mult_preservation_witness,
     random_arith_func,
     random_multiplicative_func,
     s_convolve,
@@ -114,7 +113,7 @@ __all__ = [
     "gronwall_range_max", "indicator", "inverse_of_I", "is_associative",
     "is_multiplicative", "make_general_sset", "make_mult_sset", "mu_k_at",
     "mu_k_prime_power", "mu_k_statistics", "mu_set_at", "mu_set_table",
-    "mu_table", "mult_preservation_witness", "multiplicative_table",
+    "mu_table", "multiplicative_table",
     "parse_sset", "phi_S_at", "phi_S_table", "prime_array",
     "random_arith_func", "random_multiplicative_func", "rho",
     "rho_table", "s_convolve", "s_convolve_at", "s_convolve_table",

@@ -19,7 +19,8 @@ from .errors import LimitError
 
 FACTOR_TABLE_LIMIT = 10**8  # one 32-bit word per index; beyond this, refuse
 _INT64_MAX = np.iinfo(np.int64).max
-_GATHER_BLOCK = 1 << 14  # entries per block of the large-prime gather in multiplicative_table
+_GATHER_BLOCK = 1 << 14  # entries per block of multiplicative_table's slice multiplies and gathers
+_PPV_CHUNK = 1 << 12  # large primes per chunk of ppv(q, 1) calls in multiplicative_table
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -124,8 +125,9 @@ def eval_multiplicative(ppv, n: int):
 # Prime-power values ppv(p, a), a >= 1, of the classical multiplicative
 # functions: the one definition of each, passed as is to eval_multiplicative
 # and multiplicative_table. They are package-internal per-prime callbacks,
-# not layer API: the kernel calls one per prime above sqrt N, and the layer
-# tracer (perfbench/traced_cli.py) records a timed span per public call.
+# not layer API: the kernel calls one once per prime power up to N, about
+# N / log N times, and the layer tracer (perfbench/traced_cli.py) records a
+# timed span per public call.
 
 def _tau_pp(p: int, a: int) -> int:
     """Divisor count: tau(p^a) = a + 1."""
@@ -176,13 +178,14 @@ def _guard_growth(values: list, powers, limit: int) -> None:
 def multiplicative_table(limit: int, ppv) -> np.ndarray:
     """int64 table t[0..limit] with t[n] = prod ppv(p, a) over p^a || n, t[1] = 1.
 
-    O(N log log N). Every n <= limit has at most one prime factor above
-    sqrt(limit), and to exponent 1. Primes up to sqrt(limit) are applied
-    with exact per-multiple exponents, and their prime powers are collected
-    in an int32 array `smooth`; the cofactor n // smooth[n] is then 1 or the
-    one large prime q of n, so all larger primes are applied in a single
-    gather of ppv(q, 1). _guard_growth raises LimitError before a value
-    that could overflow int64 is stored.
+    O(N log log N), and the table is the only array of N entries. Every
+    ppv value is taken first, small primes then large, each prime power
+    once in ascending order, and _guard_growth raises LimitError on them
+    before the table is allocated. Each prime p <= sqrt(limit) is applied
+    to its multiples with exact exponents, a block of _GATHER_BLOCK
+    multiples at a time. Every n <= limit has at most one prime factor
+    q > sqrt(limit), to exponent 1, so n = m q with m < sqrt(limit): the
+    large primes are applied through their multiples m q, one gather per m.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -200,29 +203,35 @@ def multiplicative_table(limit: int, ppv) -> np.ndarray:
             pa *= p
         small_vals.append(pv)
     _guard_growth([v for pv in small_vals for v in pv], powers, limit)
+    large = primes[n_small:]
+    f_large = np.empty(len(large), dtype=np.int64)
+    # ppv(q, 1) in chunks: one list of every large prime's value left its
+    # pymalloc arenas resident, about 1.4 MiB of peak RSS at 2.5e5
+    for lo in range(0, len(large), _PPV_CHUNK):
+        q = large[lo : lo + _PPV_CHUNK]
+        fq = [ppv(p, 1) for p in q.tolist()]
+        _guard_growth(fq, q, limit)
+        f_large[lo : lo + len(fq)] = fq
     vals = np.ones(limit + 1, dtype=np.int64)
     vals[0] = 0
-    smooth = np.ones(limit + 1, dtype=np.int32)  # FACTOR_TABLE_LIMIT < 2^31
     for p, pv in zip(small, small_vals):
-        # entry j of the slice [p::p] is (j+1) p, divisible by p^(a+1) iff (j+1) % p^a == 0
-        fac = np.full(limit // p, pv[0], dtype=np.int64)
-        pw = np.full(limit // p, p, dtype=np.int32)
-        step = p
-        for v in pv[1:]:
-            fac[step - 1 :: step] = v
-            pw[step - 1 :: step] = step * p
-            step *= p
-        vals[p::p] *= fac
-        smooth[p::p] *= pw
-    large = primes[n_small:]
-    f_large = [ppv(q, 1) for q in large.tolist()]
-    _guard_growth(f_large, large, limit)
-    f_large = np.array(f_large, dtype=np.int64)
-    f1 = np.ones(limit + 1, dtype=np.int64)  # allocated once the lists above are freed
-    f1[large] = f_large
-    for lo in range(0, limit + 1, _GATHER_BLOCK):  # blocks bound the transient arrays
-        hi = min(lo + _GATHER_BLOCK, limit + 1)
-        vals[lo:hi] *= f1[np.arange(lo, hi, dtype=np.int32) // smooth[lo:hi]]
+        # multiple j of a block is (j + 1) p, divisible by p^(a+1) iff j % p^a == p^a - 1;
+        # multiplied through a named view, as vals[a:b:p] *= fac would copy the slice back
+        count = limit // p
+        for j0 in range(0, count, _GATHER_BLOCK):
+            j1 = min(j0 + _GATHER_BLOCK, count)
+            fac = np.full(j1 - j0, pv[0], dtype=np.int64)
+            step = p
+            for v in pv[1:]:
+                fac[(step - 1 - j0) % step :: step] = v
+                step *= p
+            part = vals[(j0 + 1) * p : j1 * p + 1 : p]
+            part *= fac
+    for lo in range(0, len(large), _GATHER_BLOCK):
+        q, fq = large[lo : lo + _GATHER_BLOCK], f_large[lo : lo + _GATHER_BLOCK]
+        for m in range(1, limit // int(q[0]) + 1):  # m q <= limit for the first k of q
+            k = int(q.searchsorted(limit // m, side="right"))
+            vals[m * q[:k]] *= fq[:k]
     return vals
 
 

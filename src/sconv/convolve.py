@@ -34,7 +34,6 @@ from .errors import ConsistencyError, LimitError
 from .sets import (
     SSet,
     is_associative,
-    is_multiplicative,
     rho,
     rho_table,
 )
@@ -164,8 +163,19 @@ NAMED_FUNCTIONS = tuple(sorted(_NAMED))
 # the convolution
 
 def s_divisors(S: SSet, n: int) -> list[int]:
-    """Divisors d of n with gcd(d, n/d) in S, ascending."""
-    return [d for d in divisors(n) if rho(S, math.gcd(d, n // d))]
+    """Divisors d of n with gcd(d, n/d) in S, ascending. A table-backed S
+    looks up every gcd of n in one searchsorted of its member array."""
+    divs = divisors(n)
+    if S.general is None:
+        return [d for d in divs if rho(S, math.gcd(d, n // d))]
+    gcds = [math.gcd(d, n // d) for d in divs]
+    if max(gcds) > S.general.bound:
+        rho(S, next(m for m in gcds if m > S.general.bound))  # raises its LimitError
+    members, g = S.general.members, np.array(gcds, dtype=np.int64)
+    at = members.searchsorted(g)
+    hit = at < len(members)
+    hit[hit] = members[at[hit]] == g[hit]
+    return [d for d, h in zip(divs, hit.tolist()) if h]
 
 
 def s_convolve_at(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
@@ -330,41 +340,6 @@ def zero_divisor_pair(S: SSet) -> ZeroDivisorPair | None:
     if s_convolve_at(S, f, f, m * m) != 0:
         raise ConsistencyError(f"ind_{m} * ind_{m} over {S.spec!r} is nonzero at {m * m}")
     return ZeroDivisorPair(f=f, g=f, excluded=m, checked_at=m * m)
-
-
-def mult_preservation_witness(S: SSet, N: int):
-    """Search for (m, d, n, e) with d | m, e | n, gcd(m, n) = 1 where the
-    product-splitting rule behind multiplicativity preservation fails:
-
-        rho((de, mn/(de))) != rho((d, m/d)) rho((e, n/e))
-
-    Returns the first witness in ascending (m, n, d, e) order, or None.
-    A verified witness exists iff rho is not multiplicative on the scanned
-    range; for rule-based sets the scan always comes back empty.
-    """
-    mv = is_multiplicative(S)
-    if not mv and mv.witness is not None and mv.witness != (1, 1):
-        M, Nc = mv.witness  # try the square construction first
-        cand = (M * M, M, Nc * Nc, Nc)
-        if _split_violates(S, *cand):
-            return cand
-    for m in range(1, N + 1):
-        dm = divisors(m)
-        for n in range(1, N + 1):
-            if math.gcd(m, n) != 1:
-                continue
-            dn = divisors(n)
-            for d in dm:
-                for e in dn:
-                    if _split_violates(S, m, d, n, e):
-                        return (m, d, n, e)
-    return None
-
-
-def _split_violates(S: SSet, m: int, d: int, n: int, e: int) -> bool:
-    lhs = rho(S, math.gcd(d * e, (m * n) // (d * e)))
-    rhs = rho(S, math.gcd(d, m // d)) * rho(S, math.gcd(e, n // e))
-    return lhs != rhs
 
 
 def associativity_violation_functions(trip: tuple[int, int, int]):

@@ -7,12 +7,14 @@ computer algebra output.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sconv.arith import (
+    _GATHER_BLOCK,
     _mu_pp,
     _phi_pp,
     _sigma_pp,
@@ -29,6 +31,7 @@ from sconv.arith import (
     sieve_primes,
 )
 from sconv.errors import LimitError
+from sconv.sets import parse_sset
 
 
 def brute_factorize(n: int) -> list[tuple[int, int]]:
@@ -145,6 +148,76 @@ def test_multiplicative_table_matches_pointwise_around_prime_squares():
             assert tab[1:].tolist() == want, (name, limit)
 
 
+def test_multiplicative_table_matches_pointwise_at_every_small_limit():
+    ppvs = [_sigma_pp, _mu_pp, _phi_pp, lambda p, a: (-1) ** a * (p + a) if a != 2 else 0]
+    for limit in range(1, 65):
+        for ppv in ppvs:
+            want = [0] + [eval_multiplicative(ppv, n) for n in range(1, limit + 1)]
+            assert multiplicative_table(limit, ppv).tolist() == want, limit
+
+
+def recorded_draws(seed: int):
+    """A ppv drawing each value on [-9, 9], with the (p, a) it was asked for
+    in call order and the draws by prime power."""
+    rng, calls, draws = random.Random(seed), [], {}
+
+    def ppv(p, a):
+        calls.append((p, a))
+        draws[p, a] = rng.randint(-9, 9)
+        return draws[p, a]
+    return ppv, calls, draws
+
+
+def test_multiplicative_table_across_block_edges():
+    # limit // p one below, at and one above a block of multiples for p = 2
+    # and 3, then two full blocks (where a block's exponent offsets depend on
+    # its start), with values that vanish and change sign
+    B = _GATHER_BLOCK
+    limits = (2 * B - 2, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B - 1, 3 * B, 3 * B + 3,
+              4 * B, 6 * B + 2)
+    top = max(limits)
+    for ppv in (_mu_pp, parse_sset("L2").mult.mu_prime_power, parse_sset("Q3").mult.mu_prime_power):
+        want = [0] + [eval_multiplicative(ppv, n) for n in range(1, top + 1)]
+        for limit in limits:
+            assert multiplicative_table(limit, ppv).tolist() == want[: limit + 1], limit
+    for limit in limits:
+        ppv, calls, draws = recorded_draws(limit)
+        tab = multiplicative_table(limit, ppv)
+        # each prime power once: the primes to sqrt(limit) with every exponent, then the rest
+        r = math.isqrt(limit)
+        small = [(p, a) for p in sieve_primes(r) for a in range(1, 64) if p ** a <= limit]
+        assert calls == small + [(q, 1) for q in sieve_primes(limit) if q > r]
+        want = [eval_multiplicative(lambda p, a: draws[p, a], n) for n in range(1, limit + 1)]
+        assert tab[1:].tolist() == want and tab[0] == 0, limit
+
+
+def test_multiplicative_table_peak_memory_is_near_its_result():
+    # the table is the only array of N entries; with N-entry work arrays beside it, 2.7x
+    multiplicative_table(1000, _sigma_pp)
+    tracemalloc.start()
+    try:
+        tab = multiplicative_table(10**6, _sigma_pp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab[720720] == sum(brute_divisors(720720))
+    assert peak <= 1.5 * tab.nbytes, peak / tab.nbytes
+
+
+def test_multiplicative_table_overflow_refused_before_the_table():
+    # only the primes above sqrt(limit) carry large values; LimitError comes
+    # while at most the sieve is held, before the 8 MB table is allocated
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError):
+            multiplicative_table(limit, lambda p, a: p ** 10 if p > 1000 else 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (limit + 1) / 4, peak
+
+
 def brute_mu(n: int) -> int:
     fac = brute_factorize(n)
     return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
@@ -178,7 +251,7 @@ def test_multiplicative_table_overflow_guard():
     cube = lambda p, a: p ** (3 * a)
     with pytest.raises(LimitError):
         multiplicative_table(10**7, cube)
-    # only the primes above sqrt(limit), applied in the gather, carry large values
+    # only the primes above sqrt(limit), applied through their multiples, carry large values
     with pytest.raises(LimitError):
         multiplicative_table(10**4, lambda p, a: p ** 10 if p > 100 else 1)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sconv import convolve
+from sconv.arith import divisors
 from sconv.convolve import (
     DEFAULT_SEED,
     NAMED_FUNCTIONS,
@@ -19,7 +20,6 @@ from sconv.convolve import (
     _least_excluded_member,
     associativity_violation_functions,
     indicator,
-    mult_preservation_witness,
     random_arith_func,
     random_multiplicative_func,
     s_convolve,
@@ -30,7 +30,14 @@ from sconv.convolve import (
     zero_divisor_pair,
 )
 from sconv.errors import ConsistencyError, LimitError
-from sconv.sets import is_associative, make_general_sset, parse_sset
+from sconv.sets import (
+    is_associative,
+    is_multiplicative,
+    make_general_sset,
+    parse_sset,
+    rho,
+    rho_table,
+)
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
 
@@ -135,6 +142,25 @@ def test_s_divisors_match_oracle():
             want = [d for d in range(1, n + 1)
                     if n % d == 0 and member_oracle(spec, math.gcd(d, n // d))]
             assert s_divisors(S, n) == want, (spec, n)
+
+
+def test_s_divisors_of_table_backed_sets_match_scalar_membership():
+    # one searchsorted for every gcd of n gives what one rho per divisor gives
+    sets = [parse_sset("F{1,2,6}"), make_general_sset([], 50, spec="<empty>")]
+    for spec in ("Q2", "L2", "P{2,3}"):
+        table = rho_table(parse_sset(spec), 400)
+        sets.append(make_general_sset(np.flatnonzero(table).tolist(), 400, spec=spec))
+    for S in sets:
+        for n in list(range(1, 2501)) + [36**2 * 5, 2**12 * 3**6]:
+            if math.isqrt(n) > S.general.bound:
+                continue
+            want = [d for d in divisors(n) if rho(S, math.gcd(d, n // d))]
+            assert s_divisors(S, n) == want, (S.spec, n)
+    assert s_divisors(sets[1], 12) == []
+    # a gcd past the bound: the first one in divisor order is named
+    for n in (101**2, 101**2 * 103**2, 2 * 3 * 107**2 * 101**2):
+        with pytest.raises(LimitError, match=r"^membership of 101 unknown: set 'F\{1,2,6\}' bounded at 100$"):
+            s_divisors(sets[0], n)
 
 
 def test_convolution_matches_brute():
@@ -355,17 +381,41 @@ def test_indicator():
     assert vals == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
 
 
+def split_failure(S, N: int):
+    """First (m, d, n, e) in ascending (m, n, d, e) order, m, n <= N, with
+    d | m, e | n, gcd(m, n) = 1 where the product splitting behind
+    multiplicativity preservation fails:
+
+        rho((de, mn/(de))) != rho((d, m/d)) rho((e, n/e)),
+
+    or None. Such a quadruple exists iff rho is not multiplicative there,
+    the question sets.is_multiplicative decides by coprime_product_failure."""
+    for m in range(1, N + 1):
+        dm = [d for d in range(1, m + 1) if m % d == 0]
+        for n in range(1, N + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            for d in dm:
+                for e in (e for e in range(1, n + 1) if n % e == 0):
+                    lhs = rho(S, math.gcd(d * e, (m * n) // (d * e)))
+                    if lhs != rho(S, math.gcd(d, m // d)) * rho(S, math.gcd(e, n // e)):
+                        return (m, d, n, e)
+    return None
+
+
 def test_mult_preservation_clean_for_rule_sets():
     for spec in BUILTINS:
-        assert mult_preservation_witness(parse_sset(spec), 40) is None, spec
+        assert split_failure(parse_sset(spec), 40) is None, spec
+        assert is_multiplicative(parse_sset(spec)), spec
 
 
 def test_mult_preservation_witness_general_set():
     S = parse_sset("F{1,2,3}")
-    w = mult_preservation_witness(S, 20)
+    w = split_failure(S, 20)
     assert w is not None
     m, d, n, e = w
     assert m % d == 0 and n % e == 0 and math.gcd(m, n) == 1
+    assert not is_multiplicative(S)
 
 
 def test_convolution_of_multiplicative_is_multiplicative():

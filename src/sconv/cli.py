@@ -55,6 +55,7 @@ from .convolve import (
     zero_divisor_pair,
 )
 from .divisor_functions import (
+    divisor_function_windows,
     phi_S_at,
     phi_S_table,
     sigma_S_at,
@@ -67,6 +68,7 @@ from .divisor_functions import (
 from .errors import ConsistencyError, LimitError, ParseError
 from .mobius import (
     inverse_of_I,
+    inverse_of_I_windows,
     mu_k_statistics,
     mu_set_table,
     verify_mobius_identity,
@@ -218,43 +220,60 @@ def _cmd_eval(args) -> int:
     else:
         lo, hi = _parse_range(args.rng)
 
-    values = _eval_values(S, args.fn, args.k, lo, hi)
+    chunks = _eval_values(S, args.fn, args.k, lo, hi)
     if lo == hi:
-        print(values[0])
-    blocks = _eval_blocks(lo, values, echo=lo < hi)
-    _emit(args, "eval", S.spec, {"fn": args.fn, "lo": lo, "hi": hi, "k": args.k},
-          blocks, ["n", "value"], text=True)
-    deque(blocks, maxlen=0)  # without --out, _emit reads no block
+        print(chunks[0][0])
+    blocks = _eval_blocks(lo, chunks, echo=lo < hi)
+    try:
+        _emit(args, "eval", S.spec, {"fn": args.fn, "lo": lo, "hi": hi, "k": args.k},
+              blocks, ["n", "value"], text=True)
+        deque(blocks, maxlen=0)  # without --out, _emit reads no block
+    except ConsistencyError:
+        if args.out:  # a window failed its self-check: leave no partial artifact
+            os.remove(args.out)
+        raise
     return 0
 
 
-def _eval_blocks(lo: int, values, echo: bool):
-    """The rows "n value\n" of n = lo, lo + 1, ... in blocks of _ROW_BLOCK,
-    each one % operation, written to stdout when echo is set. An int64 table
+def _eval_blocks(lo: int, chunks, echo: bool):
+    """The rows "n value\n" of n = lo, lo + 1, ... over consecutive chunks
+    of values, in blocks of _ROW_BLOCK, each one % operation, written to
+    stdout when echo is set. A chunk is rendered before the next is read,
+    since a streamed window is overwritten by the next. An int64 chunk
     becomes Python ints one block at a time; every route gives exact ints,
     which %d writes as str does."""
-    for i in range(0, len(values), _ROW_BLOCK):
-        vals = values[i : i + _ROW_BLOCK]
-        cells = [0] * (2 * len(vals))  # n and value, interleaved
-        cells[::2] = range(lo + i, lo + i + len(vals))
-        cells[1::2] = vals.tolist() if isinstance(vals, np.ndarray) else vals
-        text = "%d %d\n" * len(vals) % tuple(cells)
-        if echo:
-            sys.stdout.write(text)
-        yield text
+    for values in chunks:
+        for i in range(0, len(values), _ROW_BLOCK):
+            vals = values[i : i + _ROW_BLOCK]
+            cells = [0] * (2 * len(vals))  # n and value, interleaved
+            cells[::2] = range(lo + i, lo + i + len(vals))
+            cells[1::2] = vals.tolist() if isinstance(vals, np.ndarray) else vals
+            text = "%d %d\n" * len(vals) % tuple(cells)
+            if echo:
+                sys.stdout.write(text)
+            yield text
+        lo += len(values)
 
 
-def _eval_values(S: SSet, fn: str, k: int | None, lo: int,
-                 hi: int) -> list | np.ndarray:
-    """Values on lo..hi: a list of ints on the pointwise routes, else a
-    slice of the int64 table to hi."""
-    if fn in ("mu", "mu_k"):  # mu_k is the S-inverse of I over L_k
-        return inverse_of_I(S if fn == "mu" else parse_sset(f"L{k}"), lo, hi)
+def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> Iterable:
+    """Values on lo..hi as consecutive chunks. A rule-based S streams the
+    int64 windows of its local values (divisor_function_windows,
+    inverse_of_I_windows) when hi - lo >= POINTWISE_SPAN; otherwise one
+    chunk: a list of ints on the pointwise routes and for the mu of a
+    table-backed S, else a slice of the int64 table to hi."""
+    if fn == "mu_k":  # mu_k is the S-inverse of I over L_k
+        S, fn = parse_sset(f"L{k}"), "mu"
+    if S.mult is not None and hi - lo >= POINTWISE_SPAN:
+        if fn == "mu":
+            return inverse_of_I_windows(S, lo, hi)
+        return divisor_function_windows(S, fn, lo, hi)
+    if fn == "mu":
+        return [inverse_of_I(S, lo, hi)]
     if hi - lo < POINTWISE_SPAN:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
-        return [at(S, n) for n in range(lo, hi + 1)]
+        return [[at(S, n) for n in range(lo, hi + 1)]]
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
-    return tab(S, hi)[lo : hi + 1]
+    return [tab(S, hi)[lo : hi + 1]]
 
 
 # ---------------------------------------------------------------------------

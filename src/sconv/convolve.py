@@ -33,6 +33,7 @@ from .arith import (
 from .errors import ConsistencyError, LimitError
 from .sets import (
     SSet,
+    _rho_many,
     is_associative,
     rho,
     rho_table,
@@ -75,17 +76,24 @@ class ArithFunc:
     def from_table(cls, values, name: str = "table") -> "ArithFunc":
         """From a 1-indexed dense table (values[0] unused).
 
-        Pointwise calls and table() read the values as a list, so an int64
-        table yields Python ints and pointwise arithmetic on them cannot
-        wrap. An ndarray becomes that list (tolist) only at the first such
-        call, since the sweeps read an int64 table alone: it is kept, not
-        copied, as a read-only view for array().
+        A pointwise call reads one entry as a Python scalar, in place
+        (ndarray.item), so an int64 table yields Python ints and pointwise
+        arithmetic on them cannot wrap; table() lists only the prefix it
+        returns. An int64 ndarray is kept, not copied, as a read-only view
+        for array(), which the sweeps read.
         """
         func = cls(None, name=name)
-        func._values = values if isinstance(values, np.ndarray) else list(values)
-        func._fn = func._first_call
-        if isinstance(values, np.ndarray) and values.dtype == np.int64:
-            view = values.view()
+        func._values = vals = values if isinstance(values, np.ndarray) else list(values)
+        read = vals.item if isinstance(vals, np.ndarray) else vals.__getitem__
+
+        def lookup(n):
+            if n >= len(vals):
+                raise LimitError(f"{name} tabulated only to {len(vals) - 1}")
+            return read(n)
+
+        func._fn = lookup
+        if isinstance(vals, np.ndarray) and vals.dtype == np.int64:
+            view = vals.view()
             view.flags.writeable = False
 
             def array(N, _a=view):
@@ -95,26 +103,6 @@ class ArithFunc:
 
             func._array = array
         return func
-
-    def _listed(self) -> list:
-        """A from_table function's values as a list, built once from its
-        ndarray."""
-        if isinstance(self._values, np.ndarray):
-            self._values = self._values.tolist()
-        return self._values
-
-    def _first_call(self, n):
-        """A from_table function's first pointwise call: list the values and
-        bind the lookup that serves every later call."""
-        vals, name = self._listed(), self.name
-
-        def lookup(n):
-            if n >= len(vals):
-                raise LimitError(f"{name} tabulated only to {len(vals) - 1}")
-            return vals[n]
-
-        self._fn = lookup
-        return lookup(n)
 
     @classmethod
     def from_prime_powers(cls, ppv, name: str = "mult") -> "ArithFunc":
@@ -131,7 +119,8 @@ class ArithFunc:
     def table(self, N: int) -> list:
         """Dense 1-indexed value table [0, f(1), ..., f(N)]."""
         if self._values is not None and N < len(self._values):
-            return [0, *self._listed()[1 : N + 1]]
+            head = self._values[1 : N + 1]
+            return [0, *(head.tolist() if isinstance(head, np.ndarray) else head)]
         return [0] + [self(n) for n in range(1, N + 1)]
 
     def array(self, N: int) -> np.ndarray | None:
@@ -166,16 +155,7 @@ def s_divisors(S: SSet, n: int) -> list[int]:
     """Divisors d of n with gcd(d, n/d) in S, ascending. A table-backed S
     looks up every gcd of n in one searchsorted of its member array."""
     divs = divisors(n)
-    if S.general is None:
-        return [d for d in divs if rho(S, math.gcd(d, n // d))]
-    gcds = [math.gcd(d, n // d) for d in divs]
-    if max(gcds) > S.general.bound:
-        rho(S, next(m for m in gcds if m > S.general.bound))  # raises its LimitError
-    members, g = S.general.members, np.array(gcds, dtype=np.int64)
-    at = members.searchsorted(g)
-    hit = at < len(members)
-    hit[hit] = members[at[hit]] == g[hit]
-    return [d for d, h in zip(divs, hit.tolist()) if h]
+    return [d for d, h in zip(divs, _rho_many(S, [math.gcd(d, n // d) for d in divs])) if h]
 
 
 def s_convolve_at(S: SSet, f: ArithFunc, g: ArithFunc, n: int):

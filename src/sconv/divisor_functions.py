@@ -13,7 +13,12 @@ expansion: with mu_S the set Moebius companion and tau*, sigma* the unitary
                = sum_{d^2 | n} rho_S(d) d sigma*(n/d^2)
     phi_S      = mu_S * E = rho_S * phi   (ordinary Dirichlet products)
 
-and for completely multiplicative f, g:
+For rule-based S all three are multiplicative, with prime-power values read
+off the exponent rule: tau_S(p^a) counts the i <= a with p^min(i, a-i) in
+S, sigma_S(p^a) sums those p^i, and phi_S(p^a) sums phi(p^(a-i)) over the
+i <= a with p^i in S (divisor_function_windows streams them).
+
+And for completely multiplicative f, g:
 
     (f *_S g)(n) = sum_{d^2 | n} mu_S(d) f(d) g(d) (f * g)(n/d^2)
                  = sum_{d^2 | n} rho_S(d) f(d) g(d) (f x g)(n/d^2)
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 
@@ -41,15 +47,17 @@ from .arith import (
     factorize,
     guard_int64,
     multiplicative_table,
+    multiplicative_windows,
 )
 from .convolve import ArithFunc, s_convolve_at, s_divisors
 from .errors import ConsistencyError
-from .sets import SSet, rho, rho_table
+from .sets import SSet, _rho_many, rho, rho_table
 from .mobius import mu_set_at, mu_set_table
 
 SELF_CHECK_SEED = 8191
 SELF_CHECK_COUNT = 32
 PHI_DIRECT_CAP = 10**6  # beyond this, only the convolution forms
+_PHI_BLOCK = 1 << 16  # sieve cells per block of _phi_direct: bounds its memory, not n
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +84,18 @@ def sigma_S_prime_power(S: SSet, p: int, e: int) -> int:
             total += pb
         pb *= p
     return total
+
+
+def _tau_S_pp(S: SSet, p: int, a: int) -> int:
+    """tau_S(p^a) for rule-based S: the i <= a with p^min(i, a-i) in S."""
+    return sum(S.mult.rho_prime_power(p, min(i, a - i)) for i in range(a + 1))
+
+
+def _phi_S_pp(S: SSet, p: int, a: int) -> int:
+    """phi_S(p^a) for rule-based S: phi(p^(a-i)) over the i <= a with p^i
+    in S, phi(1) = 1."""
+    return sum(_phi_pp(p, a - i) if i < a else 1
+               for i in range(a + 1) if S.mult.rho_prime_power(p, i))
 
 
 def _square_divisors(n: int) -> list[int]:
@@ -158,34 +178,71 @@ def _phi_direct(S: SSet, n: int) -> int:
     """#{j <= n : gcd(j, n) in S}, by enumeration: each j <= n is d k with
     d = gcd(j, n) and gcd(k, n/d) = 1, so for each divisor d of n in S it
     counts the k <= n/d left by a sieve striking the multiples of every
-    prime of n/d. No phi formula is used."""
+    prime of n/d, _PHI_BLOCK values of k at a time. No phi formula is used."""
     primes = [p for p, _ in factorize(n)]
-    alive = np.empty(n + 1, dtype=bool)
+    alive = np.empty(min(n, _PHI_BLOCK), dtype=bool)
     total = 0
-    for d in divisors(n):
-        if rho(S, d):
+    divs = divisors(n)
+    for d, member in zip(divs, _rho_many(S, divs)):
+        if member:
             m = n // d
-            live = alive[: m + 1]
-            live[1:] = True
-            for p in primes:
-                if m % p == 0:
-                    live[p::p] = False
-            total += int(np.count_nonzero(live[1:]))
+            for k0 in range(1, m + 1, _PHI_BLOCK):  # k0 <= k < k0 + len(live)
+                live = alive[: min(_PHI_BLOCK, m + 1 - k0)]
+                live[:] = True
+                for p in primes:
+                    if m % p == 0:
+                        live[-k0 % p :: p] = False
+                total += int(np.count_nonzero(live))
     return total
 
 
 # ---------------------------------------------------------------------------
 # tables
 
-def _self_check(name: str, values, direct, N: int) -> None:
-    """Spot-check a freshly built table against direct enumeration."""
+def _check_points(lo: int, hi: int) -> list[int]:
+    """The SELF_CHECK_COUNT seeded points of a table or stream on lo..hi."""
     rng = random.Random(SELF_CHECK_SEED)
-    for _ in range(SELF_CHECK_COUNT):
-        n = rng.randint(1, N)
+    return [rng.randint(lo, hi) for _ in range(SELF_CHECK_COUNT)]
+
+
+def _self_check(name: str, values, direct, points, offset: int = 0) -> None:
+    """Spot-check freshly built values, values[n - offset] at each of the
+    points n, against direct enumeration."""
+    for n in points:
         want = direct(n)
-        got = int(values[n])
+        got = int(values[n - offset])
         if got != want:
-            raise ConsistencyError(f"{name} table self-check failed at n={n}: {got} != {want}")
+            raise ConsistencyError(f"{name} self-check failed at n={n}: {got} != {want}")
+
+
+def divisor_function_windows(S: SSet, fn: str, lo: int, hi: int):
+    """tau_S, sigma_S or phi_S (fn "tau", "sigma", "phi") on lo..hi for
+    rule-based S, as the int64 windows of arith.multiplicative_windows on
+    the local values (each window a view that the next overwrites). At a
+    prime q > sqrt(hi) the values are linear in q: tau_S(q) = 2,
+    sigma_S(q) = 1 + q and phi_S(q) = q - 1 + rho_S(q), with the override
+    primes evaluated one by one. The seeded points of _check_points(lo, hi)
+    are compared with the direct count (tau_S_at, sigma_S_at, _phi_direct)
+    before the window holding them is handed out; ConsistencyError on a
+    mismatch. Guards raise from this call, before any window."""
+    local, c1, c0, direct = {
+        "tau": (_tau_S_pp, 0, 2, tau_S_at),
+        "sigma": (sigma_S_prime_power, 1, 1, sigma_S_at),
+        "phi": (_phi_S_pp, 1, int(S.mult.default_rule.contains(1)) - 1, _phi_direct),
+    }[fn]
+    windows = multiplicative_windows(lo, hi, partial(local, S), (c1, c0, S.mult.overrides))
+    return _checked(f"{fn}_S window", windows, lo, partial(direct, S), _check_points(lo, hi))
+
+
+def _checked(name: str, windows, lo: int, direct, points: list[int]):
+    """The windows of a stream from lo, each passed on once the points in it
+    match direct."""
+    a = lo
+    for out in windows:
+        b = a + len(out)
+        _self_check(name, out, direct, [n for n in points if a <= n < b], a)
+        yield out
+        a = b
 
 
 def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
@@ -204,7 +261,7 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
         part = base[1 : N // q + 1]
         out[q::q] += part if k == 1 else k * part
     if direct is not None:
-        _self_check(name, out, direct, N)
+        _self_check(f"{name} table", out, direct, _check_points(1, N))
     return out
 
 
@@ -233,7 +290,7 @@ def phi_S_table(S: SSet, N: int) -> np.ndarray:
     multiplicative_table refuses N above FACTOR_TABLE_LIMIT = 1e8 first.
     """
     out = dirichlet_sweep(rho_table(S, N), multiplicative_table(N, _phi_pp), N)
-    _self_check("phi_S", out, lambda n: _phi_direct(S, n), N)
+    _self_check("phi_S table", out, lambda n: _phi_direct(S, n), _check_points(1, N))
     return out
 
 

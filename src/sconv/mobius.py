@@ -34,11 +34,12 @@ from .arith import (
     divisors,
     eval_multiplicative,
     multiplicative_table,
+    multiplicative_windows,
     prime_array,
 )
 from .convolve import POINTWISE_SPAN, ArithFunc, _require_associative, s_inverse
 from .errors import ConsistencyError, LimitError
-from .sets import ExponentRule, SSet, Verdict, parse_sset, rho, rho_table
+from .sets import ExponentRule, SSet, Verdict, _rho_many, parse_sset, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
 SERIES_CHECK_CAP = 1 << 16  # terms of the series that cross-checks the product
@@ -73,10 +74,11 @@ def mu_at(n: int) -> int:
 
 def mu_set_at(S: SSet, n: int) -> int:
     """mu_S(n) pointwise; prime-power product for rule-based S, else the
-    divisor sum rho_S * mu."""
+    divisor sum rho_S * mu, with every divisor's membership looked up at once."""
     if S.mult is not None:
         return eval_multiplicative(S.mult.mu_prime_power, n)
-    return sum(rho(S, d) * mu_at(n // d) for d in divisors(n))
+    divs = divisors(n)
+    return sum(mu_at(n // d) for d, h in zip(divs, _rho_many(S, divs)) if h)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +105,22 @@ def inverse_of_I(S: SSet, lo: int, hi: int) -> list | np.ndarray:
     if S.mult is None:
         return s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]
     _require_associative(S)
-    ppv = lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
     if hi - lo < POINTWISE_SPAN:
-        return [eval_multiplicative(ppv, n) for n in range(lo, hi + 1)]
-    return multiplicative_table(hi, ppv)[lo : hi + 1]
+        return [eval_multiplicative(_inverse_ppv(S), n) for n in range(lo, hi + 1)]
+    return multiplicative_table(hi, _inverse_ppv(S))[lo : hi + 1]
+
+
+def inverse_of_I_windows(S: SSet, lo: int, hi: int):
+    """g(lo..hi) as inverse_of_I gives it, for rule-based S, as the int64
+    windows of arith.multiplicative_windows (each a view that the next
+    overwrites): g(q) = -1 at every prime q. Refuses what inverse_of_I
+    refuses, from this call."""
+    _require_associative(S)
+    return multiplicative_windows(lo, hi, _inverse_ppv(S), (0, -1, S.mult.overrides))
+
+
+def _inverse_ppv(S: SSet):
+    return lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
 
 
 def _mu_k_sequence(k: int):

@@ -364,6 +364,21 @@ def rho(S: SSet, m: int) -> int:
     return eval_multiplicative(S.mult.rho_prime_power, m)
 
 
+def _rho_many(S: SSet, ms: list[int]) -> list:
+    """rho(S, m) for each m of ms (true values for members). A table-backed
+    S answers all in one searchsorted of its member array, and raises rho's
+    LimitError for the first m past its bound."""
+    if S.general is None:
+        return [rho(S, m) for m in ms]
+    if max(ms) > S.general.bound:
+        rho(S, next(m for m in ms if m > S.general.bound))  # raises its LimitError
+    members, g = S.general.members, np.array(ms, dtype=np.int64)
+    at = members.searchsorted(g)
+    hit = at < len(members)
+    hit[hit] = members[at[hit]] == g[hit]
+    return hit.tolist()
+
+
 def rho_table(S: SSet, limit: int) -> np.ndarray:
     """int64 0/1 table of the indicator on 0..limit (index 0 unused, = 0)."""
     if S.general is not None:

@@ -174,7 +174,7 @@ def test_eval_artifacts_at_block_boundaries_are_byte_exact(capsys, tmp_path, hi)
 
 @pytest.mark.parametrize("lo, hi", [(700, 2000), (1001, 1513), (1001, 1001 + 2 * B)])
 def test_eval_artifacts_from_above_one_are_byte_exact(capsys, tmp_path, lo, hi):
-    # two table routes, one across two block edges, and a pointwise route, each
+    # two streamed routes, one across two block edges, and a pointwise route, each
     # ending in a partial block, with blocks counted from lo rather than from 1
     assert_eval_range_artifacts(capsys, tmp_path, hi, lo)
 
@@ -191,10 +191,10 @@ def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, sset, k, lo, hi", [
     (["--sset", "L2", "--fn", "mu", "--range", "1..1000"], "L2", None, 1, 1000),  # pointwise
-    (["--sset", "L2", "--fn", "mu", "--range", "1..1001"], "L2", None, 1, 1001),  # a table to hi
+    (["--sset", "L2", "--fn", "mu", "--range", "1..1001"], "L2", None, 1, 1001),  # streamed windows
     (["--sset", "P{2,3}", "--fn", "mu", "--n", "65536"], "P{2,3}", None, 65536, 65536),
     (["--fn", "mu_k", "--k", "3", "--range", "1..1200"], "N", 3, 1, 1200),
-    # a table across two block boundaries: negative values in derived blocks
+    # a stream across two block boundaries: negative values in derived blocks
     (["--sset", "L2", "--fn", "mu", "--range", f"1..{2 * B + 1}"], "L2", None, 1, 2 * B + 1),
 ])
 def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, hi):
@@ -215,31 +215,40 @@ def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, h
         "eval", sset, {"fn": argv[argv.index("--fn") + 1], "lo": lo, "hi": hi, "k": k}, rows)
 
 
+def eval_chunks(S, fn, k, lo, hi) -> list:
+    """cli._eval_values's chunks, each streamed window copied before the
+    next overwrites it."""
+    return [c.copy() if isinstance(c, np.ndarray) else c
+            for c in cli._eval_values(S, fn, k, lo, hi)]
+
+
 @pytest.mark.parametrize("spec", ["L2", "P{2,3}"])
 @pytest.mark.parametrize("fn, k", [("tau", None), ("sigma", None), ("phi", None),
                                    ("mu", None), ("mu_k", 3)])
 @pytest.mark.parametrize("lo, hi", [(1, 1001), (4001, 6000), (1, 1000), (4001, 5000), (7, 7)])
 def test_eval_values_stay_int64_on_table_routes(spec, fn, k, lo, hi):
-    """A span of POINTWISE_SPAN rows or more is a slice of the int64 table,
-    a shorter one a list of Python ints; both give the pointwise values."""
+    """A span of POINTWISE_SPAN rows or more streams int64 windows, a
+    shorter one is one list of Python ints; both give the pointwise values."""
     S = parse_sset(spec)
-    got = cli._eval_values(S, fn, k, lo, hi)
+    chunks = eval_chunks(S, fn, k, lo, hi)
     if hi - lo >= POINTWISE_SPAN:
-        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert all(isinstance(c, np.ndarray) and c.dtype == np.int64 for c in chunks)
     else:
-        assert type(got) is list and {*map(type, got)} == {int}
+        assert len(chunks) == 1 and type(chunks[0]) is list
+        assert {*map(type, chunks[0])} == {int}
+    got = [v for c in chunks for v in list(c)]
     assert len(got) == hi - lo + 1
     for n in (lo, (lo + hi) // 2, hi):
-        assert got[n - lo] == cli._eval_values(S, fn, k, n, n)[0]
+        assert got[n - lo] == eval_chunks(S, fn, k, n, n)[0][0]
 
 
 def test_eval_values_of_a_table_backed_set_mu_is_a_list(tmp_path):
-    # s_inverse's list, even on a span that a rule-based set takes as a table
+    # s_inverse's list, even on a span that a rule-based set streams
     members = rho_table(parse_sset("L2"), 3000).nonzero()[0]
     path = tmp_path / "l2.txt"
     path.write_text("bound 3000\n" + "\n".join(map(str, members)) + "\n")
-    got = cli._eval_values(parse_sset(f"FILE:{path}"), "mu", None, 1, 2000)
-    want = cli._eval_values(parse_sset("L2"), "mu", None, 1, 2000)
+    [got] = eval_chunks(parse_sset(f"FILE:{path}"), "mu", None, 1, 2000)
+    want = np.concatenate(eval_chunks(parse_sset("L2"), "mu", None, 1, 2000))
     assert type(got) is list and got == want.tolist()
 
 
@@ -282,7 +291,7 @@ def test_emit_text_blocks_peak_memory_is_bounded(tmp_path, fmt):
     values = np.arange(1, 10**5 + 1, dtype=np.int64) * 7919
     tracemalloc.start()
     try:
-        blocks = cli._eval_blocks(1, values, echo=False)
+        blocks = cli._eval_blocks(1, [values], echo=False)
         cli._emit(args, "eval", "N", {}, blocks, ["n", "value"], text=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -162,6 +162,16 @@ def test_mu_set_matches_brute_all_builtins():
         assert mu_set_at(MIXED_RULES, n) == tab[n], n
 
 
+def test_mu_set_at_on_table_backed_sets():
+    # one membership lookup for every divisor; past the bound, rho's LimitError
+    for S, N in ((parse_sset("F{1,2,6}"), 100), (make_general_sset(
+            rho_table(parse_sset("L2"), 3000).nonzero()[0].tolist(), 3000), 3000)):
+        tab = mu_set_table(S, N)
+        assert [mu_set_at(S, n) for n in range(1, N + 1)] == tab[1:].tolist()
+        with pytest.raises(LimitError, match=f"membership of {N + 1} unknown"):
+            mu_set_at(S, 2 * (N + 1))
+
+
 def test_mu_set_kernel_matches_sweep_cross_check():
     # rule-based S: the sieve on mu_S(p^a) against the sweep rho_S * mu
     N = 5000

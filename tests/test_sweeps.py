@@ -152,17 +152,20 @@ def test_from_table_of_int64_array_gives_python_ints():
 
 
 def test_sweep_of_an_array_backed_function_builds_no_list():
-    # from_table keeps an int64 table as it is; the Python-int list appears
-    # at the first pointwise call, and the sweeps never make one
+    # from_table keeps an int64 table as it is; a pointwise call reads one
+    # entry as a Python int, table() lists its prefix, and nothing lists the
+    # whole table
     S, N = SETS["L2"], 1000
     f = random_arith_func(random.Random(DEFAULT_SEED), N)
     g = random_multiplicative_func(random.Random(DEFAULT_SEED), N)
     s_convolve_table(S, f, g, N)
     s_convolve_table(S, f, ArithFunc.named("I"), N)
     assert isinstance(f._values, np.ndarray) and isinstance(g._values, np.ndarray)
-    assert type(f(N)) is int and type(f._values) is list
+    assert type(f(N)) is int and f(N) == int(f.array(N)[N])
     assert f.table(N) == [0] + f.array(N)[1:].tolist()
-    assert g.table(N) == [0] + g.array(N)[1:].tolist() and type(g._values) is list
+    assert g.table(N // 2) == [0] + g.array(N // 2)[1:].tolist()
+    assert {*map(type, g.table(N))} == {int}
+    assert isinstance(f._values, np.ndarray) and isinstance(g._values, np.ndarray)
 
 
 def array_func(vals, name="a"):

@@ -1,0 +1,223 @@
+"""Tests of the windowed multiplicative sieve and the streams built on it.
+
+arith.multiplicative_windows is compared with multiplicative_table, and the
+streams of tau_S, sigma_S, phi_S and the S-inverse of I (the route of
+`eval --range` on a rule-based set) with the square-divisor tables, the
+sweep rho_S * phi and inverse_of_I's table, on every builtin set, a set
+with every rule kind, random rule-based sets and a set with an override
+prime above sqrt(hi). Narrow windows put lo, hi and the window edges at
+every residue.
+"""
+
+import math
+import random
+import tracemalloc
+
+import pytest
+
+from sconv import arith, cli, divisor_functions
+from sconv.arith import (
+    _sigma_pp,
+    eval_multiplicative,
+    multiplicative_table,
+    multiplicative_windows,
+)
+from sconv.divisor_functions import (
+    SELF_CHECK_COUNT,
+    SELF_CHECK_SEED,
+    _check_points,
+    _phi_direct,
+    divisor_function_windows,
+    phi_S_table,
+    sigma_S_table,
+    tau_S_table,
+)
+from sconv.errors import ConsistencyError, LimitError
+from sconv.mobius import inverse_of_I, inverse_of_I_windows
+from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho
+
+BUILTINS = ["N", "1", "Q2", "Q3", "Q4", "L2", "L3", "P{2,3}"]
+# one set using every rule kind: default below 3, then at_least, finite, none, all
+MIXED_RULES = make_mult_sset(ExponentRule.below(3), {
+    2: ExponentRule.at_least(2), 3: ExponentRule.finite({1, 3}),
+    5: ExponentRule.none_(), 7: ExponentRule.all_()})
+# associative, with overrides at primes above sqrt(hi) for every hi below,
+# where phi_S at exponent 1 is not the default rule's
+HIGH_OVERRIDES = make_mult_sset(ExponentRule.all_(), {
+    101: ExponentRule.none_(), 4999: ExponentRule.at_least(2), 3: ExponentRule.at_least(3)})
+SETS = {**{spec: parse_sset(spec) for spec in BUILTINS},
+        "mixed": MIXED_RULES, "high": HIGH_OVERRIDES}
+TABLES = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}
+
+
+def streamed(windows) -> list[int]:
+    """The values of a stream, each window read before the next fills."""
+    return [v for w in windows for v in w.tolist()]
+
+
+def oracle(S, fn, lo, hi) -> list[int]:
+    """The table route on lo..hi: inverse_of_I's table to hi for mu."""
+    if fn == "mu":
+        return inverse_of_I(S, 1, max(hi, 1001))[lo - 1 : hi].tolist()
+    return TABLES[fn](S, hi)[lo : hi + 1].tolist()
+
+
+def stream(S, fn, lo, hi):
+    if fn == "mu":
+        return inverse_of_I_windows(S, lo, hi)
+    return divisor_function_windows(S, fn, lo, hi)
+
+
+@pytest.fixture(params=[7, 64])
+def narrow(request, monkeypatch):
+    monkeypatch.setattr(arith, "_window_width", lambda hi: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("key", sorted(SETS))
+@pytest.mark.parametrize("fn", ["tau", "sigma", "phi", "mu"])
+def test_streams_match_the_tables(key, fn):
+    S = SETS[key]
+    if fn == "mu" and not is_associative(S):
+        with pytest.raises(ValueError, match="only under associative convolutions"):
+            stream(S, fn, 1, 2000)
+        return
+    for lo, hi in [(1, 5000), (1, 10007), (4097, 10007), (9999, 10000)]:
+        assert streamed(stream(S, fn, lo, hi)) == oracle(S, fn, lo, hi), (key, fn, lo, hi)
+
+
+# span lengths at every residue mod 7 and at each side of 64 and 128
+SPANS = sorted({*range(15), 63, 64, 65, 127, 128, 129})
+
+
+@pytest.mark.parametrize("key", ["L2", "mixed", "high"])
+@pytest.mark.parametrize("fn", ["tau", "sigma", "phi", "mu"])
+def test_streams_in_narrow_windows(narrow, key, fn):
+    # lo at every residue mod 7, then on each side of 64
+    S = SETS[key]
+    if fn == "mu" and not is_associative(S):
+        return
+    want = [0] + oracle(S, fn, 1, 200)
+    for lo in (*range(1, 9), 63, 64, 65):
+        for hi in (lo + j for j in SPANS):
+            windows = [w.copy() for w in stream(S, fn, lo, hi)]
+            assert [len(w) for w in windows[:-1]] == [narrow] * (len(windows) - 1)
+            assert 1 <= len(windows[-1]) <= narrow
+            assert streamed(windows) == want[lo : hi + 1], (lo, hi)
+
+
+def random_rule(rng):
+    kind = rng.choice(["all", "none", "below", "at_least", "finite"])
+    if kind == "below":
+        return ExponentRule.below(rng.randint(2, 5))
+    if kind == "at_least":
+        return ExponentRule.at_least(rng.randint(2, 5))
+    if kind == "finite":
+        return ExponentRule.finite(rng.sample(range(1, 7), rng.randint(1, 3)))
+    return ExponentRule(kind)
+
+
+def test_streams_of_random_rule_sets():
+    rng = random.Random(8191)
+    hi = 3000
+    for _ in range(25):
+        ov = {p: random_rule(rng) for p in rng.sample([2, 3, 5, 7, 11, 59, 61, 1499], 3)}
+        S = make_mult_sset(random_rule(rng), ov)
+        lo = rng.randint(1, 1500)
+        for fn in ("tau", "sigma", "phi"):
+            assert streamed(stream(S, fn, lo, hi)) == oracle(S, fn, lo, hi), (S.spec, fn)
+        if is_associative(S):
+            assert streamed(stream(S, "mu", lo, hi)) == list(inverse_of_I(S, lo, hi)), S.spec
+
+
+def test_windows_match_the_table_kernel(narrow):
+    ppv = lambda p, a: (-1) ** a * (p + a) if a != 2 else 0  # -q - 1 at a prime q
+    want = multiplicative_table(500, ppv).tolist()
+    for lo in range(1, 30):
+        got = streamed(multiplicative_windows(lo, 500 - lo, ppv, (-1, -1, ())))
+        assert got == want[lo : 501 - lo]
+    # the linear form at the large primes, with an exception patched by ppv
+    sig = lambda p, a: 7 if (p, a) == (31, 1) else _sigma_pp(p, a)
+    want = [0] + [eval_multiplicative(sig, n) for n in range(1, 501)]
+    assert streamed(multiplicative_windows(3, 500, sig, (1, 1, {31, 997}))) == want[3:]
+
+
+def test_windows_take_each_value_once_before_the_first_window():
+    calls = []
+
+    def ppv(p, a):
+        calls.append((p, a))
+        return p + a
+
+    windows = multiplicative_windows(10, 400, ppv, (1, 1, {23, 29}))
+    small = [(p, a) for p in (2, 3, 5, 7, 11, 13, 17, 19) for a in range(1, 9) if p ** a <= 400]
+    assert calls == small + [(23, 1), (29, 1)]
+    assert len(streamed(windows)) == 391 and len(calls) == len(small) + 2
+
+
+def test_linear_values_are_guarded_before_any_window():
+    # the array arithmetic c1 q + c0 would wrap int64 past 2^63
+    with pytest.raises(LimitError):
+        multiplicative_windows(1, 10**4, _sigma_pp, (2**60, 0, ()))
+    # fits int64, but products of such values would not
+    with pytest.raises(LimitError):
+        multiplicative_windows(1, 10**4, _sigma_pp, (10**9, 0, ()))
+    # an exception's own value is guarded too
+    with pytest.raises(LimitError):
+        multiplicative_windows(1, 10**4, lambda p, a: 2**70 if p == 101 else 1, (0, 1, {101}))
+
+
+def test_stream_memory_is_the_window_not_the_range():
+    # the primes to hi and one window: 2.5 MiB at 1e6, where the table is 7.6 MiB
+    S = parse_sset("Q2")
+    for _ in divisor_function_windows(S, "sigma", 1, 10**4):
+        pass
+    tracemalloc.start()
+    try:
+        n = 0
+        for w in divisor_function_windows(S, "sigma", 1, 10**6):
+            n += len(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 10**6 and peak < 8 * 10**6 / 2, peak
+
+
+@pytest.fixture
+def bad_tau(monkeypatch):
+    # tau_S(p^a) one too large at 2^1, so every n = 2 (mod 4) is off
+    tau = divisor_functions._tau_S_pp
+    monkeypatch.setattr(divisor_functions, "_tau_S_pp",
+                        lambda S, p, a: tau(S, p, a) + ((p, a) == (2, 1)))
+
+
+def test_stream_self_check_catches_a_perturbed_local_value(bad_tau):
+    with pytest.raises(ConsistencyError, match="tau_S window self-check failed at n="):
+        streamed(divisor_function_windows(parse_sset("L2"), "tau", 1, 5000))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_self_check_failure_leaves_no_artifact(bad_tau, capsys, tmp_path, fmt):
+    path = tmp_path / f"x.{fmt}"
+    code = cli.main(["eval", "--sset", "L2", "--fn", "tau", "--range", "1..300000",
+                     "--out", str(path), "--format", fmt])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("consistency failure: tau_S window self-check")
+    assert not path.exists()
+
+
+def test_self_check_points_from_lo():
+    # the tables' seeded points when lo = 1
+    rng = random.Random(SELF_CHECK_SEED)
+    assert _check_points(1, 10**6) == [rng.randint(1, 10**6) for _ in range(SELF_CHECK_COUNT)]
+    assert all(99991 <= n <= 250000 for n in _check_points(99991, 250000))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_phi_direct_across_sieve_blocks(monkeypatch, block):
+    monkeypatch.setattr(divisor_functions, "_PHI_BLOCK", block)
+    for spec in ("Q2", "L2", "N", "F{1,2,6}"):
+        S = parse_sset(spec)
+        for n in [*range(1, 101), *([210, 256, 720, 997] if S.mult else [])]:
+            want = sum(1 for j in range(1, n + 1) if rho(S, math.gcd(j, n)))
+            assert _phi_direct(S, n) == want, (spec, n, block)

@@ -53,17 +53,13 @@ from .convolve import (
     zero_divisor_pair,
 )
 from .divisor_functions import (
-    conv_cm_via_dirichlet,
-    conv_cm_via_unitary,
     phi_S_at,
     phi_S_table,
     sigma_S_at,
     sigma_S_prime_power,
     sigma_S_table,
-    sigma_S_via_identity,
     tau_S_at,
     tau_S_table,
-    tau_S_via_identity,
 )
 from .errors import ConsistencyError, LimitError, ParseError
 from .mobius import (
@@ -108,8 +104,8 @@ __all__ = [
     "PrimeClassification", "SSet", "Verdict", "WitnessSequence",
     "ZeroDivisorPair", "ZetaEvaluation", "associativity_violation_functions",
     "asymptotic_report",
-    "check_assoc_identity", "classify_prime", "conv_cm_via_dirichlet",
-    "conv_cm_via_unitary", "divisors", "eval_multiplicative", "factorize",
+    "check_assoc_identity", "classify_prime", "divisors",
+    "eval_multiplicative", "factorize",
     "gronwall_range_max", "indicator", "inverse_of_I", "is_associative",
     "is_multiplicative", "make_general_sset", "make_mult_sset", "mu_k_at",
     "mu_k_prime_power", "mu_k_statistics", "mu_set_at", "mu_set_table",
@@ -118,10 +114,10 @@ __all__ = [
     "random_arith_func", "random_multiplicative_func", "rho",
     "rho_table", "s_convolve", "s_convolve_at", "s_convolve_table",
     "s_divisors", "s_inverse", "sieve_primes", "sigma_S_at",
-    "sigma_S_prime_power", "sigma_S_table", "sigma_S_via_identity",
+    "sigma_S_prime_power", "sigma_S_table",
     "sigma_main_term", "sigma_maximal_constant",
     "sigma_maximal_constant_uniform", "tau_S_at", "tau_S_table",
-    "tau_S_via_identity", "tau_main_term", "tau_maximal_ratio",
+    "tau_main_term", "tau_maximal_ratio",
     "verify_mobius_identity", "witness_sequence",
     "zero_divisor_pair", "zeta_S", "zeta_S_derivative",
 ]

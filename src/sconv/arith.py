@@ -1,7 +1,8 @@
 """Exact integer primitives: prime sieves, factorization, divisor lists,
 multiplicative evaluation, the prime-power values of tau, sigma, phi, mu,
-tau* and sigma* (package-internal), Chebyshev's theta, and the one
-Dirichlet / S sweep, dirichlet_sweep.
+tau* and sigma* (package-internal), Chebyshev's theta, the one
+Dirichlet / S sweep, dirichlet_sweep, and the seeded self-check that every
+table and stream builder runs (_check_points, _self_check, _checked).
 
 Scalar code works with Python ints (arbitrary precision). Bulk tables are
 numpy int64 with explicit range guards, see multiplicative_table and
@@ -11,12 +12,15 @@ dirichlet_sweep.
 from __future__ import annotations
 
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import LimitError
+from .errors import ConsistencyError, LimitError
 
+SELF_CHECK_SEED = 8191
+SELF_CHECK_COUNT = 32
 FACTOR_TABLE_LIMIT = 10**8  # one 32-bit word per index; beyond this, refuse
 _INT64_MAX = np.iinfo(np.int64).max
 _GATHER_BLOCK = 1 << 14  # entries per block of the multiplicative sieve's slice multiplies and gathers
@@ -224,6 +228,33 @@ def _windows(fill, lo: int, hi: int, width: int):
         out = buf[: min(width, hi + 1 - a)]
         fill(out, a)
         yield out
+
+
+def _check_points(lo: int, hi: int) -> list[int]:
+    """The SELF_CHECK_COUNT seeded points of a table or stream on lo..hi."""
+    rng = random.Random(SELF_CHECK_SEED)
+    return [rng.randint(lo, hi) for _ in range(SELF_CHECK_COUNT)]
+
+
+def _self_check(name: str, values, direct, points, offset: int = 0) -> None:
+    """Spot-check freshly built values, values[n - offset] at each of the
+    points n, against direct(n); ConsistencyError on a mismatch."""
+    for n in points:
+        want = direct(n)
+        got = int(values[n - offset])
+        if got != want:
+            raise ConsistencyError(f"{name} self-check failed at n={n}: {got} != {want}")
+
+
+def _checked(name: str, windows, lo: int, hi: int, direct):
+    """The windows of a stream on lo..hi, each passed on once the points of
+    _check_points(lo, hi) in it match direct."""
+    points, a = _check_points(lo, hi), lo
+    for out in windows:
+        b = a + len(out)
+        _self_check(name, out, direct, [n for n in points if a <= n < b], a)
+        yield out
+        a = b
 
 
 def _window_sieve(hi: int, ppv, linear=None):

@@ -37,25 +37,19 @@ exact local factors, never the (astronomically large) integer itself.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import (
+    _check_points,
     _sigma_pp,
     guard_int64,
     is_prime,
     multiplicative_table,
     sieve_primes,
 )
-from .divisor_functions import (
-    SELF_CHECK_COUNT,
-    SELF_CHECK_SEED,
-    sigma_S_at,
-    sigma_S_prime_power,
-    tau_S_at,
-)
+from .divisor_functions import sigma_S_at, sigma_S_prime_power, tau_S_at
 from .errors import ConsistencyError, LimitError
 from .mobius import Ball, _zeta_full, mu_set_table, zeta_S, zeta_S_derivative
 from .sets import SSet
@@ -204,9 +198,9 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
     fn is "tau_S" or "sigma_S". The partial sums are exact: one
     mu_set_table(S, isqrt(x_max)), then the hyperbola sums of
     _partial_sums, whose int64 guard never trips below REPORT_X_CAP. The
-    same route gives S(n) - S(n-1) at SELF_CHECK_COUNT n drawn with
-    SELF_CHECK_SEED, which must equal tau_S_at / sigma_S_at (direct
-    enumeration); a mismatch raises ConsistencyError. The empirical
+    same route gives S(n) - S(n-1) at the n of _check_points(1, x_max),
+    which must equal tau_S_at / sigma_S_at (direct enumeration); a
+    mismatch raises ConsistencyError. The empirical
     remainder exponent comes from a least-squares fit of ln|R| vs ln x and
     is informational only.
     """
@@ -223,8 +217,7 @@ def asymptotic_report(S: SSet, fn: str, x_max: int, samples: int = 24) -> Asympt
 
     x0 = max(64, int(round(x_max ** (1.0 / 3.0))))
     xs = sorted({int(x) for x in np.rint(np.geomspace(x0, x_max, samples)) if x >= 2})
-    rng = random.Random(SELF_CHECK_SEED)
-    checked = [rng.randint(1, x_max) for _ in range(SELF_CHECK_COUNT)]
+    checked = _check_points(1, x_max)
 
     weighted = fn == "sigma_S"
     sums = _partial_sums(mu_set_table(S, math.isqrt(x_max)), weighted,

@@ -68,7 +68,6 @@ from .divisor_functions import (
 from .errors import ConsistencyError, LimitError, ParseError
 from .mobius import (
     inverse_of_I,
-    inverse_of_I_windows,
     mu_k_statistics,
     mu_set_table,
     verify_mobius_identity,
@@ -256,22 +255,20 @@ def _eval_blocks(lo: int, chunks, echo: bool):
 
 
 def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> Iterable:
-    """Values on lo..hi as consecutive chunks. A rule-based S streams the
-    int64 windows of its local values (divisor_function_windows,
-    inverse_of_I_windows) when hi - lo >= POINTWISE_SPAN; otherwise one
-    chunk: a list of ints on the pointwise routes and for the mu of a
-    table-backed S, else a slice of the int64 table to hi."""
+    """Values on lo..hi as consecutive chunks. mu comes from inverse_of_I.
+    For tau, sigma and phi, a rule-based S streams the int64 windows of its
+    local values (divisor_function_windows) when hi - lo >= POINTWISE_SPAN;
+    otherwise one chunk: a list of ints on the pointwise routes, else a
+    slice of the int64 table to hi."""
     if fn == "mu_k":  # mu_k is the S-inverse of I over L_k
         S, fn = parse_sset(f"L{k}"), "mu"
-    if S.mult is not None and hi - lo >= POINTWISE_SPAN:
-        if fn == "mu":
-            return inverse_of_I_windows(S, lo, hi)
-        return divisor_function_windows(S, fn, lo, hi)
     if fn == "mu":
-        return [inverse_of_I(S, lo, hi)]
+        return inverse_of_I(S, lo, hi)
     if hi - lo < POINTWISE_SPAN:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
         return [[at(S, n) for n in range(lo, hi + 1)]]
+    if S.mult is not None:
+        return divisor_function_windows(S, fn, lo, hi)
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
     return [tab(S, hi)[lo : hi + 1]]
 

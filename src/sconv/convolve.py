@@ -46,20 +46,16 @@ POINTWISE_SPAN = 1000  # lo..hi with hi - lo below this: pointwise beats a table
 class ArithFunc:
     """An arithmetical function: a plain evaluator n -> value.
 
-    Values are exact Python ints (or Fractions for inverses). The one flag,
-    completely_multiplicative, lets the Dirichlet and unitary expansions of
-    divisor_functions refuse inputs they do not hold for. A function may also
-    carry array(N), its int64 table on 0..N, which the bulk sweeps read in
-    place of N pointwise calls.
+    Values are exact Python ints (or Fractions for inverses). A function
+    may also carry array(N), its int64 table on 0..N, which the bulk sweeps
+    read in place of N pointwise calls.
     """
 
-    def __init__(self, fn, name: str = "f", completely_multiplicative: bool = False,
-                 array=None):
+    def __init__(self, fn, name: str = "f", array=None):
         self._fn = fn
         self._values = None  # a from_table function's ndarray or list
         self._array = array  # N -> int64 table on 0..N, or None
         self.name = name
-        self.completely_multiplicative = completely_multiplicative
 
     def __call__(self, n: int):
         if n < 1:
@@ -130,12 +126,11 @@ class ArithFunc:
 
 
 _NAMED = {
-    "I": lambda: ArithFunc(lambda n: 1, name="I", completely_multiplicative=True,
+    "I": lambda: ArithFunc(lambda n: 1, name="I",
                            array=lambda N: (np.arange(N + 1) > 0).astype(np.int64)),
-    "E": lambda: ArithFunc(lambda n: n, name="E", completely_multiplicative=True,
+    "E": lambda: ArithFunc(lambda n: n, name="E",
                            array=lambda N: np.arange(N + 1, dtype=np.int64)),
     "delta": lambda: ArithFunc(lambda n: 1 if n == 1 else 0, name="delta",
-                               completely_multiplicative=True,
                                array=lambda N: (np.arange(N + 1) == 1).astype(np.int64)),
     "mu": lambda: ArithFunc.from_prime_powers(_mu_pp, name="mu"),
     "tau": lambda: ArithFunc.from_prime_powers(_tau_pp, name="tau"),

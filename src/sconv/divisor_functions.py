@@ -4,7 +4,7 @@
     sigma_S(n) = sum of those divisors
     phi_S(n)   = #{ 1 <= j <= n : gcd(j, n) in S }
 
-Each has a direct definition and identity routes through the square-divisor
+Each has a direct definition, and the tables go through the square-divisor
 expansion: with mu_S the set Moebius companion and tau*, sigma* the unitary
 (S = {1}) variants,
 
@@ -18,25 +18,28 @@ off the exponent rule: tau_S(p^a) counts the i <= a with p^min(i, a-i) in
 S, sigma_S(p^a) sums those p^i, and phi_S(p^a) sums phi(p^(a-i)) over the
 i <= a with p^i in S (divisor_function_windows streams them).
 
-And for completely multiplicative f, g:
+For completely multiplicative f, g the same expansion gives
 
     (f *_S g)(n) = sum_{d^2 | n} mu_S(d) f(d) g(d) (f * g)(n/d^2)
                  = sum_{d^2 | n} rho_S(d) f(d) g(d) (f x g)(n/d^2)
 
-with * the Dirichlet and x the unitary product. Table builders use the
-square-divisor sieves and self-check against direct enumeration.
+with * the Dirichlet and x the unitary product; the tests check both forms,
+pointwise and as table sweeps. Table builders self-check against direct
+enumeration.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from functools import partial
 
 import numpy as np
 
 from .arith import (
+    _check_points,
+    _checked,
     _phi_pp,
+    _self_check,
     _sigma_pp,
     _sigma_star_pp,
     _tau_pp,
@@ -49,13 +52,11 @@ from .arith import (
     multiplicative_table,
     multiplicative_windows,
 )
-from .convolve import ArithFunc, s_convolve_at, s_divisors
+from .convolve import s_divisors
 from .errors import ConsistencyError
 from .sets import SSet, _rho_many, rho, rho_table
 from .mobius import mu_set_at, mu_set_table
 
-SELF_CHECK_SEED = 8191
-SELF_CHECK_COUNT = 32
 PHI_DIRECT_CAP = 10**6  # beyond this, only the convolution forms
 _PHI_BLOCK = 1 << 16  # sieve cells per block of _phi_direct: bounds its memory, not n
 
@@ -96,64 +97,6 @@ def _phi_S_pp(S: SSet, p: int, a: int) -> int:
     in S, phi(1) = 1."""
     return sum(_phi_pp(p, a - i) if i < a else 1
                for i in range(a + 1) if S.mult.rho_prime_power(p, i))
-
-
-def _square_divisors(n: int) -> list[int]:
-    """All d with d^2 | n."""
-    return [d for d in divisors(n) if (n // d) % d == 0]
-
-
-def tau_S_via_identity(S: SSet, n: int) -> int:
-    """tau_S(n) through both square-divisor expansions; they must agree."""
-    sq = _square_divisors(n)
-    a = sum(mu_set_at(S, d) * eval_multiplicative(_tau_pp, n // (d * d)) for d in sq)
-    b = sum(rho(S, d) * eval_multiplicative(_tau_star_pp, n // (d * d)) for d in sq)
-    if a != b:
-        raise ConsistencyError(f"tau_S identity forms disagree at n={n} over {S.spec!r}: {a} vs {b}")
-    return a
-
-
-def sigma_S_via_identity(S: SSet, n: int) -> int:
-    """sigma_S(n) through both square-divisor expansions; they must agree."""
-    sq = _square_divisors(n)
-    a = sum(mu_set_at(S, d) * d * eval_multiplicative(_sigma_pp, n // (d * d)) for d in sq)
-    b = sum(rho(S, d) * d * eval_multiplicative(_sigma_star_pp, n // (d * d)) for d in sq)
-    if a != b:
-        raise ConsistencyError(f"sigma_S identity forms disagree at n={n} over {S.spec!r}: {a} vs {b}")
-    return a
-
-
-def conv_cm_via_dirichlet(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
-    """(f *_S g)(n) via the Dirichlet-product expansion; f, g must be
-    completely multiplicative. Cross-checked against the direct sum."""
-    _require_cm(f, g)
-    fg = lambda m: sum(f(d) * g(m // d) for d in divisors(m))
-    val = sum(mu_set_at(S, d) * f(d) * g(d) * fg(n // (d * d)) for d in _square_divisors(n))
-    direct = s_convolve_at(S, f, g, n)
-    if val != direct:
-        raise ConsistencyError(f"Dirichlet route disagrees with direct at n={n}: {val} vs {direct}")
-    return val
-
-
-def conv_cm_via_unitary(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
-    """(f *_S g)(n) via the unitary-product expansion; f, g must be
-    completely multiplicative. Cross-checked against the direct sum."""
-    _require_cm(f, g)
-
-    def fxg(m):  # unitary product: divisor pairs with coprime halves
-        return sum(f(d) * g(m // d) for d in divisors(m) if math.gcd(d, m // d) == 1)
-
-    val = sum(rho(S, d) * f(d) * g(d) * fxg(n // (d * d)) for d in _square_divisors(n))
-    direct = s_convolve_at(S, f, g, n)
-    if val != direct:
-        raise ConsistencyError(f"unitary route disagrees with direct at n={n}: {val} vs {direct}")
-    return val
-
-
-def _require_cm(f: ArithFunc, g: ArithFunc):
-    for h in (f, g):
-        if not h.completely_multiplicative:
-            raise ValueError(f"{h.name} is not completely multiplicative")
 
 
 def phi_S_at(S: SSet, n: int) -> int:
@@ -199,22 +142,6 @@ def _phi_direct(S: SSet, n: int) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def _check_points(lo: int, hi: int) -> list[int]:
-    """The SELF_CHECK_COUNT seeded points of a table or stream on lo..hi."""
-    rng = random.Random(SELF_CHECK_SEED)
-    return [rng.randint(lo, hi) for _ in range(SELF_CHECK_COUNT)]
-
-
-def _self_check(name: str, values, direct, points, offset: int = 0) -> None:
-    """Spot-check freshly built values, values[n - offset] at each of the
-    points n, against direct enumeration."""
-    for n in points:
-        want = direct(n)
-        got = int(values[n - offset])
-        if got != want:
-            raise ConsistencyError(f"{name} self-check failed at n={n}: {got} != {want}")
-
-
 def divisor_function_windows(S: SSet, fn: str, lo: int, hi: int):
     """tau_S, sigma_S or phi_S (fn "tau", "sigma", "phi") on lo..hi for
     rule-based S, as the int64 windows of arith.multiplicative_windows on
@@ -231,18 +158,7 @@ def divisor_function_windows(S: SSet, fn: str, lo: int, hi: int):
         "phi": (_phi_S_pp, 1, int(S.mult.default_rule.contains(1)) - 1, _phi_direct),
     }[fn]
     windows = multiplicative_windows(lo, hi, partial(local, S), (c1, c0, S.mult.overrides))
-    return _checked(f"{fn}_S window", windows, lo, partial(direct, S), _check_points(lo, hi))
-
-
-def _checked(name: str, windows, lo: int, direct, points: list[int]):
-    """The windows of a stream from lo, each passed on once the points in it
-    match direct."""
-    a = lo
-    for out in windows:
-        b = a + len(out)
-        _self_check(name, out, direct, [n for n in points if a <= n < b], a)
-        yield out
-        a = b
+    return _checked(f"{fn}_S window", windows, lo, hi, partial(direct, S))
 
 
 def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,

@@ -9,6 +9,9 @@ Three functions go by the name mu here:
   * g, the inverse of I = 1 under the S-convolution (inverse_of_I, the
     CLI's `eval --fn mu`): for rule-based S, g(p^a) = -sum of g(p^i) over
     the i < a with p^min(i, a-i) in S. Over N, g is mu and mu_S is delta.
+    inverse_of_I(S, lo, hi) is its one entry point, for every span and
+    set: chunks of pointwise values, of the windowed sieve on that
+    recurrence, or of the push sieve s_inverse for a table-backed S.
 
   * mu_k (k-full Moebius), g for S = L_k; mu_k(p^a) depends on a only:
         mu_k(p^a) = -1              for 1 <= a < 2k
@@ -22,13 +25,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import count, islice
 
 import numpy as np
 
 from .arith import (
+    _checked,
     _mu_pp,
     dirichlet_sweep,
     divisors,
@@ -37,7 +42,7 @@ from .arith import (
     multiplicative_windows,
     prime_array,
 )
-from .convolve import POINTWISE_SPAN, ArithFunc, _require_associative, s_inverse
+from .convolve import POINTWISE_SPAN, ArithFunc, _require_associative, s_divisors, s_inverse
 from .errors import ConsistencyError, LimitError
 from .sets import ExponentRule, SSet, Verdict, _rho_many, parse_sset, rho_table
 
@@ -95,32 +100,32 @@ def _inverse_of_I_pp(rule: ExponentRule, a: int) -> int:
     return g[a]
 
 
-def inverse_of_I(S: SSet, lo: int, hi: int) -> list | np.ndarray:
-    """g(lo..hi), g the inverse of I = 1 under the S-convolution; not
-    mu_S = rho_S * mu (over L2, g(4) = -1 and mu_S(4) = 1). Rule-based S:
-    g is multiplicative, a list of pointwise values when hi - lo <
-    POINTWISE_SPAN, else a slice of one int64 multiplicative_table to hi.
-    Table-backed S: a list from s_inverse, also the tests' cross-check of
-    this route. Refuses what s_inverse refuses (ValueError)."""
+def inverse_of_I(S: SSet, lo: int, hi: int) -> Iterable:
+    """g(lo..hi), g the inverse of I = 1 under the S-convolution, as
+    consecutive chunks; not mu_S = rho_S * mu (over L2, g(4) = -1 and
+    mu_S(4) = 1). Rule-based S: g is multiplicative, one list of pointwise
+    values when hi - lo < POINTWISE_SPAN, else the int64 windows of
+    arith.multiplicative_windows (each a view that the next overwrites),
+    with g(q) = -1 at every prime q > sqrt(hi) and the points of
+    _check_points(lo, hi) checked against the defining recurrence before
+    their window is handed out (ConsistencyError). Table-backed S: one list
+    from s_inverse. Refuses what s_inverse refuses (ValueError) from this
+    call, before any chunk is asked for."""
     if S.mult is None:
-        return s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]
+        return [s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]]
     _require_associative(S)
+    ppv = lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
     if hi - lo < POINTWISE_SPAN:
-        return [eval_multiplicative(_inverse_ppv(S), n) for n in range(lo, hi + 1)]
-    return multiplicative_table(hi, _inverse_ppv(S))[lo : hi + 1]
+        return [[eval_multiplicative(ppv, n) for n in range(lo, hi + 1)]]
+    windows = multiplicative_windows(lo, hi, ppv, (0, -1, S.mult.overrides))
+    return _checked("inverse_of_I window", windows, lo, hi,
+                    partial(_inverse_by_recurrence, S, ppv))
 
 
-def inverse_of_I_windows(S: SSet, lo: int, hi: int):
-    """g(lo..hi) as inverse_of_I gives it, for rule-based S, as the int64
-    windows of arith.multiplicative_windows (each a view that the next
-    overwrites): g(q) = -1 at every prime q. Refuses what inverse_of_I
-    refuses, from this call."""
-    _require_associative(S)
-    return multiplicative_windows(lo, hi, _inverse_ppv(S), (0, -1, S.mult.overrides))
-
-
-def _inverse_ppv(S: SSet):
-    return lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
+def _inverse_by_recurrence(S: SSet, ppv, n: int) -> int:
+    """g(n) from g * I = delta: 1 at n = 1, else minus the sum of g(d) over
+    the S-divisors d < n of n, each g(d) = eval_multiplicative(ppv, d)."""
+    return int(n == 1) - sum(eval_multiplicative(ppv, d) for d in s_divisors(S, n) if d < n)
 
 
 def _mu_k_sequence(k: int):

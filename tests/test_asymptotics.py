@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sconv import asymptotics
+from sconv.arith import SELF_CHECK_SEED
 from sconv.asymptotics import (
     EULER_GAMMA,
     LOGLOG_FLOOR,
@@ -35,7 +36,7 @@ from sconv.asymptotics import (
     witness_sequence,
 )
 from sconv.cli import main
-from sconv.divisor_functions import SELF_CHECK_SEED, sigma_S_table, tau_S_table
+from sconv.divisor_functions import sigma_S_table, tau_S_table
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import mu_set_table
 from sconv.sets import ExponentRule, make_general_sset, make_mult_sset, parse_sset

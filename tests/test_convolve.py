@@ -117,13 +117,6 @@ def test_named_registry():
         ArithFunc.named("nope")
 
 
-def test_completely_multiplicative_flags():
-    for name in ["I", "E", "delta"]:
-        assert ArithFunc.named(name).completely_multiplicative, name
-    for name in ["tau", "sigma", "mu", "phi"]:
-        assert not ArithFunc.named(name).completely_multiplicative, name
-
-
 def test_from_table_limits():
     f = ArithFunc.from_table([0, 5, 7, 9], "small")
     assert f(1) == 5 and f(3) == 9

@@ -2,7 +2,10 @@
 
 All small-range values are checked against a longhand oracle: enumerate
 divisors by trial division and admit d when gcd(d, n/d) passes a membership
-predicate written independently of the package's rule machinery.
+predicate written independently of the package's rule machinery. The
+pointwise square-divisor expansions of tau_S, sigma_S and of the
+S-convolution of completely multiplicative functions are written out here
+as the tests' own oracles.
 """
 
 import math
@@ -11,28 +14,32 @@ import random
 import numpy as np
 import pytest
 
-from sconv.arith import divisors, eval_multiplicative
-from sconv.convolve import ArithFunc
+from sconv.arith import (
+    SELF_CHECK_SEED,
+    _sigma_pp,
+    _sigma_star_pp,
+    _tau_pp,
+    _tau_star_pp,
+    divisors,
+    eval_multiplicative,
+)
+from sconv.convolve import ArithFunc, s_convolve_at
 from sconv.divisor_functions import (
     PHI_DIRECT_CAP,
-    SELF_CHECK_SEED,
     _phi_direct,
     _square_divisor_table,
-    conv_cm_via_dirichlet,
-    conv_cm_via_unitary,
     phi_S_at,
     phi_S_table,
     sigma_S_at,
     sigma_S_prime_power,
     sigma_S_table,
     sigma_S_table_via_rho,
-    sigma_S_via_identity,
     tau_S_at,
     tau_S_table,
     tau_S_table_via_rho,
-    tau_S_via_identity,
 )
 from sconv.errors import LimitError
+from sconv.mobius import mu_set_at
 from sconv.sets import ExponentRule, make_mult_sset, parse_sset, rho
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
@@ -173,6 +180,50 @@ def test_local_factor_bound():
 # identity routes
 
 
+def square_divisors(n: int) -> list[int]:
+    """All d with d^2 | n."""
+    return [d for d in divisors(n) if (n // d) % d == 0]
+
+
+def tau_S_via_identity(S, n: int) -> int:
+    """tau_S(n) through both square-divisor expansions; they must agree."""
+    sq = square_divisors(n)
+    a = sum(mu_set_at(S, d) * eval_multiplicative(_tau_pp, n // (d * d)) for d in sq)
+    b = sum(rho(S, d) * eval_multiplicative(_tau_star_pp, n // (d * d)) for d in sq)
+    assert a == b, (S.spec, n)
+    return a
+
+
+def sigma_S_via_identity(S, n: int) -> int:
+    """sigma_S(n) through both square-divisor expansions; they must agree."""
+    sq = square_divisors(n)
+    a = sum(mu_set_at(S, d) * d * eval_multiplicative(_sigma_pp, n // (d * d)) for d in sq)
+    b = sum(rho(S, d) * d * eval_multiplicative(_sigma_star_pp, n // (d * d)) for d in sq)
+    assert a == b, (S.spec, n)
+    return a
+
+
+def conv_cm_via_dirichlet(S, f, g, n: int):
+    """(f *_S g)(n), f and g completely multiplicative, via the
+    Dirichlet-product expansion; it must equal the direct sum."""
+    fg = lambda m: sum(f(d) * g(m // d) for d in divisors(m))
+    val = sum(mu_set_at(S, d) * f(d) * g(d) * fg(n // (d * d)) for d in square_divisors(n))
+    assert val == s_convolve_at(S, f, g, n), (S.spec, n)
+    return val
+
+
+def conv_cm_via_unitary(S, f, g, n: int):
+    """(f *_S g)(n), f and g completely multiplicative, via the
+    unitary-product expansion; it must equal the direct sum."""
+
+    def fxg(m):  # unitary product: divisor pairs with coprime halves
+        return sum(f(d) * g(m // d) for d in divisors(m) if math.gcd(d, m // d) == 1)
+
+    val = sum(rho(S, d) * f(d) * g(d) * fxg(n // (d * d)) for d in square_divisors(n))
+    assert val == s_convolve_at(S, f, g, n), (S.spec, n)
+    return val
+
+
 def test_identity_routes_agree():
     for spec in BUILTINS:
         S = parse_sset(spec)
@@ -182,6 +233,7 @@ def test_identity_routes_agree():
 
 
 def test_cm_convolution_routes():
+    # I and E are completely multiplicative
     I = ArithFunc.named("I")
     E = ArithFunc.named("E")
     for spec in BUILTINS:
@@ -191,16 +243,6 @@ def test_cm_convolution_routes():
                 a = conv_cm_via_dirichlet(S, f, g, n)
                 b = conv_cm_via_unitary(S, f, g, n)
                 assert a == b, (spec, f.name, g.name, n)
-
-
-def test_cm_routes_reject_non_cm():
-    S = parse_sset("N")
-    tau = ArithFunc.named("tau")
-    I = ArithFunc.named("I")
-    with pytest.raises(ValueError):
-        conv_cm_via_dirichlet(S, tau, I, 12)
-    with pytest.raises(ValueError):
-        conv_cm_via_unitary(S, I, tau, 12)
 
 
 def test_phi_matches_gcd_count():

@@ -303,10 +303,11 @@ def test_inverse_recurrence_matches_brute_force(key):
 def test_inverse_of_I_matches_push_sieve(spec):
     S, N = SETS[spec], 10**4
     want = s_inverse(S, ArithFunc.named("I"), N)
-    table = inverse_of_I(S, 1, N)  # a slice of one int64 table to N
-    assert table.dtype == np.int64 and table.tolist() == want[1:]
-    assert inverse_of_I(S, N - 999, N) == want[N - 999 :]  # pointwise
-    assert inverse_of_I(S, 7, 7) == [want[7]]
+    windows = [w.copy() for w in inverse_of_I(S, 1, N)]  # the windowed sieve
+    assert all(w.dtype == np.int64 for w in windows)
+    assert [v for w in windows for v in w.tolist()] == want[1:]
+    assert inverse_of_I(S, N - 999, N) == [want[N - 999 :]]  # pointwise
+    assert inverse_of_I(S, 7, 7) == [[want[7]]]
 
 
 @st.composite
@@ -332,4 +333,4 @@ def test_inverse_recurrence_random_rule_sets(default, overrides):
     got = recurrence_extension(S, N)
     assert got == brute_inverse(S, ArithFunc.named("I"), N)
     if is_associative(S):
-        assert inverse_of_I(S, 1, N) == got[1:]
+        assert inverse_of_I(S, 1, N) == [got[1:]]

@@ -3,7 +3,7 @@
 arith.multiplicative_windows is compared with multiplicative_table, and the
 streams of tau_S, sigma_S, phi_S and the S-inverse of I (the route of
 `eval --range` on a rule-based set) with the square-divisor tables, the
-sweep rho_S * phi and inverse_of_I's table, on every builtin set, a set
+sweep rho_S * phi and the push sieve s_inverse, on every builtin set, a set
 with every rule kind, random rule-based sets and a set with an override
 prime above sqrt(hi). Narrow windows put lo, hi and the window edges at
 every residue.
@@ -15,17 +15,18 @@ import tracemalloc
 
 import pytest
 
-from sconv import arith, cli, divisor_functions
+from sconv import arith, cli, divisor_functions, mobius
 from sconv.arith import (
+    SELF_CHECK_COUNT,
+    SELF_CHECK_SEED,
+    _check_points,
     _sigma_pp,
     eval_multiplicative,
     multiplicative_table,
     multiplicative_windows,
 )
+from sconv.convolve import ArithFunc, s_inverse
 from sconv.divisor_functions import (
-    SELF_CHECK_COUNT,
-    SELF_CHECK_SEED,
-    _check_points,
     _phi_direct,
     divisor_function_windows,
     phi_S_table,
@@ -33,7 +34,6 @@ from sconv.divisor_functions import (
     tau_S_table,
 )
 from sconv.errors import ConsistencyError, LimitError
-from sconv.mobius import inverse_of_I, inverse_of_I_windows
 from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho
 
 BUILTINS = ["N", "1", "Q2", "Q3", "Q4", "L2", "L3", "P{2,3}"]
@@ -56,15 +56,17 @@ def streamed(windows) -> list[int]:
 
 
 def oracle(S, fn, lo, hi) -> list[int]:
-    """The table route on lo..hi: inverse_of_I's table to hi for mu."""
+    """The table route on lo..hi: the push sieve s_inverse to hi for mu."""
     if fn == "mu":
-        return inverse_of_I(S, 1, max(hi, 1001))[lo - 1 : hi].tolist()
+        return s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]
     return TABLES[fn](S, hi)[lo : hi + 1].tolist()
 
 
 def stream(S, fn, lo, hi):
-    if fn == "mu":
-        return inverse_of_I_windows(S, lo, hi)
+    if fn == "mu":  # the windows at every span, not only from POINTWISE_SPAN on
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mobius, "POINTWISE_SPAN", 0)
+            return mobius.inverse_of_I(S, lo, hi)
     return divisor_function_windows(S, fn, lo, hi)
 
 
@@ -127,7 +129,7 @@ def test_streams_of_random_rule_sets():
         for fn in ("tau", "sigma", "phi"):
             assert streamed(stream(S, fn, lo, hi)) == oracle(S, fn, lo, hi), (S.spec, fn)
         if is_associative(S):
-            assert streamed(stream(S, "mu", lo, hi)) == list(inverse_of_I(S, lo, hi)), S.spec
+            assert streamed(stream(S, "mu", lo, hi)) == oracle(S, "mu", lo, hi), S.spec
 
 
 def test_windows_match_the_table_kernel(narrow):
@@ -196,6 +198,26 @@ def test_stream_self_check_catches_a_perturbed_local_value(bad_tau):
         streamed(divisor_function_windows(parse_sset("L2"), "tau", 1, 5000))
 
 
+@pytest.fixture
+def bad_mu_window(monkeypatch):
+    # every mu window one too large at each n = 2 (mod 4)
+    windows = mobius.multiplicative_windows
+
+    def perturbed(lo, hi, ppv, linear):
+        a = lo
+        for w in windows(lo, hi, ppv, linear):
+            w[(2 - a) % 4 :: 4] += 1
+            yield w
+            a += len(w)
+
+    monkeypatch.setattr(mobius, "multiplicative_windows", perturbed)
+
+
+def test_mu_stream_self_check_catches_a_perturbed_window(bad_mu_window):
+    with pytest.raises(ConsistencyError, match="inverse_of_I window self-check failed at n="):
+        streamed(mobius.inverse_of_I(parse_sset("L2"), 1, 5000))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_eval_self_check_failure_leaves_no_artifact(bad_tau, capsys, tmp_path, fmt):
     path = tmp_path / f"x.{fmt}"
@@ -203,6 +225,15 @@ def test_eval_self_check_failure_leaves_no_artifact(bad_tau, capsys, tmp_path, f
                      "--out", str(path), "--format", fmt])
     assert code == 1
     assert capsys.readouterr().err.startswith("consistency failure: tau_S window self-check")
+    assert not path.exists()
+
+
+def test_eval_mu_self_check_failure_leaves_no_artifact(bad_mu_window, capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code = cli.main(["eval", "--sset", "L2", "--fn", "mu", "--range", "1..300000",
+                     "--out", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("consistency failure: inverse_of_I window self-check")
     assert not path.exists()
 
 

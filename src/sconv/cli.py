@@ -80,6 +80,7 @@ from .sets import (
     is_associative,
     is_multiplicative,
     parse_sset,
+    rho_table,
 )
 
 SCHEMA_VERSION = 1
@@ -109,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", parents=[common], help="evaluate a function")
-    pe.add_argument("--sset", default="N", help="set spec (N, 1, Qk, Lk, P{..}, F{..}, FILE:path)")
+    pe.add_argument("--sset", help="set spec (N, 1, Qk, Lk, P{..}, F{..}, FILE:path; default N)")
     pe.add_argument("--fn", required=True, choices=("tau", "sigma", "phi", "mu", "mu_k"))
     pe.add_argument("--n", type=int, help="single argument")
     pe.add_argument("--range", dest="rng", help="inclusive range A..B")
@@ -204,12 +205,16 @@ def _emit(args, command: str, sset: str, params: dict, rows: Iterable,
 # eval
 
 def _cmd_eval(args) -> int:
-    if args.fn == "mu_k":
+    fn, sset = args.fn, args.sset or "N"
+    if fn == "mu_k":  # mu_k is the S-inverse of I over L_k, and the artifact names L_k
         if args.k is None:
             raise ParseError("--fn mu_k needs --k")
         if args.k < 1:
             raise ParseError("--k must be >= 1")
-    S = parse_sset(args.sset)
+        if args.sset is not None:
+            raise ParseError("--fn mu_k takes no --sset: its set is L{k}")
+        fn, sset = "mu", f"L{args.k}"
+    S = parse_sset(sset)
     if (args.n is None) == (args.rng is None):
         raise ParseError("give exactly one of --n or --range")
     if args.n is not None:
@@ -219,7 +224,7 @@ def _cmd_eval(args) -> int:
     else:
         lo, hi = _parse_range(args.rng)
 
-    chunks = _eval_values(S, args.fn, args.k, lo, hi)
+    chunks = _eval_values(S, fn, lo, hi)
     if lo == hi:
         print(chunks[0][0])
     blocks = _eval_blocks(lo, chunks, echo=lo < hi)
@@ -254,14 +259,12 @@ def _eval_blocks(lo: int, chunks, echo: bool):
         lo += len(values)
 
 
-def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> Iterable:
+def _eval_values(S: SSet, fn: str, lo: int, hi: int) -> Iterable:
     """Values on lo..hi as consecutive chunks. mu comes from inverse_of_I.
-    For tau, sigma and phi, a rule-based S streams the int64 windows of its
-    local values (divisor_function_windows) when hi - lo >= POINTWISE_SPAN;
-    otherwise one chunk: a list of ints on the pointwise routes, else a
-    slice of the int64 table to hi."""
-    if fn == "mu_k":  # mu_k is the S-inverse of I over L_k
-        S, fn = parse_sset(f"L{k}"), "mu"
+    tau, sigma and phi: one list of pointwise ints when hi - lo <
+    POINTWISE_SPAN, else the int64 windows of divisor_function_windows on a
+    rule-based S, and for tau and sigma on a table-backed S with 1 in S and
+    rho_S multiplicative on 1..isqrt(hi); otherwise a slice of the table."""
     if fn == "mu":
         return inverse_of_I(S, lo, hi)
     if hi - lo < POINTWISE_SPAN:
@@ -269,6 +272,10 @@ def _eval_values(S: SSet, fn: str, k: int | None, lo: int, hi: int) -> Iterable:
         return [[at(S, n) for n in range(lo, hi + 1)]]
     if S.mult is not None:
         return divisor_function_windows(S, fn, lo, hi)
+    if fn != "phi":  # tau_S and sigma_S read rho_S at the gcds, up to isqrt(hi)
+        gcds = rho_table(S, math.isqrt(hi))  # the tables' LimitError past the bound
+        if gcds[1] and coprime_product_failure(gcds, len(gcds) - 1) is None:
+            return divisor_function_windows(S, fn, lo, hi)
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
     return [tab(S, hi)[lo : hi + 1]]
 

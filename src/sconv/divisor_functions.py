@@ -13,10 +13,12 @@ expansion: with mu_S the set Moebius companion and tau*, sigma* the unitary
                = sum_{d^2 | n} rho_S(d) d sigma*(n/d^2)
     phi_S      = mu_S * E = rho_S * phi   (ordinary Dirichlet products)
 
-For rule-based S all three are multiplicative, with prime-power values read
-off the exponent rule: tau_S(p^a) counts the i <= a with p^min(i, a-i) in
-S, sigma_S(p^a) sums those p^i, and phi_S(p^a) sums phi(p^(a-i)) over the
-i <= a with p^i in S (divisor_function_windows streams them).
+For rule-based S all three are multiplicative, and so are tau_S and sigma_S
+on 1..hi for any S with 1 in S and rho_S multiplicative on 1..isqrt(hi).
+Their prime-power values read membership alone (SSet.rho_prime_power):
+tau_S(p^a) counts the i <= a with p^min(i, a-i) in S, sigma_S(p^a) sums
+those p^i, and phi_S(p^a) sums phi(p^(a-i)) over the i <= a with p^i in S
+(divisor_function_windows streams them).
 
 For completely multiplicative f, g the same expansion gives
 
@@ -75,28 +77,20 @@ def sigma_S_at(S: SSet, n: int) -> int:
 
 
 def sigma_S_prime_power(S: SSet, p: int, e: int) -> int:
-    """sigma_S(p^e) from the exponent rule (gcd of p^b, p^(e-b) is p^min)."""
-    if S.mult is None:
-        return sigma_S_at(S, p ** e)
-    total = 0
-    pb = 1
-    for b in range(e + 1):
-        if S.mult.rho_prime_power(p, min(b, e - b)):
-            total += pb
-        pb *= p
-    return total
+    """sigma_S(p^e): the p^b, b <= e, with p^min(b, e - b) in S (the gcd
+    of p^b and p^(e-b)), membership read by S.rho_prime_power."""
+    return sum(p ** b for b in range(e + 1) if S.rho_prime_power(p, min(b, e - b)))
 
 
 def _tau_S_pp(S: SSet, p: int, a: int) -> int:
-    """tau_S(p^a) for rule-based S: the i <= a with p^min(i, a-i) in S."""
-    return sum(S.mult.rho_prime_power(p, min(i, a - i)) for i in range(a + 1))
+    """tau_S(p^a): the i <= a with p^min(i, a-i) in S."""
+    return sum(S.rho_prime_power(p, min(i, a - i)) for i in range(a + 1))
 
 
 def _phi_S_pp(S: SSet, p: int, a: int) -> int:
-    """phi_S(p^a) for rule-based S: phi(p^(a-i)) over the i <= a with p^i
-    in S, phi(1) = 1."""
+    """phi_S(p^a): phi(p^(a-i)) over the i <= a with p^i in S, phi(1) = 1."""
     return sum(_phi_pp(p, a - i) if i < a else 1
-               for i in range(a + 1) if S.mult.rho_prime_power(p, i))
+               for i in range(a + 1) if S.rho_prime_power(p, i))
 
 
 def phi_S_at(S: SSet, n: int) -> int:
@@ -143,21 +137,22 @@ def _phi_direct(S: SSet, n: int) -> int:
 # tables
 
 def divisor_function_windows(S: SSet, fn: str, lo: int, hi: int):
-    """tau_S, sigma_S or phi_S (fn "tau", "sigma", "phi") on lo..hi for
-    rule-based S, as the int64 windows of arith.multiplicative_windows on
-    the local values (each window a view that the next overwrites). At a
-    prime q > sqrt(hi) the values are linear in q: tau_S(q) = 2,
-    sigma_S(q) = 1 + q and phi_S(q) = q - 1 + rho_S(q), with the override
-    primes evaluated one by one. The seeded points of _check_points(lo, hi)
-    are compared with the direct count (tau_S_at, sigma_S_at, _phi_direct)
-    before the window holding them is handed out; ConsistencyError on a
-    mismatch. Guards raise from this call, before any window."""
-    local, c1, c0, direct = {
-        "tau": (_tau_S_pp, 0, 2, tau_S_at),
-        "sigma": (sigma_S_prime_power, 1, 1, sigma_S_at),
-        "phi": (_phi_S_pp, 1, int(S.mult.default_rule.contains(1)) - 1, _phi_direct),
-    }[fn]
-    windows = multiplicative_windows(lo, hi, partial(local, S), (c1, c0, S.mult.overrides))
+    """tau_S, sigma_S or phi_S (fn "tau", "sigma", "phi") on lo..hi, as the
+    int64 windows of arith.multiplicative_windows on the local values (each
+    a view that the next overwrites): tau_S and sigma_S for any S that holds
+    1 with rho_S multiplicative on 1..isqrt(hi), phi_S for rule-based S. At
+    a prime q > sqrt(hi), tau_S(q) = 2, sigma_S(q) = 1 + q and phi_S(q) =
+    q - 1 + rho_S(q), the override primes one by one. The seeded points of
+    _check_points(lo, hi) are compared with tau_S_at, sigma_S_at or
+    _phi_direct before their window is handed out (ConsistencyError).
+    Guards raise from this call, before any window."""
+    if fn == "phi":
+        local, direct = _phi_S_pp, _phi_direct
+        linear = (1, int(S.mult.default_rule.contains(1)) - 1, S.mult.overrides)
+    else:
+        local, linear, direct = {"tau": (_tau_S_pp, (0, 2, ()), tau_S_at),
+                                 "sigma": (sigma_S_prime_power, (1, 1, ()), sigma_S_at)}[fn]
+    windows = multiplicative_windows(lo, hi, partial(local, S), linear)
     return _checked(f"{fn}_S window", windows, lo, hi, partial(direct, S))
 
 

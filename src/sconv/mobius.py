@@ -7,11 +7,12 @@ Three functions go by the name mu here:
     mu_S(p^a) = rho_S(p^a) - rho_S(p^(a-1)), so its values lie in {-1, 0, 1}.
 
   * g, the inverse of I = 1 under the S-convolution (inverse_of_I, the
-    CLI's `eval --fn mu`): for rule-based S, g(p^a) = -sum of g(p^i) over
-    the i < a with p^min(i, a-i) in S. Over N, g is mu and mu_S is delta.
+    CLI's `eval --fn mu`): when 1 is in S and rho_S is multiplicative,
+    however S is stored, g(p^a) = -sum of g(p^i) over the i < a with
+    p^min(i, a-i) in S. Over N, g is mu and mu_S is delta.
     inverse_of_I(S, lo, hi) is its one entry point, for every span and
-    set: chunks of pointwise values, of the windowed sieve on that
-    recurrence, or of the push sieve s_inverse for a table-backed S.
+    set: chunks of pointwise values or of the windowed sieve on that
+    recurrence. The push sieve convolve.s_inverse is the tests' oracle.
 
   * mu_k (k-full Moebius), g for S = L_k; mu_k(p^a) depends on a only:
         mu_k(p^a) = -1              for 1 <= a < 2k
@@ -42,9 +43,9 @@ from .arith import (
     multiplicative_windows,
     prime_array,
 )
-from .convolve import POINTWISE_SPAN, ArithFunc, _require_associative, s_divisors, s_inverse
+from .convolve import POINTWISE_SPAN, _require_associative, s_divisors
 from .errors import ConsistencyError, LimitError
-from .sets import ExponentRule, SSet, Verdict, _rho_many, parse_sset, rho_table
+from .sets import ExponentRule, SSet, Verdict, _rho_many, make_mult_sset, parse_sset, rho_table
 
 DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
 SERIES_CHECK_CAP = 1 << 16  # terms of the series that cross-checks the product
@@ -89,43 +90,46 @@ def mu_set_at(S: SSet, n: int) -> int:
 # ---------------------------------------------------------------------------
 # the S-inverse of I, and mu_k as its L_k case
 
-def _inverse_of_I_pp(rule: ExponentRule, a: int) -> int:
-    """g(p^a), g the S-inverse of I, at a prime where S admits the exponents of
-    rule: minus the sum of g(p^i) over the S-divisors p^i < p^a. O(a^2) steps."""
+def _inverse_of_I_pp(S: SSet, p: int, a: int) -> int:
+    """g(p^a), g the S-inverse of I: minus the sum of g(p^i) over the
+    S-divisors p^i < p^a, membership read by S.rho_prime_power. O(a^2) steps."""
     if a < 0:
         raise ValueError("exponent must be >= 0")
     g = [1]
     for b in range(1, a + 1):
-        g.append(-sum(g[i] for i in range(b) if i == 0 or rule.contains(min(i, b - i))))
+        g.append(-sum(g[i] for i in range(b) if S.rho_prime_power(p, min(i, b - i))))
     return g[a]
 
 
 def inverse_of_I(S: SSet, lo: int, hi: int) -> Iterable:
     """g(lo..hi), g the inverse of I = 1 under the S-convolution, as
     consecutive chunks; not mu_S = rho_S * mu (over L2, g(4) = -1 and
-    mu_S(4) = 1). Rule-based S: g is multiplicative, one list of pointwise
-    values when hi - lo < POINTWISE_SPAN, else the int64 windows of
-    arith.multiplicative_windows (each a view that the next overwrites),
-    with g(q) = -1 at every prime q > sqrt(hi) and the points of
-    _check_points(lo, hi) checked against the defining recurrence before
-    their window is handed out (ConsistencyError). Table-backed S: one list
-    from s_inverse. Refuses what s_inverse refuses (ValueError) from this
-    call, before any chunk is asked for."""
-    if S.mult is None:
-        return [s_inverse(S, ArithFunc.named("I"), hi)[lo : hi + 1]]
+    mu_S(4) = 1). Each S that _require_associative passes holds 1 and is
+    multiplicative (to its bound if table-backed), so g is: one list of
+    pointwise values when hi - lo < POINTWISE_SPAN, else the int64 windows
+    of arith.multiplicative_windows (each a view that the next overwrites),
+    g(q) = -1 at every prime q > sqrt(hi), the points of _check_points(lo,
+    hi) checked by _inverse_by_recurrence before their window is handed out
+    (ConsistencyError). Refuses from this call, before any chunk: ValueError
+    from _require_associative, LimitError when isqrt(hi) passes the bound."""
     _require_associative(S)
-    ppv = lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a)
+    if S.general is not None:
+        rho_table(S, math.isqrt(hi))  # LimitError past the bound: the gcds read reach isqrt(hi)
+    ppv = partial(_inverse_of_I_pp, S)
     if hi - lo < POINTWISE_SPAN:
         return [[eval_multiplicative(ppv, n) for n in range(lo, hi + 1)]]
-    windows = multiplicative_windows(lo, hi, ppv, (0, -1, S.mult.overrides))
-    return _checked("inverse_of_I window", windows, lo, hi,
-                    partial(_inverse_by_recurrence, S, ppv))
+    windows = multiplicative_windows(lo, hi, ppv, (0, -1, ()))
+    return _checked("inverse_of_I window", windows, lo, hi, partial(_inverse_by_recurrence, S))
 
 
-def _inverse_by_recurrence(S: SSet, ppv, n: int) -> int:
-    """g(n) from g * I = delta: 1 at n = 1, else minus the sum of g(d) over
-    the S-divisors d < n of n, each g(d) = eval_multiplicative(ppv, d)."""
-    return int(n == 1) - sum(eval_multiplicative(ppv, d) for d in s_divisors(S, n) if d < n)
+def _inverse_by_recurrence(S: SSet, n: int) -> int:
+    """g(n) from g * I = delta alone, reading membership and no local value:
+    g(m) = [m = 1] - sum of g(d) over the S-divisors d < m of m, memoised
+    over the divisors m of n in ascending order."""
+    g = {}
+    for m in divisors(n):
+        g[m] = int(m == 1) - sum(g[d] for d in s_divisors(S, m) if d < m)
+    return g[n]
 
 
 def _mu_k_sequence(k: int):
@@ -141,7 +145,7 @@ def _mu_k_sequence(k: int):
 
 def mu_k_prime_power(k: int, a: int) -> int:
     """mu_k(p^a) for any prime p; for k >= 3 it grows exponentially in a."""
-    return _inverse_of_I_pp(ExponentRule.at_least(k), a)
+    return _inverse_of_I_pp(make_mult_sset(ExponentRule.at_least(k)), 2, a)
 
 
 def mu_k_at(k: int, n: int) -> int:

@@ -169,15 +169,21 @@ class GeneralSSet:
         i = self.members.searchsorted(min(m, (1 << 63) - 1))
         return bool(i < len(self.members) and self.members[i] == m)
 
-    def table(self, limit: int) -> np.ndarray:
-        """int64 0/1 indicator on 0..limit, limit <= bound."""
-        t = np.zeros(limit + 1, dtype=np.int64)
+    def table(self, limit: int, dtype=np.int64) -> np.ndarray:
+        """0/1 indicator on 0..limit, limit <= bound."""
+        t = np.zeros(limit + 1, dtype=dtype)
         t[self.members[: self.members.searchsorted(limit, "right")]] = 1
         return t
 
+    def rho_prime_power(self, p: int, a: int) -> int:
+        """Membership of p^a; LimitError past the bound."""
+        if p ** a > self.bound:
+            raise LimitError(f"membership of {p}^{a} unknown past bound {self.bound}")
+        return int(p ** a in self)
+
     @cached_property
     def multiplicative(self) -> Verdict:
-        w = coprime_product_failure(self.table(self.bound), self.bound) if 1 in self else (1, 1)
+        w = coprime_product_failure(self.table(self.bound, bool), self.bound) if 1 in self else (1, 1)
         return Verdict(w is None, bound=self.bound, witness=w)
 
     @cached_property
@@ -205,6 +211,10 @@ class SSet:
     spec: str
     mult: MultiplicativeSSet | None = None
     general: GeneralSSet | None = None
+
+    def rho_prime_power(self, p: int, a: int) -> int:
+        """Membership of p^a, from the exponent rule or the table."""
+        return (self.mult or self.general).rho_prime_power(p, a)
 
 
 @dataclass(frozen=True)
@@ -406,13 +416,15 @@ def coprime_product_failure(t, limit: int) -> tuple[int, int] | None:
     (m, n), with t[mn] != t[m] t[n]; None when t is multiplicative there.
 
     One numpy pass per m (per _SCAN_BLOCK values of n) over exact values:
-    an ndarray t is compared in int64 while no product t[m] t[n] can
-    overflow, and as Python ints (object dtype) otherwise, as is a list.
+    a bool t stays bool, where t[m] t[n] is t[m] & t[n]; any other ndarray
+    is compared in int64 while no product t[m] t[n] can overflow, and as
+    Python ints (object dtype) otherwise, as is a list.
     """
     if not isinstance(t, np.ndarray):
         t = np.array(t, dtype=object)
-    exact = t.dtype == object or _abs_max(t, limit) ** 2 >= 1 << 63
-    t = t[: limit + 1].astype(object if exact else np.int64, copy=False)
+    if t.dtype != bool:
+        exact = t.dtype == object or _abs_max(t, limit) ** 2 >= 1 << 63
+        t = t[: limit + 1].astype(object if exact else np.int64, copy=False)
     for m in range(2, math.isqrt(limit) + 1):
         for lo in range(m + 1, limit // m + 1, _SCAN_BLOCK):
             n = np.arange(lo, min(lo + _SCAN_BLOCK, limit // m + 1))

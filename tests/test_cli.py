@@ -19,10 +19,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from sconv import asymptotics, cli, mobius, sets
+from sconv import arith, asymptotics, cli, mobius, sets
 from sconv.cli import SCHEMA_VERSION, main
 from sconv.convolve import POINTWISE_SPAN, ArithFunc, s_inverse
-from sconv.divisor_functions import sigma_S_table
+from sconv.divisor_functions import phi_S_table, sigma_S_table, tau_S_table
 from sconv.errors import ParseError
 from sconv.sets import Verdict, is_associative, parse_sset, rho_table
 
@@ -193,15 +193,15 @@ def test_eval_single_value_artifacts_are_byte_exact(capsys, tmp_path):
     (["--sset", "L2", "--fn", "mu", "--range", "1..1000"], "L2", None, 1, 1000),  # pointwise
     (["--sset", "L2", "--fn", "mu", "--range", "1..1001"], "L2", None, 1, 1001),  # streamed windows
     (["--sset", "P{2,3}", "--fn", "mu", "--n", "65536"], "P{2,3}", None, 65536, 65536),
-    (["--fn", "mu_k", "--k", "3", "--range", "1..1200"], "N", 3, 1, 1200),
+    (["--fn", "mu_k", "--k", "3", "--range", "1..1200"], "L3", 3, 1, 1200),
     # a stream across two block boundaries: negative values in derived blocks
     (["--sset", "L2", "--fn", "mu", "--range", f"1..{2 * B + 1}"], "L2", None, 1, 2 * B + 1),
 ])
 def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, hi):
     """eval --fn mu and --fn mu_k: stdout and both artifacts byte-exact, with
-    the values of the push sieve s_inverse of I over S, or over L_k for mu_k;
-    the mu_k artifact names the --sset value, here the default N."""
-    S = parse_sset(sset if k is None else f"L{k}")
+    the values of the push sieve s_inverse of I over S, or over L_k for mu_k,
+    whose artifact names L_k."""
+    S = parse_sset(sset)
     g = s_inverse(S, ArithFunc.named("I"), hi)
     rows = [{"n": n, "value": g[n]} for n in range(lo, hi + 1)]
     code, out, csv_bytes, json_bytes = artifacts(capsys, tmp_path, ["eval"] + argv)
@@ -217,9 +217,11 @@ def test_eval_mu_artifacts_are_byte_exact(capsys, tmp_path, argv, sset, k, lo, h
 
 def eval_chunks(S, fn, k, lo, hi) -> list:
     """cli._eval_values's chunks, each streamed window copied before the
-    next overwrites it."""
+    next overwrites it; mu_k is mu over L_k, as eval resolves it."""
+    if fn == "mu_k":
+        S, fn = parse_sset(f"L{k}"), "mu"
     return [c.copy() if isinstance(c, np.ndarray) else c
-            for c in cli._eval_values(S, fn, k, lo, hi)]
+            for c in cli._eval_values(S, fn, lo, hi)]
 
 
 @pytest.mark.parametrize("spec", ["L2", "P{2,3}"])
@@ -242,14 +244,82 @@ def test_eval_values_stay_int64_on_table_routes(spec, fn, k, lo, hi):
         assert got[n - lo] == eval_chunks(S, fn, k, n, n)[0][0]
 
 
-def test_eval_values_of_a_table_backed_set_mu_is_a_list(tmp_path):
-    # s_inverse's list, even on a span that a rule-based set streams
+def test_eval_values_of_a_table_backed_set_mu_streams(tmp_path):
+    # the int64 windows of the rule-based set, from the same span on
     members = rho_table(parse_sset("L2"), 3000).nonzero()[0]
     path = tmp_path / "l2.txt"
     path.write_text("bound 3000\n" + "\n".join(map(str, members)) + "\n")
-    [got] = eval_chunks(parse_sset(f"FILE:{path}"), "mu", None, 1, 2000)
-    want = np.concatenate(eval_chunks(parse_sset("L2"), "mu", None, 1, 2000))
-    assert type(got) is list and got == want.tolist()
+    got = eval_chunks(parse_sset(f"FILE:{path}"), "mu", None, 1, 2000)
+    want = eval_chunks(parse_sset("L2"), "mu", None, 1, 2000)
+    assert all(isinstance(c, np.ndarray) and c.dtype == np.int64 for c in got)
+    assert np.concatenate(got).tolist() == np.concatenate(want).tolist()
+
+
+@pytest.fixture(scope="module")
+def table_sets(tmp_path_factory):
+    """Table-backed sets: name -> (set, whether tau and sigma stream to 1e4).
+    The FILE: sets go to 20000: L2; 1..20000 but 5005, multiplicative to
+    isqrt(1e4) only; 1..20000 but 6, not multiplicative there."""
+    d = tmp_path_factory.mktemp("sets")
+    out = {"F{1,5}": (parse_sset("F{1,5}"), True), "F{4,8}": (parse_sset("F{4,8}"), False)}
+    l2 = rho_table(parse_sset("L2"), 20000).nonzero()[0].tolist()
+    for name, members, streams in (("l2", l2, True), ("gap", range(1, 20001), True),
+                                   ("no6", range(1, 20001), False)):
+        path = d / f"{name}.txt"
+        dropped = {"gap": 5005, "no6": 6}.get(name)
+        path.write_text("bound 20000\n" + "".join(f"{m}\n" for m in members if m != dropped))
+        out[name] = (parse_sset(f"FILE:{path}"), streams)
+    return out
+
+
+# phi_S reads rho_S to hi, past the bound 100 of the F{..} sets
+@pytest.mark.parametrize("name, fn", [(name, fn) for name in ("F{1,5}", "F{4,8}", "l2", "gap", "no6")
+                                      for fn in ("tau", "sigma", "phi")
+                                      if fn != "phi" or not name.startswith("F")])
+@pytest.mark.parametrize("lo, hi", [(1, 1000), (1, 1001), (4001, 5000), (4001, 10000), (1, 10000)])
+def test_eval_values_routes_of_table_backed_sets(monkeypatch, table_sets, name, fn, lo, hi):
+    """From POINTWISE_SPAN rows on, tau and sigma stream 64-entry windows
+    when 1 is in S and rho_S is multiplicative on 1..isqrt(hi); phi, a set
+    without 1 and a set that is not multiplicative there take one slice of
+    the table to hi, whose values every route gives."""
+    S, streams = table_sets[name]
+    monkeypatch.setattr(arith, "_window_width", lambda hi: 64)
+    chunks = eval_chunks(S, fn, None, lo, hi)
+    if hi - lo < POINTWISE_SPAN:
+        assert len(chunks) == 1 and type(chunks[0]) is list
+    elif streams and fn != "phi":
+        assert [len(c) for c in chunks[:-1]] == [64] * (len(chunks) - 1) and len(chunks) > 1
+        assert all(c.dtype == np.int64 for c in chunks)
+    else:
+        assert len(chunks) == 1 and chunks[0].dtype == np.int64
+    table = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
+    assert [v for c in chunks for v in list(c)] == table(S, hi)[lo : hi + 1].tolist()
+
+
+@pytest.mark.parametrize("fn", ["tau", "sigma", "mu"])
+def test_eval_past_the_square_of_the_bound_leaves_no_artifact(capsys, tmp_path, fn):
+    path = tmp_path / "x.csv"
+    code = main(["eval", "--sset", "F{1,5}", "--fn", fn, "--range", "1..10201", "--out", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == "resource limit: table to 101 exceeds bound 100 of 'F{1,5}'\n"
+    assert not path.exists()
+
+
+def test_eval_mu_k_artifact_names_its_set(capsys, tmp_path):
+    # the rows of L2's mu, under L2's name; an explicit --sset is refused
+    code, out, csv_bytes, json_bytes = artifacts(
+        capsys, tmp_path, ["eval", "--fn", "mu_k", "--k", "2", "--range", "1..8"])
+    want = artifacts(capsys, tmp_path, ["eval", "--sset", "L2", "--fn", "mu", "--range", "1..8"])
+    assert (code, out, csv_bytes) == want[:3]
+    assert json.loads(json_bytes)["sset"] == "L2"
+    assert json_bytes == want[3].replace(b'"fn": "mu", "hi": 8, "k": null',
+                                         b'"fn": "mu_k", "hi": 8, "k": 2')
+    path = tmp_path / "x.json"
+    code = main(["eval", "--sset", "Q2", "--fn", "mu_k", "--k", "2", "--range", "1..8",
+                 "--out", str(path), "--format", "json"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --fn mu_k takes no --sset: its set is L{k}\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [["eval", "--fn", "tau", "--range", "1..5"],

@@ -235,9 +235,9 @@ def test_mu_k_at_is_multiplicative_extension():
 def test_inverse_recurrence_at_kfull_rule_matches_mu_k_sequence():
     # _mu_k_sequence is the named cross-check of the S-inverse recurrence at L_k
     for k in range(1, 7):
-        rule = ExponentRule.at_least(k)
+        S = make_mult_sset(ExponentRule.at_least(k))
         want = list(itertools.islice(_mu_k_sequence(k), 120))
-        assert [_inverse_of_I_pp(rule, a) for a in range(1, 121)] == want, k
+        assert [_inverse_of_I_pp(S, 2, a) for a in range(1, 121)] == want, k
 
 
 def test_mu_k_guards():

@@ -231,6 +231,33 @@ def test_coprime_product_failure_matches_loop():
     assert coprime_product_failure(t, 6) == (2, 3)
 
 
+def test_coprime_product_failure_bool_membership_tables():
+    # 0/1 multiplicative tables with 0-2 flipped entries: bool, int64 and
+    # object arrays and lists all give the loop's first pair
+    rng = random.Random(4093)
+    for trial in range(300):
+        limit = rng.randrange(1, 500)
+        pp = {}
+        vals = [0] + [eval_multiplicative(lambda p, a: pp.setdefault((p, a), rng.randrange(2)), n)
+                      for n in range(1, limit + 1)]
+        for _ in range(rng.randrange(3)):
+            vals[rng.randrange(1, limit + 1)] ^= 1
+        want = loop_coprime_product_failure(vals, limit)
+        for t in (vals, np.array(vals, dtype=object), np.array(vals, dtype=np.int64),
+                  np.array(vals, dtype=bool)):
+            assert coprime_product_failure(t, limit) == want, (trial, getattr(t, "dtype", list))
+
+
+def test_general_set_rho_prime_power():
+    S = parse_sset("F{1,2,4,9}")  # bound 100
+    assert [S.rho_prime_power(2, a) for a in range(7)] == [1, 1, 1, 0, 0, 0, 0]
+    assert [S.rho_prime_power(3, a) for a in range(5)] == [1, 0, 1, 0, 0]
+    assert S.general.table(10, bool).dtype == bool
+    with pytest.raises(LimitError, match="membership of 2\\^7 unknown past bound 100"):
+        S.rho_prime_power(2, 7)
+    assert parse_sset("F{4,8}").rho_prime_power(7, 0) == 0  # 1 is not in S
+
+
 def test_associativity_verdicts():
     assoc = {"N": True, "1": True, "Q2": False, "Q3": False,
              "L2": True, "L3": True, "P{2,3}": True}

@@ -11,6 +11,7 @@ and sets come from hypothesis, derandomized so a run repeats exactly.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -287,8 +288,7 @@ def test_inverse_refuses_non_associative_sets():
 
 def recurrence_extension(S, N):
     """[0, g(1), ..., g(N)] from the prime-power recurrence of the S-inverse of I."""
-    return [0] + [eval_multiplicative(lambda p, a: _inverse_of_I_pp(S.mult.rule_at(p), a), n)
-                  for n in range(1, N + 1)]
+    return [0] + [eval_multiplicative(partial(_inverse_of_I_pp, S), n) for n in range(1, N + 1)]
 
 
 @pytest.mark.parametrize("key", sorted(set(SETS) - {"F{1,2,6}"}))

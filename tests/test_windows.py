@@ -2,11 +2,12 @@
 
 arith.multiplicative_windows is compared with multiplicative_table, and the
 streams of tau_S, sigma_S, phi_S and the S-inverse of I (the route of
-`eval --range` on a rule-based set) with the square-divisor tables, the
-sweep rho_S * phi and the push sieve s_inverse, on every builtin set, a set
-with every rule kind, random rule-based sets and a set with an override
-prime above sqrt(hi). Narrow windows put lo, hi and the window edges at
-every residue.
+`eval --range`) with the square-divisor tables, the sweep rho_S * phi and
+the push sieve s_inverse, on every builtin set, a set with every rule kind,
+random rule-based sets, a set with an override prime above sqrt(hi), and
+for tau_S, sigma_S and the S-inverse of I on the table-backed sets
+F{1,5} and a FILE: copy of L2. Narrow windows put lo, hi and the window
+edges at every residue.
 """
 
 import math
@@ -34,7 +35,7 @@ from sconv.divisor_functions import (
     tau_S_table,
 )
 from sconv.errors import ConsistencyError, LimitError
-from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho
+from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho, rho_table
 
 BUILTINS = ["N", "1", "Q2", "Q3", "Q4", "L2", "L3", "P{2,3}"]
 # one set using every rule kind: default below 3, then at_least, finite, none, all
@@ -106,6 +107,36 @@ def test_streams_in_narrow_windows(narrow, key, fn):
             assert [len(w) for w in windows[:-1]] == [narrow] * (len(windows) - 1)
             assert 1 <= len(windows[-1]) <= narrow
             assert streamed(windows) == want[lo : hi + 1], (lo, hi)
+
+
+# table-backed: multiplicative with 1 in S, and F{1,5} not upward-closed at 5 (bound 100)
+F15 = parse_sset("F{1,5}")
+
+
+@pytest.fixture(scope="module")
+def file_l2(tmp_path_factory):
+    """L2 as a FILE: set to 20000."""
+    path = tmp_path_factory.mktemp("sets") / "l2.txt"
+    members = rho_table(parse_sset("L2"), 20000).nonzero()[0]
+    path.write_text("bound 20000\n" + "".join(f"{m}\n" for m in members))
+    return parse_sset(f"FILE:{path}")
+
+
+@pytest.mark.parametrize("fn", ["tau", "sigma", "mu"])
+def test_table_backed_streams_match_the_tables(file_l2, fn):
+    for S, spans in ((file_l2, [(1, 5000), (1, 20000), (4097, 20000), (19999, 20000)]),
+                     (F15, [(1, 5000), (1, 10000), (4097, 10000), (9999, 10000)])):
+        for lo, hi in spans:
+            assert streamed(stream(S, fn, lo, hi)) == oracle(S, fn, lo, hi), (S.spec, fn, lo, hi)
+
+
+@pytest.mark.parametrize("fn", ["tau", "sigma", "mu"])
+def test_table_backed_streams_in_narrow_windows(narrow, file_l2, fn):
+    for S in (file_l2, F15):
+        want = [0] + oracle(S, fn, 1, 200)
+        for lo in (*range(1, 9), 63, 64, 65):
+            for hi in (lo + j for j in SPANS):
+                assert streamed(stream(S, fn, lo, hi)) == want[lo : hi + 1], (S.spec, lo, hi)
 
 
 def random_rule(rng):
@@ -216,6 +247,34 @@ def bad_mu_window(monkeypatch):
 def test_mu_stream_self_check_catches_a_perturbed_window(bad_mu_window):
     with pytest.raises(ConsistencyError, match="inverse_of_I window self-check failed at n="):
         streamed(mobius.inverse_of_I(parse_sset("L2"), 1, 5000))
+
+
+@pytest.fixture
+def bad_inverse_pp(monkeypatch):
+    # g(2) one too large, 0 for -1: every n = 2 (mod 4) with g(n / 2) != 0 is
+    # off in the windows, and the self-check reads no local value
+    pp = mobius._inverse_of_I_pp
+    monkeypatch.setattr(mobius, "_inverse_of_I_pp",
+                        lambda S, p, a: pp(S, p, a) + ((p, a) == (2, 1)))
+
+
+@pytest.mark.parametrize("key", ["L2", "FILE"])
+def test_mu_stream_self_check_catches_a_perturbed_local_value(bad_inverse_pp, file_l2, key):
+    S = parse_sset("L2") if key == "L2" else file_l2
+    with pytest.raises(ConsistencyError, match="inverse_of_I window self-check failed at n="):
+        streamed(mobius.inverse_of_I(S, 1, 5000))
+
+
+@pytest.mark.parametrize("key", ["L2", "FILE"])
+def test_eval_mu_perturbed_local_value_leaves_no_artifact(bad_inverse_pp, file_l2, capsys,
+                                                          tmp_path, key):
+    path = tmp_path / "x.csv"
+    spec = "L2" if key == "L2" else file_l2.spec
+    code = cli.main(["eval", "--sset", spec, "--fn", "mu", "--range", "1..300000",
+                     "--out", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("consistency failure: inverse_of_I window self-check")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

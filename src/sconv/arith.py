@@ -179,26 +179,28 @@ def _guard_growth(values: list, powers, limit: int) -> None:
         raise LimitError(f"multiplicative_table: entries up to {limit}^{c:.3g} overflow int64")
 
 
-def multiplicative_table(limit: int, ppv) -> np.ndarray:
+def multiplicative_table(limit: int, ppv, linear=None) -> np.ndarray:
     """int64 table t[0..limit] with t[n] = prod ppv(p, a) over p^a || n, t[1] = 1.
 
     The single window [0, limit] of the windowed sieve (_window_sieve), so
     the table is the only array of N entries. Every ppv value is taken
     first, small primes then large, each prime power once in ascending
-    order, and guarded (LimitError) before the table is allocated.
+    order, and guarded (LimitError) before the table is allocated; linear
+    gives ppv(q, 1) at the primes q > isqrt(limit) as in
+    multiplicative_windows.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    fill = _window_sieve(limit, ppv)
+    fill = _window_sieve(limit, ppv, linear)
     vals = np.empty(limit + 1, dtype=np.int64)
     fill(vals, 0)
     return vals
 
 
 def multiplicative_windows(lo: int, hi: int, ppv, linear):
-    """f(lo..hi), f(p^a) = ppv(p, a), as consecutive int64 windows of
-    _window_width(hi) entries, each a view of one buffer that the next
-    window overwrites: read a window before asking for the next.
+    """f(lo..hi), f(p^a) = ppv(p, a) and f(0) = 0, as consecutive int64
+    windows of _window_width(hi) entries, each a view of one buffer that
+    the next window overwrites: read a window before asking for the next.
 
     linear = (c1, c0, exceptions) gives ppv(q, 1) = c1 q + c0 at every
     prime q > isqrt(hi) outside exceptions, evaluated as one int64 array;
@@ -206,14 +208,13 @@ def multiplicative_windows(lo: int, hi: int, ppv, linear):
     guarded here, before the first window is asked for, so LimitError
     comes from this call.
     """
-    if not 1 <= lo <= hi:
-        raise ValueError("need 1 <= lo <= hi")
-    fill = _window_sieve(hi, ppv, linear)
-    return _windows(fill, lo, hi, _window_width(hi))
+    if not 0 <= lo <= hi:
+        raise ValueError("need 0 <= lo <= hi")
+    return _windows(_window_sieve(hi, ppv, linear), lo, hi)
 
 
 def _window_width(hi: int) -> int:
-    """Entries per window of multiplicative_windows to hi. Each window makes
+    """Entries per window of a stream to hi (_windows). Each sieve window makes
     one pass over the primes to sqrt(hi) and over the cofactors m < sqrt(hi)
     of the larger primes, so the width grows with sqrt(hi). Streaming
     sigma_S over Q2 to 1e7 (2-core box, best of 3) took 0.62, 0.37, 0.28
@@ -222,8 +223,15 @@ def _window_width(hi: int) -> int:
     return 128 * math.isqrt(hi)
 
 
-def _windows(fill, lo: int, hi: int, width: int):
-    buf = np.empty(min(width, hi - lo + 1), dtype=np.int64)
+def _windows(fill, lo: int, hi: int, dtype=np.int64):
+    """fill(out, a) over lo..hi, window by window of _window_width(hi)
+    entries, each a view of one buffer of dtype that the next overwrites.
+    Refuses hi past FACTOR_TABLE_LIMIT (LimitError at the first window),
+    as the sieve does: the width grows with sqrt(hi)."""
+    if hi > FACTOR_TABLE_LIMIT:
+        raise LimitError(f"stream limit {hi} exceeds {FACTOR_TABLE_LIMIT}")
+    width = _window_width(hi)
+    buf = np.empty(min(width, hi - lo + 1), dtype=dtype)
     for a in range(lo, hi + 1, width):
         out = buf[: min(width, hi + 1 - a)]
         fill(out, a)

@@ -36,6 +36,7 @@ import numpy as np
 from .arith import (
     _checked,
     _mu_pp,
+    _windows,
     dirichlet_sweep,
     divisors,
     eval_multiplicative,
@@ -47,7 +48,6 @@ from .convolve import POINTWISE_SPAN, _require_associative, s_divisors
 from .errors import ConsistencyError, LimitError
 from .sets import ExponentRule, SSet, Verdict, _rho_many, make_mult_sset, parse_sset, rho_table
 
-DIRECT_TRUNCATION_CAP = 4_000_000   # direct series sums refuse beyond this
 SERIES_CHECK_CAP = 1 << 16  # terms of the series that cross-checks the product
 EULER_ORDER = 8      # K: zeta(kz) factored out of the Euler product for k <= K
 EULER_CUTOFF = 200   # P: primes multiplied one by one; a certified bound covers the rest
@@ -68,7 +68,8 @@ def mu_set_table(S: SSet, N: int) -> np.ndarray:
     kept only as the tests' cross-check of the sieve.
     """
     if S.mult is not None:
-        return multiplicative_table(N, S.mult.mu_prime_power)
+        c1, c0, overrides = S.mult.rho_linear  # mu_S(q) = rho_S(q) - 1
+        return multiplicative_table(N, S.mult.mu_prime_power, (c1, c0 - 1, overrides))
     return dirichlet_sweep(rho_table(S, N), mu_table(N), N)
 
 
@@ -513,23 +514,48 @@ def _factored_product(S: SSet, z: float) -> tuple[Ball, Ball]:
     return value, Ball.fsum(dlog)
 
 
-def _series_partial(rs: np.ndarray, z: float, weight=None) -> Ball:
-    """sum_{n<=T} rs[n] w(n) n^-z as a Ball, with no tail: rs the rho_S table
-    to T, w = 1, or the ufunc weight (np.log for -zeta_S').
+def _series_partial(rs: np.ndarray, z: float, weight=None, start: int = 0) -> Ball:
+    """sum rs[i] w(n) n^-z over n = start + i as a Ball, with no tail: rs
+    rho_S on start..start + len(rs) - 1 (from 0, a table, whose n = 0
+    entry is 0), w = 1, or the ufunc weight (np.log for -zeta_S').
 
     The one rounding count outside the Ball type: numpy's pairwise sum has
-    no Ball form. Its depth is at most 19 + log2 T; 5 more u cover each pow
-    and the midpoint, and 3 more a weight (the ufunc, within one ulp, and
-    its product).
+    no Ball form. Its depth is at most 19 + log2 of the terms n >= 1; 5 more
+    u cover each pow and the midpoint, and 3 more a weight (the ufunc,
+    within one ulp, and its product).
     """
-    T = len(rs) - 1
-    ns = np.arange(T + 1, dtype=np.float64)
-    ns[0] = 1.0
-    terms = rs * ns ** (-z)
-    if weight is not None:
-        terms *= weight(ns)
+    ns = np.arange(start, start + len(rs), dtype=np.float64)
+    ns[0] = max(start, 1)
+    w = None if weight is None else weight(ns)
+    terms = np.power(ns, -z, out=ns)
+    terms *= rs
+    if w is not None:
+        terms *= w
     partial = float(np.sum(terms))
-    return Ball(partial, (24 + 3 * (weight is not None) + math.log2(T)) * _U * partial)
+    count = len(rs) - (start == 0)
+    return Ball(partial, (24 + 3 * (w is not None) + math.log2(count)) * _U * partial)
+
+
+def _series(S: SSet, T: int, z: float, logs: bool) -> tuple[Ball, Ball | None]:
+    """sum_{n<=T} rho_S(n) n^-z and, when logs, sum_{n<=T} rho_S(n) log(n) n^-z
+    (the series of -zeta_S'), as Balls with no tail, from one pass over
+    0..T in windows of arith._window_width(T) entries: for rule-based S the
+    int64 windows of multiplicative_windows on the linear form of rho_S,
+    for table-backed S (T <= bound) bool windows that GeneralSSet.fill
+    takes from its members. Each window's sums are _series_partial Balls,
+    joined by Ball.fsum; a single window's Ball is the sum itself."""
+    if S.mult is not None:
+        windows = multiplicative_windows(0, T, S.mult.rho_prime_power, S.mult.rho_linear)
+    else:
+        windows = _windows(S.general.fill, 0, T, bool)
+    plain, weighted, start = [], [], 0
+    for rs in windows:
+        plain.append(_series_partial(rs, z, start=start))
+        if logs:
+            weighted.append(_series_partial(rs, z, np.log, start))
+        start += len(rs)
+    join = lambda balls: balls[0] if len(balls) == 1 else Ball.fsum(balls)
+    return join(plain), join(weighted) if logs else None
 
 
 def _overlap(what: str, series: Ball, product: Ball) -> None:
@@ -549,11 +575,12 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     gives zeta_S'/zeta_S, cross-checked against the truncated series at
     min(T, SERIES_CHECK_CAP) terms: zeta_S against the series, and zeta_S'
     against the log-weighted series with its tail _log_tail; two Balls that
-    do not overlap raise ConsistencyError. Table-backed S: the truncated
-    series at T terms, its only route. T is the truncation at which the
-    series tail meets tol: the crude tail T^(1-z)/(z-1), or for the full set
-    an enclosure between two integrals. T is capped at DIRECT_TRUNCATION_CAP,
-    and for a table-backed S at its membership bound.
+    do not overlap raise ConsistencyError; both series come from one
+    windowed pass (_series). Table-backed S: the truncated series at T
+    terms, its only route. T is the truncation at which the series tail
+    meets tol: the crude tail T^(1-z)/(z-1), or for the full set an
+    enclosure between two integrals. A table-backed S refuses a T past its
+    membership bound (LimitError); the windows keep memory flat below it.
     """
     if z <= 1:
         raise ValueError("series diverges for z <= 1")
@@ -566,14 +593,14 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     else:
         T = int(math.ceil((tol * (z - 1.0)) ** (-1.0 / (z - 1.0)))) + 1
     T = max(T, 64)
-    T = min(T, DIRECT_TRUNCATION_CAP if S.mult is None else SERIES_CHECK_CAP)
-    if S.general is not None and T > S.general.bound:
+    if S.mult is not None:
+        T = min(T, SERIES_CHECK_CAP)
+    elif T > S.general.bound:
         raise LimitError(
             f"tolerance {tol} unreachable for {S.spec!r}: membership bound "
             f"{S.general.bound} leaves tail {_crude_tail(S.general.bound, z):.3g}"
         )
-    rs = rho_table(S, T)
-    series = _series_partial(rs, z)
+    series, weighted = _series(S, T, z, logs=S.mult is not None)
     tail = _crude_tail(T, z)
     if full:  # the tail lies between the integrals from T + 1 and from T
         lo = _crude_tail(T + 1, z)
@@ -584,7 +611,7 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
     if S.mult is not None:
         prod, dlog = _factored_product(S, z)
         _overlap(f"zeta_{S.spec}({z})", series, prod)
-        deriv = -(_series_partial(rs, z, np.log) + Ball(0.0, _log_tail(T, z)))
+        deriv = -(weighted + Ball(0.0, _log_tail(T, z)))
         _overlap(f"zeta_{S.spec}'({z})", deriv, prod * dlog)
         ev = replace(ev, product=prod, euler_cutoff=EULER_CUTOFF, log_derivative=dlog)
     if ev.best.rad > tol:
@@ -609,9 +636,9 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> Ball:
     tol, else LimitError.
 
     Rule-based S: zeta_S(z) times zeta_S'(z)/zeta_S(z), both from the
-    factored product of zeta_S. Table-backed S: the log-weighted series,
-    whose tail is at most _log_tail(T), with T doubled from 64 until that
-    tail meets tol (at most DIRECT_TRUNCATION_CAP and the membership bound).
+    factored product of zeta_S. Table-backed S: the log-weighted series of
+    _series, whose tail is at most _log_tail(T), with T doubled from 64
+    until that tail meets tol (at most the membership bound).
     """
     if z <= 1:
         raise ValueError("series diverges for z <= 1")
@@ -620,10 +647,10 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> Ball:
         d = ev.product * ev.log_derivative
     else:
         T = 64
-        while _log_tail(T, z) > tol and T < DIRECT_TRUNCATION_CAP:
+        while _log_tail(T, z) > tol and T < S.general.bound:
             T *= 2
         T = min(T, S.general.bound)
-        d = -(_series_partial(rho_table(S, T), z, np.log) + Ball(0.0, _log_tail(T, z)))
+        d = -(_series(S, T, z, logs=True)[1] + Ball(0.0, _log_tail(T, z)))
     if d.rad > tol:
         raise LimitError(f"tolerance {tol} unreachable for zeta_{S.spec}'({z}): "
                          f"best certified bound {d.rad:.3g}")

@@ -149,6 +149,12 @@ class MultiplicativeSSet:
         """mu_S(p^a) = rho_S(p^a) - rho_S(p^(a-1)), for a >= 1."""
         return self.rho_prime_power(p, a) - self.rho_prime_power(p, a - 1)
 
+    @property
+    def rho_linear(self) -> tuple:
+        """rho_S(q) = 0 q + c0 at every prime q without an override, c0 from
+        the default rule: the linear form of arith.multiplicative_windows."""
+        return (0, int(self.default_rule.contains(1)), self.overrides)
+
     def least_default_prime(self) -> int:
         """Least prime without an override, i.e. governed by default_rule."""
         p = 2
@@ -171,9 +177,16 @@ class GeneralSSet:
 
     def table(self, limit: int, dtype=np.int64) -> np.ndarray:
         """0/1 indicator on 0..limit, limit <= bound."""
-        t = np.zeros(limit + 1, dtype=dtype)
-        t[self.members[: self.members.searchsorted(limit, "right")]] = 1
+        t = np.empty(limit + 1, dtype=dtype)
+        self.fill(t, 0)
         return t
+
+    def fill(self, out: np.ndarray, a: int) -> None:
+        """The 0/1 indicator of a .. a + len(out) - 1 written into out, from
+        the slice of members in that window; the window lies inside 0..bound."""
+        i, j = self.members.searchsorted((a, a + len(out)))
+        out.fill(0)
+        out[self.members[i:j] - a if a else self.members[i:j]] = 1
 
     def rho_prime_power(self, p: int, a: int) -> int:
         """Membership of p^a; LimitError past the bound."""
@@ -395,7 +408,7 @@ def rho_table(S: SSet, limit: int) -> np.ndarray:
         if limit > S.general.bound:
             raise LimitError(f"table to {limit} exceeds bound {S.general.bound} of {S.spec!r}")
         return S.general.table(limit)
-    return multiplicative_table(limit, S.mult.rho_prime_power)
+    return multiplicative_table(limit, S.mult.rho_prime_power, S.mult.rho_linear)
 
 
 # ---------------------------------------------------------------------------

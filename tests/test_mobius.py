@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sconv import mobius
+from sconv import arith, mobius
 from sconv.arith import dirichlet_sweep
 from sconv.errors import ConsistencyError, LimitError
 from sconv.mobius import (
@@ -357,6 +358,84 @@ def test_series_partial_sum_ball_holds_without_tail(spec, T, weight):
             ball, want)
 
 
+def l2_file(path, bound: int) -> str:
+    """A FILE: copy of L2 (the squarefull numbers, a^2 b^3) to bound."""
+    members = {a * a * b ** 3 for b in range(1, round(bound ** (1 / 3)) + 2)
+               for a in range(1, math.isqrt(bound // b ** 3) + 1)}
+    path.write_text(f"bound {bound}\n" + "\n".join(map(str, sorted(members))) + "\n")
+    return f"FILE:{path}"
+
+
+@pytest.fixture(scope="module")
+def l2e7(tmp_path_factory):
+    return parse_sset(l2_file(tmp_path_factory.mktemp("sets") / "l2e7.txt", 10**7))
+
+
+EDGE_WIDTH = 64
+WINDOW_EDGES = [EDGE_WIDTH - 1, EDGE_WIDTH, EDGE_WIDTH + 1, 2 * EDGE_WIDTH + 7]
+
+
+@pytest.mark.parametrize("T", WINDOW_EDGES)
+@pytest.mark.parametrize("spec", ["Q2", "L2", "N", "P{2,3}", "FILE"])
+def test_windowed_series_holds_at_the_window_edges(spec, T, tmp_path, monkeypatch):
+    """_series sums 0..T in windows of _window_width(T) entries (here 64, so
+    T ends a window, starts one, or lies inside the third): the sum of
+    rho_S(n) n^-2 and of rho_S(n) log(n) n^-2 over n <= T, at 40 digits,
+    lies in each Ball, the per-window roundings and their join included."""
+    S = parse_sset(l2_file(tmp_path / "l2.txt", 1000) if spec == "FILE" else spec)
+    monkeypatch.setattr(arith, "_window_width", lambda hi: EDGE_WIDTH)
+    plain, weighted = mobius._series(S, T, 2.0, logs=True)
+    members = [n for n in range(1, T + 1) if rho(S, n)]
+    with mpmath.workdps(40):
+        for ball, w in ((plain, lambda n: 1), (weighted, mpmath.log)):
+            want = mpmath.fsum(w(n) / mpmath.mpf(n * n) for n in members)
+            assert abs(mpmath.mpf(ball.mid) - want) <= ball.rad, (ball, want)
+
+
+def test_windowed_series_matches_the_table_sum_in_one_window():
+    """With one window (T + 1 <= _window_width(T)) the windowed Balls are the
+    table route's _series_partial Balls, bit for bit."""
+    for spec in ["Q2", "L2", "N", "P{2,3}"]:
+        S = parse_sset(spec)
+        for T in (64, 794, 16255):  # 16255 + 1 = 128 isqrt(16255)
+            rs = rho_table(S, T)
+            got = mobius._series(S, T, 3.0, logs=True)
+            want = (mobius._series_partial(rs, 3.0), mobius._series_partial(rs, 3.0, np.log))
+            assert [(b.mid, b.rad) for b in got] == [(b.mid, b.rad) for b in want], (spec, T)
+
+
+def test_table_backed_zeta_memory_is_flat(l2e7):
+    """zeta_S of a table-backed set at T = 3.3e6 holds one window at a time:
+    a tracemalloc peak under 4 MiB, where a whole table to T peaked at 76 MiB."""
+    tracemalloc.start()
+    try:
+        ev = zeta_S(l2e7, 2.0, 3e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.truncation > 3_300_000
+    assert peak < 4 << 20, peak
+    with mpmath.workdps(40):
+        want = MP_ZETA["L2"](2)
+        assert abs(mpmath.mpf(ev.best.mid) - want) <= ev.best.rad <= 3e-7
+
+
+def test_table_backed_zeta_reaches_its_membership_bound(l2e7):
+    """With no truncation cap below the membership bound, a FILE: copy of L2
+    to 1e7 certifies 2e-7 at T = 5e6 (a cap of 4e6 refused it at 2.5e-7)."""
+    ev = zeta_S(l2e7, 2.0, 2e-7)
+    assert ev.truncation == 5_000_001
+    with mpmath.workdps(40):
+        want = MP_ZETA["L2"](2)
+        assert abs(mpmath.mpf(ev.series.mid) - want) <= ev.series.rad <= 2e-7
+    # a bound past the stream limit leaves T to that limit, as for the sieve
+    huge = make_general_sset([1, 2, 6], 2**64)
+    with pytest.raises(LimitError, match="stream limit 1000000000001 exceeds"):
+        zeta_S(huge, 2.0, 1e-12)
+    with pytest.raises(LimitError, match="exceeds 100000000"):
+        zeta_S_derivative(huge, 2.0, 1e-12)
+
+
 def test_zeta_euler_product_every_rule_kind():
     # a finite default plus one override of each other kind, so every
     # local-factor branch of the Euler product runs
@@ -404,11 +483,11 @@ def test_zeta_guards():
     with mpmath.workdps(40):
         want = MP_ZETA["Q2"](mpmath.mpf(1.05))
         assert abs(mpmath.mpf(ev.best.mid) - want) <= ev.best.rad <= 1e-12
-    # a table-backed set has only the series: at its membership bound, and
-    # at the truncation cap below it, the tail leaves tol out of reach
+    # a table-backed set has only the series, capped by its membership bound:
+    # however large the bound, a tail beyond it leaves tol out of reach
     with pytest.raises(LimitError, match="membership bound"):
         zeta_S(parse_sset("F{1,2,6}"), 1.05, tol=1e-12)
-    with pytest.raises(LimitError, match="best certified bound"):
+    with pytest.raises(LimitError, match="membership bound 5000000 leaves tail"):
         zeta_S(make_general_sset([1, 2, 6], 5_000_000), 1.05, tol=1e-12)
 
 

@@ -143,6 +143,18 @@ def test_rho_table_matches_pointwise():
             assert tab[m] == rho(S, m), (S.spec, m)
 
 
+def test_general_set_windows_are_slices_of_the_table():
+    """GeneralSSet.fill writes any window of the indicator that rho_table
+    holds, in any dtype; the window may start at 0 and end at the bound."""
+    S = parse_sset("F{1,2,4,9,50,99,100}")  # bound 200
+    table = rho_table(S, 200)
+    for a, n in [(0, 1), (0, 201), (1, 7), (9, 1), (10, 40), (99, 2), (150, 51)]:
+        for dtype in (np.int64, bool):
+            out = np.full(n, 7, dtype=dtype)
+            S.general.fill(out, a)
+            assert out.astype(np.int64).tolist() == table[a : a + n].tolist(), (a, n, dtype)
+
+
 def test_rho_general_set_beyond_bound():
     S = parse_sset("F{1,2,3}")
     assert rho(S, 2) == 1 and rho(S, 4) == 0

@@ -14,6 +14,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sconv import arith, cli, divisor_functions, mobius
@@ -35,7 +36,15 @@ from sconv.divisor_functions import (
     tau_S_table,
 )
 from sconv.errors import ConsistencyError, LimitError
-from sconv.sets import ExponentRule, is_associative, make_mult_sset, parse_sset, rho, rho_table
+from sconv.sets import (
+    ExponentRule,
+    MultiplicativeSSet,
+    is_associative,
+    make_mult_sset,
+    parse_sset,
+    rho,
+    rho_table,
+)
 
 BUILTINS = ["N", "1", "Q2", "Q3", "Q4", "L2", "L3", "P{2,3}"]
 # one set using every rule kind: default below 3, then at_least, finite, none, all
@@ -173,6 +182,28 @@ def test_windows_match_the_table_kernel(narrow):
     sig = lambda p, a: 7 if (p, a) == (31, 1) else _sigma_pp(p, a)
     want = [0] + [eval_multiplicative(sig, n) for n in range(1, 501)]
     assert streamed(multiplicative_windows(3, 500, sig, (1, 1, {31, 997}))) == want[3:]
+
+
+@pytest.mark.parametrize("key", sorted(SETS))
+def test_rule_based_tables_take_the_linear_form_of_rho(key, monkeypatch):
+    """rho_table and mu_set_table read rho_S(q) = c0 and mu_S(q) = c0 - 1 at
+    the primes q > sqrt N without an override, as one array: the tables are
+    byte-identical to the sieve that asks every prime, and the prime-power
+    values are asked only at the primes to sqrt N and the override primes."""
+    S, N = SETS[key], 5000
+    want = [multiplicative_table(N, f) for f in (S.mult.rho_prime_power, S.mult.mu_prime_power)]
+    asked = set()
+    rho_pp = MultiplicativeSSet.rho_prime_power
+
+    def counted(self, p, a):
+        asked.add(p)
+        return rho_pp(self, p, a)
+
+    monkeypatch.setattr(MultiplicativeSSet, "rho_prime_power", counted)
+    for got, w in zip((rho_table(S, N), mobius.mu_set_table(S, N)), want):
+        assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), key
+    r = math.isqrt(N)
+    assert {p for p in asked if p > r} == {p for p in S.mult.overrides if r < p <= N}
 
 
 def test_windows_take_each_value_once_before_the_first_window():

@@ -407,7 +407,7 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
                     f"indicator of {zd.excluded} squares to zero"
                     f" (checked exactly at n={zd.checked_at}: its one candidate term)"))
 
-    if S.mult is not None:
+    if is_multiplicative(S):
         nm = min(N, 10**4)
         fm = random_multiplicative_func(rng, nm)
         gm = random_multiplicative_func(rng, nm)

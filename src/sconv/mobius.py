@@ -591,7 +591,9 @@ def zeta_S(S: SSet, z: float, tol: float = 1e-9) -> ZetaEvaluation:
         # enclosure width is at most T^-z, met at T = (2 tol)^(-1/z)
         T = int(math.ceil((2.0 * tol) ** (-1.0 / z))) + 1
     else:
-        T = int(math.ceil((tol * (z - 1.0)) ** (-1.0 / (z - 1.0)))) + 1
+        # clamped in logs past every cap, since near z = 1 the power overflows a float
+        q, e = tol * (z - 1.0), -1.0 / (z - 1.0)
+        T = int(math.ceil(q ** e if math.log(q) * e < 60.0 else math.exp(60.0))) + 1
     T = max(T, 64)
     if S.mult is not None:
         T = min(T, SERIES_CHECK_CAP)

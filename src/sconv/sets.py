@@ -12,7 +12,9 @@ is described by one exponent rule per prime. Rules:
     finite F    a in S iff a in F         (finite exponent set)
 
 Sets that are not of this shape (or not known to be) are held as an explicit
-membership table up to a bound; every verdict about them is bound-limited.
+membership table up to a bound. A verdict about them holds to that bound,
+unless a witness makes it an absolute "no"; with 1 in S, associativity is
+decided per prime as for the rules, on the exponents the bound reaches.
 
 Text expressions (--sset in the CLI):
 
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import _abs_max, eval_multiplicative, is_prime, multiplicative_table
+from .arith import _abs_max, eval_multiplicative, is_prime, multiplicative_table, sieve_primes
 from .errors import ConsistencyError, LimitError, ParseError
 
 MAX_FINITE_EXPONENT = 64   # largest member a finite exponent rule may list
@@ -101,12 +103,6 @@ class ExponentRule:
             return a >= self.k
         return a in self.members
 
-    def upward_closed(self) -> bool:
-        """Once an exponent is in, are all larger ones in too? (vacuous for none)."""
-        if self.kind in ("all", "none", "at_least"):
-            return True
-        return False  # below k>=2 contains 1 but not k; finite sets are bounded
-
     def least_excluded(self) -> int | None:
         """Least a >= 1 not admitted; None when the rule admits everything."""
         if self.kind == "all":
@@ -120,16 +116,9 @@ class ExponentRule:
             a += 1
         return a
 
-    def least_included(self) -> int | None:
-        if self.kind == "all":
-            return 1
-        if self.kind == "none":
-            return None
-        if self.kind == "below":
-            return 1
-        if self.kind == "at_least":
-            return self.k
-        return min(self.members)
+    def settled_from(self) -> int:
+        """Least exponent a >= 1 from which membership no longer changes."""
+        return max(self.members) + 1 if self.kind == "finite" else max(self.k, 1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,8 @@ class MultiplicativeSSet:
 @dataclass(frozen=True, eq=False)
 class GeneralSSet:
     """Membership to bound (built by make_general_sset): members is sorted,
-    duplicate-free, read-only int64; equal only to itself, verdicts computed once."""
+    duplicate-free, read-only int64; equal only to itself, its multiplicativity
+    verdict computed once."""
 
     bound: int
     members: np.ndarray
@@ -198,17 +188,6 @@ class GeneralSSet:
     def multiplicative(self) -> Verdict:
         w = coprime_product_failure(self.table(self.bound, bool), self.bound) if 1 in self else (1, 1)
         return Verdict(w is None, bound=self.bound, witness=w)
-
-    @cached_property
-    def associative(self) -> Verdict:
-        # a coprime witness (M, N) gives the candidate; gcd queries stay <= M*N <= bound
-        M, N = self.multiplicative.witness or (1, 1)
-        trip = ((M * N) ** 2, M * N, M)
-        if M > 1 and not _rho_of_gcds_ok(self.__contains__, *trip):
-            return Verdict(False, witness=trip)
-        limit = min(self.bound, ASSOC_SCAN_CAP)
-        w = _assoc_scan(self.table(limit), limit)
-        return Verdict(True, bound=limit) if w is None else Verdict(False, witness=w)
 
 
 @dataclass(frozen=True)
@@ -504,36 +483,55 @@ def is_associative(S: SSet) -> Verdict:
     A triple (n, d, e), e | d | n, that violates the associativity identity
     is the witness, and it makes a False verdict absolute (bound None).
 
-    Rule-based sets: absolute verdict, true iff every prime's rule is
-    upward-closed. Otherwise the triple is built from the first
-    non-upward-closed prime rule: with j the least admitted exponent and
-    l > j the least excluded one, it is (p^(l+2j), p^(l+j), p^l) when
-    l < 2j and (p^(2l), p^l, p^(l-j)) otherwise. Every exponent in [j, l)
-    is admitted, which makes the triple violate the identity. The triple is
-    checked before it is returned; a failed check raises ConsistencyError.
+    1 in S (every rule-based set): the paper's theorem. The convolution
+    associates iff rho_S is multiplicative and no prime's exponents admit
+    some j >= 1 yet exclude a later l. A multiplicativity witness (M, N)
+    gives the triple ((MN)^2, MN, M), else the first gap of _gap_triples
+    gives one; it is checked before it is returned, and a failed check
+    raises ConsistencyError. With no triple the verdict is absolute for a
+    rule-based set; a table-backed one holds to its bound, since the
+    identity at n <= bound reads membership at prime powers <= bound.
 
-    Table-backed sets: a multiplicativity witness (M, N) gives the candidate
-    ((MN)^2, MN, M); failing that, the identity is scanned up to
-    min(bound, ASSOC_SCAN_CAP), and a clean scan holds to that bound only.
+    A table-backed set without 1 has no such argument: the identity is
+    scanned up to min(bound, ASSOC_SCAN_CAP), and holds to that bound only.
     """
+    g = S.general
+    if g is not None and 1 not in g:
+        limit = min(g.bound, ASSOC_SCAN_CAP)
+        w = _assoc_scan(g.table(limit), limit)
+        return Verdict(True, bound=limit) if w is None else Verdict(False, witness=w)
+    w = is_multiplicative(S).witness
+    trip = ((w[0] * w[1]) ** 2, w[0] * w[1], w[0]) if w else next(_gap_triples(S), None)
+    if trip is None:
+        return Verdict(True, bound=None if g is None else g.bound)
+    if check_assoc_identity(S, *trip):
+        raise ConsistencyError(f"triple {trip} does not violate associativity in {S.spec!r}")
+    return Verdict(False, witness=trip)
+
+
+def _gap_triples(S: SSet):
+    """_proof_triple(p, j, l), ascending in p, for each prime p whose least
+    admitted exponent j >= 1 is followed by an excluded one, l the least:
+    every exponent in [j, l) is then admitted, which makes the triple
+    violate the identity. Rule-based: the override primes and the least
+    default prime, each read to the exponent from which its rule settles.
+    Table-backed: the primes with p^2 <= bound, read while p^a <= bound."""
     if S.mult is not None:
         m = S.mult
-        bad: list[int] = sorted(p for p, r in m.overrides.items() if not r.upward_closed())
-        if not m.default_rule.upward_closed():
-            bad.append(m.least_default_prime())
-        if not bad:
-            return Verdict(True)
-        p = min(bad)
-        rule = m.rule_at(p)
-        j = rule.least_included()
-        ell = j + 1
-        while rule.contains(ell):  # bounded: the rule is not upward-closed
-            ell += 1
-        trip = _proof_triple(p, j, ell)
-        if check_assoc_identity(S, *trip):
-            raise ConsistencyError(f"triple {trip} does not violate associativity in {S.spec!r}")
-        return Verdict(False, witness=trip)
-    return S.general.associative
+        ranges = [(p, m.rule_at(p).settled_from())
+                  for p in sorted([*m.overrides, m.least_default_prime()])]
+    else:
+        B = S.general.bound
+        ranges = [(p, next(a for a in range(2, B.bit_length()) if p ** (a + 1) > B))
+                  for p in sieve_primes(math.isqrt(B))]
+    for p, top in ranges:
+        j = 0
+        for a in range(1, top + 1):
+            if S.rho_prime_power(p, a):
+                j = j or a
+            elif j:
+                yield _proof_triple(p, j, a)
+                break
 
 
 def _proof_triple(p: int, j: int, ell: int) -> tuple[int, int, int]:

@@ -299,9 +299,23 @@ def test_eval_values_routes_of_table_backed_sets(monkeypatch, table_sets, name, 
 @pytest.mark.parametrize("fn", ["tau", "sigma", "mu"])
 def test_eval_past_the_square_of_the_bound_leaves_no_artifact(capsys, tmp_path, fn):
     path = tmp_path / "x.csv"
-    code = main(["eval", "--sset", "F{1,5}", "--fn", fn, "--range", "1..10201", "--out", str(path)])
+    spec = "F{1,5}"
+    code = main(["eval", "--sset", spec, "--fn", fn, "--range", "1..10201", "--out", str(path)])
+    if fn == "mu":
+        # F{1,5} is refused as non-associative; L2 to the same bound of 100 reaches it
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 'F{1,5}' gives a non-associative convolution; sconv computes inverses"
+            " only under associative convolutions (witness triple (625, 25, 5))\n")
+        assert not path.exists()
+        l2 = tmp_path / "l2.txt"
+        members = rho_table(parse_sset("L2"), 100).nonzero()[0]
+        l2.write_text("bound 100\n" + "".join(f"{m}\n" for m in members))
+        spec = f"FILE:{l2}"
+        code = main(["eval", "--sset", spec, "--fn", fn, "--range", "1..10201", "--out", str(path)])
     assert code == 3
-    assert capsys.readouterr().err == "resource limit: table to 101 exceeds bound 100 of 'F{1,5}'\n"
+    err = capsys.readouterr().err
+    assert err == f"resource limit: table to 101 exceeds bound 100 of {spec!r}\n"
     assert not path.exists()
 
 
@@ -417,9 +431,10 @@ def test_classify_non_associative(capsys):
     ("N", "associative: yes"),
     ("L2", "associative: yes"),
     ("Q2", "associative: no"),
-    ("F{1,5}", "associative: yes (checked to 100)"),
-    ("F{1,4}", "associative: yes (checked to 100)"),
+    ("F{1,5}", "associative: no"),
+    ("F{1,4}", "associative: no"),
     ("F{1,2,6}", "associative: no"),
+    ("F{4,8}", "associative: yes (checked to 100)"),  # no 1: the bounded triple scan
 ])
 def test_classify_states_the_scope_of_the_associativity_verdict(capsys, spec, line):
     code, out = run(capsys, ["classify", "--sset", spec])
@@ -428,8 +443,8 @@ def test_classify_states_the_scope_of_the_associativity_verdict(capsys, spec, li
 
 
 def test_table_set_associativity_witness_beyond_the_scan_cap(capsys, tmp_path):
-    # every n <= 20000 but 5005: multiplicativity fails at (2, 5005), while
-    # every triple below the scan cap of 4096 is clean
+    # every n <= 20000 but 5005: multiplicativity fails at (2, 5005), which
+    # gives the triple, while every triple up to 4096 is clean
     path = tmp_path / "no5005.txt"
     path.write_text("bound 20000\n" + "".join(f"{n}\n" for n in range(1, 20001) if n != 5005))
     spec = f"FILE:{path}"
@@ -446,14 +461,16 @@ def test_table_set_associativity_witness_beyond_the_scan_cap(capsys, tmp_path):
     assert "(witness triple (100200100, 10010, 2))" in out
     # the algebra suite reads the witness and the zero divisor at n ~ 1e8
     # and 5005^2 ~ 2.5e7 through their divisors only, not through tables
+    # and, the set not being multiplicative, it has no mult_preserved row
     code, out = run(capsys, ["verify", "--sset", spec, "--suite", "algebra", "--n", "100"])
     assert code == 1
-    assert out.splitlines()[3:5] == [
+    assert out.splitlines()[3:] == [
         "FAIL associative: violated at n=100200100 by indicator functions: "
         "((f*g)*h)(100200100)=1 != (f*(g*h))(100200100)=0, "
         "witness triple (100200100, 10010, 2)",
         "ok   zero_divisors: indicator of 5005 squares to zero "
-        "(checked exactly at n=25050025: its one candidate term)"]
+        "(checked exactly at n=25050025: its one candidate term)",
+        "suite algebra: 4 passed, 1 failed"]
 
 
 @pytest.mark.parametrize("text", [
@@ -506,8 +523,9 @@ def test_file_set_members_listed_twice_count_once(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["classify"], ["verify", "--suite", "all", "--n", "500"]])
 def test_table_set_scans_once_per_command(capsys, tmp_path, monkeypatch, argv):
-    # the verdicts are kept on the set: classify, verify's algebra suite and
-    # both inverses all read one multiplicativity and one associativity scan
+    # the multiplicativity verdict is kept on the set: classify, verify's
+    # algebra suite and both inverses read one scan, and the associativity
+    # verdict of a set that holds 1 runs no triple scan
     path = tmp_path / "l2.txt"
     members = rho_table(parse_sset("L2"), 5000).nonzero()[0]
     path.write_text("bound 5000\n" + "".join(f"{m}\n" for m in members))
@@ -517,9 +535,14 @@ def test_table_set_scans_once_per_command(capsys, tmp_path, monkeypatch, argv):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(sets, name, counting)
-    code, _ = run(capsys, [argv[0], "--sset", f"FILE:{path}", *argv[1:]])
+    code, out = run(capsys, [argv[0], "--sset", f"FILE:{path}", *argv[1:]])
     assert code == 0
-    assert calls == {"coprime_product_failure": 1, "_assoc_scan": 1}
+    assert calls == {"coprime_product_failure": 1, "_assoc_scan": 0}
+    if argv[0] == "classify":
+        assert out.splitlines()[2] == "associative: yes (checked to 5000)"
+    else:  # multiplicative to its bound, so verify checks that f*g stays multiplicative
+        row = "ok   mult_preserved: f*g multiplicative on coprime products <= 500"
+        assert row in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -489,6 +489,15 @@ def test_zeta_guards():
         zeta_S(parse_sset("F{1,2,6}"), 1.05, tol=1e-12)
     with pytest.raises(LimitError, match="membership bound 5000000 leaves tail"):
         zeta_S(make_general_sset([1, 2, 6], 5_000_000), 1.05, tol=1e-12)
+    # closer still, the truncation estimate passes every float: it is clamped, not raised
+    ev = zeta_S(parse_sset("Q2"), 1.01, tol=1e-12)
+    with mpmath.workdps(40):
+        want = MP_ZETA["Q2"](mpmath.mpf(1.01))
+        assert abs(mpmath.mpf(ev.best.mid) - want) <= ev.best.rad <= 1e-12
+    with pytest.raises(LimitError, match="membership bound 100 leaves tail 95.5"):
+        zeta_S(parse_sset("F{1,2,6}"), 1.01, tol=1e-12)
+    with pytest.raises(LimitError, match="best certified bound 6.88e-11"):
+        zeta_S(parse_sset("Q2"), 1.001, tol=1e-12)
 
 
 def test_zeta_derivative_full_set():

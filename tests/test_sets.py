@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from sconv import sets
 from sconv.arith import eval_multiplicative
 from sconv.errors import LimitError, ParseError
 from sconv.sets import (
@@ -312,6 +313,49 @@ def test_witness_construction_on_non_upward_closed_rules():
         n, d, e = is_associative(S).witness
         assert n % d == 0 and d % e == 0, S.spec
         assert not check_assoc_identity(S, n, d, e), S.spec
+
+
+def random_table_sets_with_1(rng, count):
+    """Table-backed copies, to a random bound, of rule-based sets with a
+    random rule at each of a few small primes and as default; every third
+    one has a random member past 1 removed."""
+    def rule():
+        k = rng.randint(2, 4)
+        return rng.choice([ExponentRule.all_(), ExponentRule.none_(), ExponentRule.below(k),
+                           ExponentRule.at_least(k),
+                           ExponentRule.finite(rng.sample(range(1, 7), k))])
+    for i in range(count):
+        B = rng.randint(100, 700)
+        S = make_mult_sset(rule(), {p: rule() for p in rng.sample([2, 3, 5, 7, 11], 3)})
+        members = rho_table(S, B).nonzero()[0].tolist()
+        if i % 3 == 2 and len(members) > 1:
+            members.remove(rng.choice(members[1:]))
+        yield make_general_sset(members, B)
+
+
+def test_table_set_associativity_agrees_with_the_triple_scan():
+    # the scan over every e | d | n <= bound is the oracle: a yes to the
+    # bound has a clean scan, and each no witness violates the identity,
+    # some at an n past the bound that no scan to the bound reaches
+    verdicts = {"yes": 0, "no": 0, "no past the bound": 0}
+    for S in random_table_sets_with_1(random.Random(2718), 120):
+        v = is_associative(S)
+        if v:
+            verdicts["yes"] += 1
+            assert v.bound == S.general.bound, S.spec
+            assert sets._assoc_scan(S.general.table(v.bound), v.bound) is None, S.spec
+        else:
+            n, d, e = v.witness
+            verdicts["no past the bound" if n > S.general.bound else "no"] += 1
+            assert v.bound is None and n % d == 0 and d % e == 0, S.spec
+            assert not check_assoc_identity(S, n, d, e), S.spec
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_table_set_associativity_pins():
+    assert is_associative(parse_sset("F{1,5}")) == Verdict(False, None, (625, 25, 5))
+    assert is_associative(parse_sset("F{1,4}")) == Verdict(False, None, (128, 32, 8))
+    assert is_associative(parse_sset("F{4,8}")) == Verdict(True, 100)  # no 1: the scan
 
 
 def test_assoc_identity_holds_on_random_triples():

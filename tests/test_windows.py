@@ -40,6 +40,7 @@ from sconv.sets import (
     ExponentRule,
     MultiplicativeSSet,
     is_associative,
+    make_general_sset,
     make_mult_sset,
     parse_sset,
     rho,
@@ -118,8 +119,11 @@ def test_streams_in_narrow_windows(narrow, key, fn):
             assert streamed(windows) == want[lo : hi + 1], (lo, hi)
 
 
-# table-backed: multiplicative with 1 in S, and F{1,5} not upward-closed at 5 (bound 100)
+# table-backed: multiplicative with 1 in S, and F{1,5} not upward-closed at 5
+# (bound 100), so its mu stream is refused as non-associative; L2 to the same
+# bound streams mu up to the square of the bound
 F15 = parse_sset("F{1,5}")
+L2_100 = make_general_sset(rho_table(parse_sset("L2"), 100).nonzero()[0], 100)
 
 
 @pytest.fixture(scope="module")
@@ -133,15 +137,24 @@ def file_l2(tmp_path_factory):
 
 @pytest.mark.parametrize("fn", ["tau", "sigma", "mu"])
 def test_table_backed_streams_match_the_tables(file_l2, fn):
+    to_square = [(1, 5000), (1, 10000), (4097, 10000), (9999, 10000)]  # bound 100
     for S, spans in ((file_l2, [(1, 5000), (1, 20000), (4097, 20000), (19999, 20000)]),
-                     (F15, [(1, 5000), (1, 10000), (4097, 10000), (9999, 10000)])):
+                     (F15, to_square), (L2_100, to_square)):
+        if fn == "mu" and not is_associative(S):
+            with pytest.raises(ValueError, match="only under associative convolutions"):
+                stream(S, fn, 1, 2000)
+            continue
         for lo, hi in spans:
             assert streamed(stream(S, fn, lo, hi)) == oracle(S, fn, lo, hi), (S.spec, fn, lo, hi)
 
 
 @pytest.mark.parametrize("fn", ["tau", "sigma", "mu"])
 def test_table_backed_streams_in_narrow_windows(narrow, file_l2, fn):
-    for S in (file_l2, F15):
+    for S in (file_l2, F15, L2_100):
+        if fn == "mu" and not is_associative(S):
+            with pytest.raises(ValueError, match="only under associative convolutions"):
+                stream(S, fn, 1, 2000)
+            continue
         want = [0] + oracle(S, fn, 1, 200)
         for lo in (*range(1, 9), 63, 64, 65):
             for hi in (lo + j for j in SPANS):

@@ -22,8 +22,6 @@ bit-identical CSV/JSON (fixed seeds, no timestamps). JSON artifacts carry
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import random
@@ -34,26 +32,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from .arith import _tau_pp, dirichlet_sweep, multiplicative_table
-from .asymptotics import (
-    asymptotic_report,
-    sigma_maximal_constant,
-    sigma_maximal_constant_uniform,
-    tau_maximal_ratio,
-    witness_sequence,
-)
-from .convolve import (
-    DEFAULT_SEED,
-    POINTWISE_SPAN,
-    ArithFunc,
-    associativity_violation_functions,
-    random_arith_func,
-    random_multiplicative_func,
-    s_convolve,
-    s_convolve_at,
-    s_convolve_table,
-    s_inverse,
-    zero_divisor_pair,
-)
 from .divisor_functions import (
     divisor_function_windows,
     phi_S_at,
@@ -66,13 +44,8 @@ from .divisor_functions import (
     tau_S_table_via_rho,
 )
 from .errors import ConsistencyError, LimitError, ParseError
-from .mobius import (
-    inverse_of_I,
-    mu_k_statistics,
-    mu_set_table,
-    verify_mobius_identity,
-)
 from .sets import (
+    POINTWISE_SPAN,
     SSet,
     Verdict,
     classify_prime,
@@ -81,7 +54,13 @@ from .sets import (
     is_multiplicative,
     parse_sset,
     rho_table,
+    witness_text,
 )
+
+# Each command imports what it alone runs: asymptotics in asymp and
+# maxorder, convolve in verify's algebra and inversion suites, mobius for
+# eval --fn mu, the identities suite and mu-k-stats, csv and json once --out
+# names an artifact. Start-up is most of a short command.
 
 SCHEMA_VERSION = 1
 RANGE_CAP = 10**7
@@ -174,6 +153,8 @@ def _emit(args, command: str, sset: str, params: dict, rows: Iterable,
         raise ParseError(f"cannot write artifact {args.out!r}: {exc}") from exc
     with fh:
         if args.format == "csv":
+            import csv
+
             w = csv.writer(fh)
             w.writerow(fieldnames)
             if text:
@@ -182,6 +163,8 @@ def _emit(args, command: str, sset: str, params: dict, rows: Iterable,
             else:
                 w.writerows(rows)
             return
+        import json
+
         # a quote inside a JSON string is escaped, so only the key itself matches
         head, _, tail = json.dumps(
             {"schema_version": SCHEMA_VERSION, "command": command, "sset": sset,
@@ -266,6 +249,8 @@ def _eval_values(S: SSet, fn: str, lo: int, hi: int) -> Iterable:
     rule-based S, and for tau and sigma on a table-backed S with 1 in S and
     rho_S multiplicative on 1..isqrt(hi); otherwise a slice of the table."""
     if fn == "mu":
+        from .mobius import inverse_of_I
+
         return inverse_of_I(S, lo, hi)
     if hi - lo < POINTWISE_SPAN:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
@@ -298,7 +283,7 @@ def _cmd_classify(args) -> int:
     print(f"associative: {'yes' if av else 'no'}{_scope(av)}")
     rows = []
     if not av:
-        print(f"  witness triple (n, d, e) = {av.witness}")
+        print(f"  witness triple (n, d, e) = {witness_text(av.witness)}")
     if S.mult is not None:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             c = classify_prime(S, p)
@@ -340,6 +325,8 @@ def _not_delta(conv: np.ndarray) -> np.ndarray:
 
 
 def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
+    from .mobius import mu_set_table, verify_mobius_identity
+
     ms = mu_set_table(S, N)
     v = verify_mobius_identity(S, N, ms)
     out = [("mobius_sum", bool(v),
@@ -359,6 +346,18 @@ def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
+    from .convolve import (
+        DEFAULT_SEED,
+        ArithFunc,
+        associativity_violation_functions,
+        random_arith_func,
+        random_multiplicative_func,
+        s_convolve,
+        s_convolve_at,
+        s_convolve_table,
+        zero_divisor_pair,
+    )
+
     rng = random.Random(DEFAULT_SEED)
     f = random_arith_func(rng, N)
     g = random_arith_func(rng, N)
@@ -394,18 +393,20 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
         u, v, w, n = associativity_violation_functions(av.witness)
         left = s_convolve_at(S, s_convolve(S, u, v), w, n)
         right = s_convolve_at(S, u, s_convolve(S, v, w), n)
+        n_text = witness_text(n)
         out.append(("associative", False,
-                    f"violated at n={n} by indicator functions: "
-                    f"((f*g)*h)({n})={left} != (f*(g*h))({n})={right}, "
-                    f"witness triple {av.witness}"))
+                    f"violated at n={n_text} by indicator functions: "
+                    f"((f*g)*h)({n_text})={left} != (f*(g*h))({n_text})={right}, "
+                    f"witness triple {witness_text(av.witness)}"))
 
     zd = zero_divisor_pair(S)
     if zd is None:
         out.append(("zero_divisors", True, "none exist: S is the full set"))
     else:
         out.append(("zero_divisors", True,
-                    f"indicator of {zd.excluded} squares to zero"
-                    f" (checked exactly at n={zd.checked_at}: its one candidate term)"))
+                    f"indicator of {witness_text(zd.excluded)} squares to zero"
+                    f" (checked exactly at n={witness_text(zd.checked_at)}:"
+                    f" its one candidate term)"))
 
     if is_multiplicative(S):
         nm = min(N, 10**4)
@@ -419,6 +420,8 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_inversion(S: SSet, N: int) -> list[tuple[str, bool, str]]:
+    from .convolve import DEFAULT_SEED, ArithFunc, random_arith_func, s_convolve_table, s_inverse
+
     nb = min(N, 4096)
     try:
         g = s_inverse(S, ArithFunc.named("I"), nb)
@@ -462,6 +465,8 @@ def _cmd_verify(args) -> int:
 # asymp / maxorder / mu-k-stats
 
 def _cmd_asymp(args) -> int:
+    from .asymptotics import asymptotic_report
+
     S = parse_sset(args.sset)
     fn = "tau_S" if args.fn == "tau" else "sigma_S"
     rep = asymptotic_report(S, fn, args.n, samples=args.samples)
@@ -484,6 +489,13 @@ def _cmd_asymp(args) -> int:
 
 
 def _cmd_maxorder(args) -> int:
+    from .asymptotics import (
+        sigma_maximal_constant,
+        sigma_maximal_constant_uniform,
+        tau_maximal_ratio,
+        witness_sequence,
+    )
+
     S = parse_sset(args.sset)
     if args.mode == "tau":
         k = args.k if args.k is not None else 10**5
@@ -532,6 +544,8 @@ def _cmd_maxorder(args) -> int:
 
 
 def _cmd_mu_k_stats(args) -> int:
+    from .mobius import mu_k_statistics
+
     stats = mu_k_statistics(args.k, args.a_max)
     longest = max((ln for _, ln in stats.sign_runs), default=0)
     zero_share = sum(ln for s, ln in stats.sign_runs if s == 0) / stats.a_max

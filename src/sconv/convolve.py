@@ -26,21 +26,13 @@ from .arith import (
     _tau_pp,
     _tau_star_pp,
     dirichlet_sweep,
-    divisors,
     eval_multiplicative,
     multiplicative_table,
 )
 from .errors import ConsistencyError, LimitError
-from .sets import (
-    SSet,
-    _rho_many,
-    is_associative,
-    rho,
-    rho_table,
-)
+from .sets import SSet, _require_associative, rho_table, s_divisors
 
 DEFAULT_SEED = 8191  # seed for reproducible random-function property checks
-POINTWISE_SPAN = 1000  # lo..hi with hi - lo below this: pointwise beats a table to hi
 
 
 class ArithFunc:
@@ -146,13 +138,6 @@ NAMED_FUNCTIONS = tuple(sorted(_NAMED))
 # ---------------------------------------------------------------------------
 # the convolution
 
-def s_divisors(S: SSet, n: int) -> list[int]:
-    """Divisors d of n with gcd(d, n/d) in S, ascending. A table-backed S
-    looks up every gcd of n in one searchsorted of its member array."""
-    divs = divisors(n)
-    return [d for d, h in zip(divs, _rho_many(S, [math.gcd(d, n // d) for d in divs])) if h]
-
-
 def s_convolve_at(S: SSet, f: ArithFunc, g: ArithFunc, n: int):
     """(f * g)(n) restricted to S-divisor pairs."""
     return sum(f(d) * g(n // d) for d in s_divisors(S, n))
@@ -198,18 +183,6 @@ def s_convolve(S: SSet, f: ArithFunc, g: ArithFunc) -> ArithFunc:
 
 # ---------------------------------------------------------------------------
 # inverses
-
-def _require_associative(S: SSet) -> None:
-    """ValueError unless 1 is in S and the S-convolution associates."""
-    if rho(S, 1) != 1:
-        raise ValueError(f"{S.spec!r} does not contain 1; no identity, no inverses")
-    av = is_associative(S)
-    if not av:
-        raise ValueError(
-            f"{S.spec!r} gives a non-associative convolution; sconv computes inverses "
-            f"only under associative convolutions (witness triple {av.witness})"
-        )
-
 
 def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
     """Table of the inverse of f under the S-convolution, on 1..N.

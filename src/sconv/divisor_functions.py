@@ -54,10 +54,11 @@ from .arith import (
     multiplicative_table,
     multiplicative_windows,
 )
-from .convolve import s_divisors
 from .errors import ConsistencyError
-from .sets import SSet, _rho_many, rho, rho_table
-from .mobius import mu_set_at, mu_set_table
+from .sets import SSet, _rho_many, rho, rho_table, s_divisors
+
+# mobius is imported inside the three functions that read mu_S (tau_S_table,
+# sigma_S_table, phi_S_at), so eval's windowed streams never load it
 
 PHI_DIRECT_CAP = 10**6  # beyond this, only the convolution forms
 _PHI_BLOCK = 1 << 16  # sieve cells per block of _phi_direct: bounds its memory, not n
@@ -99,6 +100,8 @@ def phi_S_at(S: SSet, n: int) -> int:
     Computes the two convolution forms (mu_S * E and rho_S * phi) and, for
     n <= 1e6, the direct gcd count; all routes must agree.
     """
+    from .mobius import mu_set_at
+
     divs = divisors(n)
     via_mu = sum(mu_set_at(S, d) * (n // d) for d in divs)
     via_rho = sum(rho(S, d) * eval_multiplicative(_phi_pp, n // d) for d in divs)
@@ -178,6 +181,8 @@ def _square_divisor_table(name: str, S: SSet, N: int, coef, weighted: bool, ppv,
 
 def tau_S_table(S: SSet, N: int) -> np.ndarray:
     """Table of tau_S on 0..N by the square-divisor sieve over mu_S."""
+    from .mobius import mu_set_table
+
     return _square_divisor_table("tau_S", S, N, mu_set_table, False, _tau_pp,
                                  lambda n: tau_S_at(S, n))
 
@@ -188,6 +193,8 @@ def sigma_S_table(S: SSet, N: int) -> np.ndarray:
     int64 is safe: entries are at most sigma(n) <= n (1 + ln n) and the
     intermediate partial sums stay within a small multiple of that.
     """
+    from .mobius import mu_set_table
+
     guard_int64(int(N * (2 + math.log(N)) * math.isqrt(N)), "sigma_S_table")
     return _square_divisor_table("sigma_S", S, N, mu_set_table, True, _sigma_pp,
                                  lambda n: sigma_S_at(S, n))

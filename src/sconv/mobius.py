@@ -44,9 +44,19 @@ from .arith import (
     multiplicative_windows,
     prime_array,
 )
-from .convolve import POINTWISE_SPAN, _require_associative, s_divisors
 from .errors import ConsistencyError, LimitError
-from .sets import ExponentRule, SSet, Verdict, _rho_many, make_mult_sset, parse_sset, rho_table
+from .sets import (
+    POINTWISE_SPAN,
+    ExponentRule,
+    SSet,
+    Verdict,
+    _require_associative,
+    _rho_many,
+    make_mult_sset,
+    parse_sset,
+    rho_table,
+    s_divisors,
+)
 
 SERIES_CHECK_CAP = 1 << 16  # terms of the series that cross-checks the product
 EULER_ORDER = 8      # K: zeta(kz) factored out of the Euler product for k <= K

@@ -38,12 +38,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import _abs_max, eval_multiplicative, is_prime, multiplicative_table, sieve_primes
+from .arith import (
+    _abs_max,
+    divisors,
+    eval_multiplicative,
+    factorize,
+    is_prime,
+    multiplicative_table,
+    sieve_primes,
+)
 from .errors import ConsistencyError, LimitError, ParseError
 
 MAX_FINITE_EXPONENT = 64   # largest member a finite exponent rule may list
 DEFAULT_FINITE_BOUND = 100
 _SCAN_BLOCK = 1 << 16  # bounds the temporaries of coprime_product_failure
+POINTWISE_SPAN = 1000  # lo..hi with hi - lo below this: pointwise beats a table to hi
 
 
 @dataclass(frozen=True)
@@ -381,6 +390,14 @@ def _rho_many(S: SSet, ms: list[int]) -> list:
     return hit.tolist()
 
 
+def s_divisors(S: SSet, n: int) -> list[int]:
+    """Divisors d of n with gcd(d, n/d) in S, ascending: the S-divisors of n.
+    A table-backed S looks up every gcd of n in one searchsorted of its
+    member array."""
+    divs = divisors(n)
+    return [d for d, h in zip(divs, _rho_many(S, [math.gcd(d, n // d) for d in divs])) if h]
+
+
 def rho_table(S: SSet, limit: int) -> np.ndarray:
     """int64 0/1 table of the indicator on 0..limit (index 0 unused, = 0)."""
     if S.general is not None:
@@ -507,6 +524,31 @@ def is_associative(S: SSet) -> Verdict:
     if check_assoc_identity(S, *trip):
         raise ConsistencyError(f"triple {trip} does not violate associativity in {S.spec!r}")
     return Verdict(False, witness=trip)
+
+
+def _require_associative(S: SSet) -> None:
+    """ValueError unless 1 is in S and the S-convolution associates."""
+    if rho(S, 1) != 1:
+        raise ValueError(f"{S.spec!r} does not contain 1; no identity, no inverses")
+    av = is_associative(S)
+    if not av:
+        raise ValueError(
+            f"{S.spec!r} gives a non-associative convolution; sconv computes inverses "
+            f"only under associative convolutions (witness triple {witness_text(av.witness)})"
+        )
+
+
+def witness_text(w) -> str:
+    """A witness integer, or a tuple of them, as text: each integer in
+    decimal, or as its factorisation p^a * q^b ... when the decimal form
+    would pass sys.get_int_max_str_digits() (the triple of Q20000 starts at
+    2^40000); a tuple as "(a, b, c)"."""
+    if isinstance(w, tuple):
+        return "(" + ", ".join(map(witness_text, w)) + ")"
+    try:
+        return str(w)
+    except ValueError:  # past the int-to-str digit limit
+        return " * ".join(f"{p}^{a}" if a > 1 else str(p) for p, a in factorize(w))
 
 
 def _gap_triples(S: SSet):

@@ -19,12 +19,13 @@ import mpmath
 import numpy as np
 import pytest
 
+import sconv
 from sconv import arith, asymptotics, cli, mobius, sets
 from sconv.cli import SCHEMA_VERSION, main
-from sconv.convolve import POINTWISE_SPAN, ArithFunc, s_inverse
+from sconv.convolve import ArithFunc, s_inverse
 from sconv.divisor_functions import phi_S_table, sigma_S_table, tau_S_table
 from sconv.errors import ParseError
-from sconv.sets import Verdict, is_associative, parse_sset, rho_table
+from sconv.sets import POINTWISE_SPAN, Verdict, is_associative, parse_sset, rho_table
 
 
 def run(capsys, argv):
@@ -129,6 +130,14 @@ def test_eval_mu_refuses_non_associative_set(capsys):
     assert capsys.readouterr().err == (
         "error: 'Q2' gives a non-associative convolution; sconv computes inverses"
         " only under associative convolutions (witness triple (16, 4, 2))\n")
+
+
+def test_eval_mu_refusal_prints_a_witness_past_the_digit_limit(capsys):
+    # 2^40000 has 12042 decimal digits, past Python's int-to-str limit
+    assert main(["eval", "--sset", "Q20000", "--fn", "mu", "--n", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'Q20000' gives a non-associative convolution; sconv computes inverses"
+        " only under associative convolutions (witness triple (2^40000, 2^20000, 2^19999))\n")
 
 
 def test_eval_artifact_json(capsys, tmp_path):
@@ -427,6 +436,15 @@ def test_classify_non_associative(capsys):
     assert "(16, 4, 2)" in out
 
 
+def test_classify_prints_a_witness_past_the_digit_limit(capsys):
+    code, out = run(capsys, ["classify", "--sset", "Q20000"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2:4] == ["associative: no",
+                          "  witness triple (n, d, e) = (2^40000, 2^20000, 2^19999)"]
+    assert lines[4] == "  p=2: not-upward-closed, least excluded exponent 20000"
+
+
 @pytest.mark.parametrize("spec, line", [
     ("N", "associative: yes"),
     ("L2", "associative: yes"),
@@ -628,19 +646,26 @@ def test_verify_artifacts_are_byte_exact(capsys, tmp_path, spec, suite, n):
 
 
 def corrupt_entry(monkeypatch, name, n, value=None, call=None):
-    """Make cli's name return its table with entry n raised by 1 (or set to
-    value): on every call, or only on call number call."""
-    orig = getattr(cli, name)
+    """Make the table function name return its table with entry n raised by
+    1 (or set to value) when cli calls it: on every call, or only on cli's
+    call number call. It is patched in the module that defines it, which
+    verify imports at call time, and in cli when cli binds it at import;
+    the library's own calls (tau_S_table reads mu_set_table) stay exact."""
+    orig = getattr(cli, name, None) or getattr(sconv, name)
     calls = []
 
     def corrupted(*args):
         out = orig(*args)
+        if sys._getframe(1).f_globals["__name__"] != cli.__name__:
+            return out
         calls.append(1)
         if call is None or len(calls) == call:
             out[n] = out[n] + 1 if value is None else value
         return out
 
-    monkeypatch.setattr(cli, name, corrupted)
+    monkeypatch.setattr(sys.modules[orig.__module__], name, corrupted)
+    if hasattr(cli, name):
+        monkeypatch.setattr(cli, name, corrupted)
 
 
 IDENTITY_ROWS = [

@@ -7,6 +7,7 @@ something that cannot share its bugs.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from sconv.sets import (
     parse_sset,
     rho,
     rho_table,
+    witness_text,
 )
 
 BUILTINS = ["N", "1", "Q2", "Q3", "L2", "L3", "P{2,3}"]
@@ -356,6 +358,14 @@ def test_table_set_associativity_pins():
     assert is_associative(parse_sset("F{1,5}")) == Verdict(False, None, (625, 25, 5))
     assert is_associative(parse_sset("F{1,4}")) == Verdict(False, None, (128, 32, 8))
     assert is_associative(parse_sset("F{4,8}")) == Verdict(True, 100)  # no 1: the scan
+
+
+def test_witness_text_is_decimal_up_to_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert witness_text((16, 4, 2)) == str((16, 4, 2))
+    assert witness_text(10 ** limit - 1) == "9" * limit  # limit digits: still decimal
+    assert witness_text(10 ** limit) == f"2^{limit} * 5^{limit}"  # one digit more
+    assert witness_text((3 * 7 ** 6000, 2)) == "(3 * 7^6000, 2)"
 
 
 def test_assoc_identity_holds_on_random_triples():

@@ -64,25 +64,33 @@ def _factorize_small(n: int) -> tuple[tuple[int, int], ...]:
     out = []
     for p in (2, 3):
         if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
+            n, a = _strip(n, p)
             out.append((p, a))
     # remaining factors are 6k +- 1
     f = 5
     while f * f <= n:
         for p in (f, f + 2):
             if n % p == 0:
-                a = 0
-                while n % p == 0:
-                    n //= p
-                    a += 1
+                n, a = _strip(n, p)
                 out.append((p, a))
         f += 6
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p^a, a) for p^a || n: divides by p, p^2, p^4, ... while each
+    divides, then by the same powers in reverse, O(log a) divisions."""
+    a, pows = 0, []
+    while n % p == 0:
+        n, a = n // p, a + (1 << len(pows))
+        pows.append(p)
+        p *= p
+    for k in reversed(range(len(pows))):
+        if n % pows[k] == 0:
+            n, a = n // pows[k], a + (1 << k)
+    return n, a
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -202,11 +210,11 @@ def multiplicative_windows(lo: int, hi: int, ppv, linear):
     windows of _window_width(hi) entries, each a view of one buffer that
     the next window overwrites: read a window before asking for the next.
 
-    linear = (c1, c0, exceptions) gives ppv(q, 1) = c1 q + c0 at every
-    prime q > isqrt(hi) outside exceptions, evaluated as one int64 array;
-    ppv(q, 1) is called for the exceptions alone. Every value is taken and
-    guarded here, before the first window is asked for, so LimitError
-    comes from this call.
+    linear = (c1, c0, member) gives ppv(q, 1) = c1 q + c0 + member(q) at
+    every prime q > isqrt(hi) as one int64 array, without calling ppv;
+    member is None or SSet.rho_primes, read once on those primes. Every
+    value is taken and guarded here, before the first window is asked
+    for, so LimitError comes from this call.
     """
     if not 0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi")
@@ -296,16 +304,12 @@ def _window_sieve(hi: int, ppv, linear=None):
     large = primes[n_small:]
     f_large = np.empty(len(large), dtype=np.int64)
     if linear is not None and len(large):
-        c1, c0, exceptions = linear
-        guard_int64(abs(c1) * int(large[-1]) + abs(c0), "linear ppv(q, 1)")
+        c1, c0, member = linear
+        guard_int64(abs(c1) * int(large[-1]) + abs(c0) + 1, "linear ppv(q, 1)")
         np.multiply(large, c1, out=f_large)
         f_large += c0
-        for q in sorted(exceptions):
-            i = int(large.searchsorted(q))
-            if i < len(large) and large[i] == q:
-                v = ppv(q, 1)
-                _guard_growth([v], [q], hi)  # before it can overflow its int64 slot
-                f_large[i] = v
+        if member is not None:
+            f_large += member(large)
     # in chunks: one list of every large prime's value left its pymalloc
     # arenas resident, about 1.4 MiB of peak RSS at 2.5e5
     for s in range(0, len(large), _PPV_CHUNK):

@@ -53,7 +53,6 @@ from .sets import (
     is_associative,
     is_multiplicative,
     parse_sset,
-    rho_table,
     witness_text,
 )
 
@@ -245,9 +244,11 @@ def _eval_blocks(lo: int, chunks, echo: bool):
 def _eval_values(S: SSet, fn: str, lo: int, hi: int) -> Iterable:
     """Values on lo..hi as consecutive chunks. mu comes from inverse_of_I.
     tau, sigma and phi: one list of pointwise ints when hi - lo <
-    POINTWISE_SPAN, else the int64 windows of divisor_function_windows on a
-    rule-based S, and for tau and sigma on a table-backed S with 1 in S and
-    rho_S multiplicative on 1..isqrt(hi); otherwise a slice of the table."""
+    POINTWISE_SPAN, else the int64 windows of divisor_function_windows when
+    S holds 1 with rho_S multiplicative as far as fn reads it
+    (S.multiplicative_to): to isqrt(hi) for tau and sigma, the gcds, and to
+    hi for phi, every divisor; otherwise a slice of the table to hi, which
+    refuses a table-backed S whose bound that reach passes."""
     if fn == "mu":
         from .mobius import inverse_of_I
 
@@ -255,12 +256,8 @@ def _eval_values(S: SSet, fn: str, lo: int, hi: int) -> Iterable:
     if hi - lo < POINTWISE_SPAN:
         at = {"tau": tau_S_at, "sigma": sigma_S_at, "phi": phi_S_at}[fn]
         return [[at(S, n) for n in range(lo, hi + 1)]]
-    if S.mult is not None:
+    if S.multiplicative_to(hi if fn == "phi" else math.isqrt(hi)):
         return divisor_function_windows(S, fn, lo, hi)
-    if fn != "phi":  # tau_S and sigma_S read rho_S at the gcds, up to isqrt(hi)
-        gcds = rho_table(S, math.isqrt(hi))  # the tables' LimitError past the bound
-        if gcds[1] and coprime_product_failure(gcds, len(gcds) - 1) is None:
-            return divisor_function_windows(S, fn, lo, hi)
     tab = {"tau": tau_S_table, "sigma": sigma_S_table, "phi": phi_S_table}[fn]
     return [tab(S, hi)[lo : hi + 1]]
 

@@ -13,8 +13,9 @@ expansion: with mu_S the set Moebius companion and tau*, sigma* the unitary
                = sum_{d^2 | n} rho_S(d) d sigma*(n/d^2)
     phi_S      = mu_S * E = rho_S * phi   (ordinary Dirichlet products)
 
-For rule-based S all three are multiplicative, and so are tau_S and sigma_S
-on 1..hi for any S with 1 in S and rho_S multiplicative on 1..isqrt(hi).
+All three are multiplicative on 1..hi when 1 is in S and rho_S is
+multiplicative as far as they read it: to isqrt(hi) (the gcds) for tau_S
+and sigma_S, to hi (every divisor) for phi_S; so for every rule-based S.
 Their prime-power values read membership alone (SSet.rho_prime_power):
 tau_S(p^a) counts the i <= a with p^min(i, a-i) in S, sigma_S(p^a) sums
 those p^i, and phi_S(p^a) sums phi(p^(a-i)) over the i <= a with p^i in S
@@ -142,19 +143,16 @@ def _phi_direct(S: SSet, n: int) -> int:
 def divisor_function_windows(S: SSet, fn: str, lo: int, hi: int):
     """tau_S, sigma_S or phi_S (fn "tau", "sigma", "phi") on lo..hi, as the
     int64 windows of arith.multiplicative_windows on the local values (each
-    a view that the next overwrites): tau_S and sigma_S for any S that holds
-    1 with rho_S multiplicative on 1..isqrt(hi), phi_S for rule-based S. At
-    a prime q > sqrt(hi), tau_S(q) = 2, sigma_S(q) = 1 + q and phi_S(q) =
-    q - 1 + rho_S(q), the override primes one by one. The seeded points of
-    _check_points(lo, hi) are compared with tau_S_at, sigma_S_at or
-    _phi_direct before their window is handed out (ConsistencyError).
+    a view that the next overwrites), for any S with S.multiplicative_to
+    isqrt(hi) (tau_S, sigma_S) or hi (phi_S). At a prime q > sqrt(hi),
+    tau_S(q) = 2, sigma_S(q) = 1 + q and phi_S(q) = q - 1 + rho_S(q), the
+    last with its membership term read by SSet.rho_primes. The seeded
+    points of _check_points(lo, hi) are compared with tau_S_at, sigma_S_at
+    or _phi_direct before their window is handed out (ConsistencyError).
     Guards raise from this call, before any window."""
-    if fn == "phi":
-        local, direct = _phi_S_pp, _phi_direct
-        linear = (1, int(S.mult.default_rule.contains(1)) - 1, S.mult.overrides)
-    else:
-        local, linear, direct = {"tau": (_tau_S_pp, (0, 2, ()), tau_S_at),
-                                 "sigma": (sigma_S_prime_power, (1, 1, ()), sigma_S_at)}[fn]
+    local, linear, direct = {"tau": (_tau_S_pp, (0, 2, None), tau_S_at),
+                             "sigma": (sigma_S_prime_power, (1, 1, None), sigma_S_at),
+                             "phi": (_phi_S_pp, (1, -1, S.rho_primes), _phi_direct)}[fn]
     windows = multiplicative_windows(lo, hi, partial(local, S), linear)
     return _checked(f"{fn}_S window", windows, lo, hi, partial(direct, S))
 

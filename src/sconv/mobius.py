@@ -78,8 +78,7 @@ def mu_set_table(S: SSet, N: int) -> np.ndarray:
     kept only as the tests' cross-check of the sieve.
     """
     if S.mult is not None:
-        c1, c0, overrides = S.mult.rho_linear  # mu_S(q) = rho_S(q) - 1
-        return multiplicative_table(N, S.mult.mu_prime_power, (c1, c0 - 1, overrides))
+        return multiplicative_table(N, S.mult.mu_prime_power, (0, -1, S.rho_primes))  # rho_S(q) - 1
     return dirichlet_sweep(rho_table(S, N), mu_table(N), N)
 
 
@@ -129,7 +128,7 @@ def inverse_of_I(S: SSet, lo: int, hi: int) -> Iterable:
     ppv = partial(_inverse_of_I_pp, S)
     if hi - lo < POINTWISE_SPAN:
         return [[eval_multiplicative(ppv, n) for n in range(lo, hi + 1)]]
-    windows = multiplicative_windows(lo, hi, ppv, (0, -1, ()))
+    windows = multiplicative_windows(lo, hi, ppv, (0, -1, None))
     return _checked("inverse_of_I window", windows, lo, hi, partial(_inverse_by_recurrence, S))
 
 
@@ -555,7 +554,7 @@ def _series(S: SSet, T: int, z: float, logs: bool) -> tuple[Ball, Ball | None]:
     takes from its members. Each window's sums are _series_partial Balls,
     joined by Ball.fsum; a single window's Ball is the sum itself."""
     if S.mult is not None:
-        windows = multiplicative_windows(0, T, S.mult.rho_prime_power, S.mult.rho_linear)
+        windows = multiplicative_windows(0, T, S.mult.rho_prime_power, (0, 0, S.rho_primes))
     else:
         windows = _windows(S.general.fill, 0, T, bool)
     plain, weighted, start = [], [], 0

@@ -147,11 +147,12 @@ class MultiplicativeSSet:
         """mu_S(p^a) = rho_S(p^a) - rho_S(p^(a-1)), for a >= 1."""
         return self.rho_prime_power(p, a) - self.rho_prime_power(p, a - 1)
 
-    @property
-    def rho_linear(self) -> tuple:
-        """rho_S(q) = 0 q + c0 at every prime q without an override, c0 from
-        the default rule: the linear form of arith.multiplicative_windows."""
-        return (0, int(self.default_rule.contains(1)), self.overrides)
+    def rho_primes(self, q: np.ndarray) -> np.ndarray:
+        """SSet.rho_primes: the default rule's value, patched at the overrides."""
+        out = np.full(len(q), self.default_rule.contains(1))
+        for p, r in self.overrides.items():  # the slice is [i] when q[i] == p, else empty
+            out[q.searchsorted(p) : q.searchsorted(p, "right")] = r.contains(1)
+        return out
 
     def least_default_prime(self) -> int:
         """Least prime without an override, i.e. governed by default_rule."""
@@ -193,9 +194,23 @@ class GeneralSSet:
             raise LimitError(f"membership of {p}^{a} unknown past bound {self.bound}")
         return int(p ** a in self)
 
+    def rho_primes(self, q: np.ndarray) -> np.ndarray:
+        """Membership of each entry of q, one searchsorted; LimitError past the bound."""
+        if q.max(initial=0) > self.bound:
+            raise LimitError(f"membership of {q.max()} unknown past bound {self.bound}")
+        at = self.members.searchsorted(q)
+        hit = at < len(self.members)
+        hit[hit] = self.members[at[hit]] == q[hit]
+        return hit
+
+    def multiplicative_failure(self, limit: int) -> tuple | None:
+        """None if 1 is in S and rho_S is multiplicative on 1..limit <= bound,
+        else (1, 1) without 1, or coprime_product_failure's pair."""
+        return coprime_product_failure(self.table(limit, bool), limit) if 1 in self else (1, 1)
+
     @cached_property
     def multiplicative(self) -> Verdict:
-        w = coprime_product_failure(self.table(self.bound, bool), self.bound) if 1 in self else (1, 1)
+        w = self.multiplicative_failure(self.bound)
         return Verdict(w is None, bound=self.bound, witness=w)
 
 
@@ -216,6 +231,16 @@ class SSet:
     def rho_prime_power(self, p: int, a: int) -> int:
         """Membership of p^a, from the exponent rule or the table."""
         return (self.mult or self.general).rho_prime_power(p, a)
+
+    def rho_primes(self, q: np.ndarray) -> np.ndarray:
+        """rho_S at each prime of the ascending int64 array q, as a bool array."""
+        return (self.mult or self.general).rho_primes(q)
+
+    def multiplicative_to(self, limit: int) -> bool:
+        """Does S hold 1 with rho_S multiplicative on 1..limit? A rule-based S
+        always does; a table-backed S not past its bound (membership unknown)."""
+        g = self.general
+        return g is None or limit <= g.bound and g.multiplicative_failure(limit) is None
 
 
 @dataclass(frozen=True)
@@ -378,7 +403,9 @@ def rho(S: SSet, m: int) -> int:
 def _rho_many(S: SSet, ms: list[int]) -> list:
     """rho(S, m) for each m of ms (true values for members). A table-backed
     S answers all in one searchsorted of its member array, and raises rho's
-    LimitError for the first m past its bound."""
+    LimitError for the first m past its bound. Kept apart from
+    GeneralSSet.rho_primes, which feeds the phi stream that _phi_direct,
+    through this, checks."""
     if S.general is None:
         return [rho(S, m) for m in ms]
     if max(ms) > S.general.bound:
@@ -404,7 +431,7 @@ def rho_table(S: SSet, limit: int) -> np.ndarray:
         if limit > S.general.bound:
             raise LimitError(f"table to {limit} exceeds bound {S.general.bound} of {S.spec!r}")
         return S.general.table(limit)
-    return multiplicative_table(limit, S.mult.rho_prime_power, S.mult.rho_linear)
+    return multiplicative_table(limit, S.mult.rho_prime_power, (0, 0, S.rho_primes))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +451,10 @@ def coprime_product_failure(t, limit: int) -> tuple[int, int] | None:
     """First coprime pair (m, n), 2 <= m < n and m n <= limit, ascending in
     (m, n), with t[mn] != t[m] t[n]; None when t is multiplicative there.
 
-    One numpy pass per m (per _SCAN_BLOCK values of n) over exact values:
-    a bool t stays bool, where t[m] t[n] is t[m] & t[n]; any other ndarray
-    is compared in int64 while no product t[m] t[n] can overflow, and as
-    Python ints (object dtype) otherwise, as is a list.
+    One numpy pass per m (per _SCAN_BLOCK values of n) over exact values,
+    gcds only where t[mn] != t[m] t[n]: a bool t stays bool (t[m] & t[n]);
+    any other ndarray is compared in int64 while no product t[m] t[n] can
+    overflow, and as Python ints (object dtype) otherwise, as is a list.
     """
     if not isinstance(t, np.ndarray):
         t = np.array(t, dtype=object)
@@ -436,10 +463,11 @@ def coprime_product_failure(t, limit: int) -> tuple[int, int] | None:
         t = t[: limit + 1].astype(object if exact else np.int64, copy=False)
     for m in range(2, math.isqrt(limit) + 1):
         for lo in range(m + 1, limit // m + 1, _SCAN_BLOCK):
-            n = np.arange(lo, min(lo + _SCAN_BLOCK, limit // m + 1))
-            bad = (np.gcd(n, m) == 1) & (t[m * n] != t[m] * t[n])
-            if bad.any():
-                return (m, int(n[bad.argmax()]))
+            hi = min(lo + _SCAN_BLOCK, limit // m + 1)  # n in [lo, hi), t[mn] a strided view
+            n = np.flatnonzero(t[m * lo : m * hi : m] != t[m] * t[lo:hi]) + lo
+            n = n[np.gcd(n, m) == 1]
+            if len(n):
+                return (m, int(n[0]))
     return None
 
 

@@ -93,6 +93,16 @@ def test_factorize_matches_brute():
         assert factorize(n) == brute_factorize(n), n
 
 
+def test_factorize_strips_high_powers_as_plain_trial_division_does():
+    # each prime comes off by p, p^2, p^4, ... and back down, in O(log a)
+    # divisions; plain trial division takes one per unit of exponent
+    rng = random.Random(20000)
+    for n in [2**40000 * 3**7 * 101, 7**6000 * 3, *(rng.randint(1, 10**6) for _ in range(2000)),
+              *(p ** a * q ** b for p, q in ((2, 3), (5, 7), (997, 2)) for a in range(1, 20)
+                for b in (1, 2, 17))]:
+        assert factorize(n) == brute_factorize(n)
+
+
 def test_divisors_sorted_and_complete():
     for n in range(1, 401):
         ds = divisors(n)

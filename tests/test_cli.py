@@ -266,19 +266,26 @@ def test_eval_values_of_a_table_backed_set_mu_streams(tmp_path):
 
 @pytest.fixture(scope="module")
 def table_sets(tmp_path_factory):
-    """Table-backed sets: name -> (set, whether tau and sigma stream to 1e4).
-    The FILE: sets go to 20000: L2; 1..20000 but 5005, multiplicative to
-    isqrt(1e4) only; 1..20000 but 6, not multiplicative there."""
+    """Table-backed sets: name -> (set, reach), reach the largest limit to
+    which 1 is in S and rho_S is multiplicative (0 without 1). The FILE:
+    sets go to 20000: L2; 1..20000 but 5005 = 5 * 1001, multiplicative to
+    5004; 1..20000 but 6, to 5."""
     d = tmp_path_factory.mktemp("sets")
-    out = {"F{1,5}": (parse_sset("F{1,5}"), True), "F{4,8}": (parse_sset("F{4,8}"), False)}
+    out = {"F{1,5}": (parse_sset("F{1,5}"), 100), "F{4,8}": (parse_sset("F{4,8}"), 0)}
     l2 = rho_table(parse_sset("L2"), 20000).nonzero()[0].tolist()
-    for name, members, streams in (("l2", l2, True), ("gap", range(1, 20001), True),
-                                   ("no6", range(1, 20001), False)):
+    for name, members, reach in (("l2", l2, 20000), ("gap", range(1, 20001), 5004),
+                                 ("no6", range(1, 20001), 5)):
         path = d / f"{name}.txt"
         dropped = {"gap": 5005, "no6": 6}.get(name)
         path.write_text("bound 20000\n" + "".join(f"{m}\n" for m in members if m != dropped))
-        out[name] = (parse_sset(f"FILE:{path}"), streams)
+        out[name] = (parse_sset(f"FILE:{path}"), reach)
     return out
+
+
+def test_table_sets_reach_as_pinned(table_sets):
+    for name, (S, reach) in table_sets.items():
+        assert not S.multiplicative_to(reach + 1), name
+        assert S.multiplicative_to(reach) == (reach > 0), name
 
 
 # phi_S reads rho_S to hi, past the bound 100 of the F{..} sets
@@ -287,16 +294,16 @@ def table_sets(tmp_path_factory):
                                       if fn != "phi" or not name.startswith("F")])
 @pytest.mark.parametrize("lo, hi", [(1, 1000), (1, 1001), (4001, 5000), (4001, 10000), (1, 10000)])
 def test_eval_values_routes_of_table_backed_sets(monkeypatch, table_sets, name, fn, lo, hi):
-    """From POINTWISE_SPAN rows on, tau and sigma stream 64-entry windows
-    when 1 is in S and rho_S is multiplicative on 1..isqrt(hi); phi, a set
-    without 1 and a set that is not multiplicative there take one slice of
-    the table to hi, whose values every route gives."""
-    S, streams = table_sets[name]
+    """From POINTWISE_SPAN rows on, tau, sigma and phi stream 64-entry
+    windows when 1 is in S and rho_S is multiplicative as far as they read
+    it: to isqrt(hi) for tau and sigma, to hi for phi. Otherwise they take
+    one slice of the table to hi, whose values every route gives."""
+    S, reach = table_sets[name]
     monkeypatch.setattr(arith, "_window_width", lambda hi: 64)
     chunks = eval_chunks(S, fn, None, lo, hi)
     if hi - lo < POINTWISE_SPAN:
         assert len(chunks) == 1 and type(chunks[0]) is list
-    elif streams and fn != "phi":
+    elif (hi if fn == "phi" else math.isqrt(hi)) <= reach:
         assert [len(c) for c in chunks[:-1]] == [64] * (len(chunks) - 1) and len(chunks) > 1
         assert all(c.dtype == np.int64 for c in chunks)
     else:

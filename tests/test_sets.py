@@ -263,6 +263,26 @@ def test_coprime_product_failure_bool_membership_tables():
             assert coprime_product_failure(t, limit) == want, (trial, getattr(t, "dtype", list))
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_coprime_product_failure_across_scan_blocks(monkeypatch, block):
+    # the strided t[mn] views and the gcds of the mismatches, at block edges
+    monkeypatch.setattr(sets, "_SCAN_BLOCK", block)
+    rng = random.Random(block)
+    for trial in range(60):
+        limit = rng.randrange(1, 400)
+        pp = {}
+        vals = [0] + [eval_multiplicative(lambda p, a: pp.setdefault((p, a), rng.randrange(3)), n)
+                      for n in range(1, limit + 1)]
+        for _ in range(rng.randrange(3)):
+            vals[rng.randrange(1, limit + 1)] += 1
+        want = loop_coprime_product_failure(vals, limit)
+        for t in (np.array(vals, dtype=np.int64), vals):
+            assert coprime_product_failure(t, limit) == want, (trial, block)
+    gap = np.ones(20001, dtype=bool)
+    gap[[0, 5005]] = False  # 1..20000 but 5005 = 5 * 1001
+    assert coprime_product_failure(gap, 20000) == (2, 5005)
+
+
 def test_general_set_rho_prime_power():
     S = parse_sset("F{1,2,4,9}")  # bound 100
     assert [S.rho_prime_power(2, a) for a in range(7)] == [1, 1, 1, 0, 0, 0, 0]

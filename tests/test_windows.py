@@ -6,8 +6,8 @@ streams of tau_S, sigma_S, phi_S and the S-inverse of I (the route of
 the push sieve s_inverse, on every builtin set, a set with every rule kind,
 random rule-based sets, a set with an override prime above sqrt(hi), and
 for tau_S, sigma_S and the S-inverse of I on the table-backed sets
-F{1,5} and a FILE: copy of L2. Narrow windows put lo, hi and the window
-edges at every residue.
+F{1,5} and a FILE: copy of L2, and for phi_S on FILE: copies of L2 and
+Q2. Narrow windows put lo, hi and the window edges at every residue.
 """
 
 import math
@@ -124,6 +124,7 @@ def test_streams_in_narrow_windows(narrow, key, fn):
 # bound streams mu up to the square of the bound
 F15 = parse_sset("F{1,5}")
 L2_100 = make_general_sset(rho_table(parse_sset("L2"), 100).nonzero()[0], 100)
+L2_5000 = make_general_sset(rho_table(parse_sset("L2"), 5000).nonzero()[0], 5000)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,51 @@ def test_table_backed_streams_in_narrow_windows(narrow, file_l2, fn):
                 assert streamed(stream(S, fn, lo, hi)) == want[lo : hi + 1], (S.spec, lo, hi)
 
 
+@pytest.fixture(scope="module")
+def file_q2(tmp_path_factory):
+    """Q2 as a FILE: set to 1e5: every prime is a member, so the membership
+    term of phi_S(q) = q - 1 + rho_S(q) is 1 at every large prime."""
+    path = tmp_path_factory.mktemp("sets") / "q2.txt"
+    members = rho_table(parse_sset("Q2"), 10**5).nonzero()[0]
+    path.write_text("bound 100000\n" + "".join(f"{m}\n" for m in members))
+    return parse_sset(f"FILE:{path}")
+
+
+@pytest.mark.parametrize("key", ["Q2", "L2"])
+def test_table_backed_phi_streams_match_the_table_bytes(file_q2, file_l2, key):
+    S = file_q2 if key == "Q2" else file_l2
+    hi = S.general.bound
+    table = phi_S_table(S, hi)
+    assert S.multiplicative_to(hi)
+    for lo in (1, 2, 4097, hi - 1000):
+        got = np.concatenate([w.copy() for w in divisor_function_windows(S, "phi", lo, hi)])
+        assert got.dtype == table.dtype and got.tobytes() == table[lo : hi + 1].tobytes(), lo
+
+
+@pytest.fixture
+def zero_rho_primes(monkeypatch):
+    # a membership term that reads no member: phi_S(q) one too small at
+    # every large prime q of Q2, and at each of its multiples
+    from sconv.sets import GeneralSSet
+
+    monkeypatch.setattr(GeneralSSet, "rho_primes", lambda self, q: np.zeros(len(q), dtype=np.int64))
+
+
+def test_phi_stream_self_check_catches_a_zero_membership_term(zero_rho_primes, file_q2):
+    with pytest.raises(ConsistencyError, match="phi_S window self-check failed at n="):
+        streamed(divisor_function_windows(file_q2, "phi", 1, 10**5))
+
+
+def test_eval_phi_zero_membership_term_leaves_no_artifact(zero_rho_primes, file_q2, capsys,
+                                                          tmp_path):
+    path = tmp_path / "x.csv"
+    code = cli.main(["eval", "--sset", file_q2.spec, "--fn", "phi", "--range", "1..100000",
+                     "--out", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("consistency failure: phi_S window self-check")
+    assert not path.exists()
+
+
 def random_rule(rng):
     kind = rng.choice(["all", "none", "below", "at_least", "finite"])
     if kind == "below":
@@ -189,20 +235,23 @@ def test_windows_match_the_table_kernel(narrow):
     ppv = lambda p, a: (-1) ** a * (p + a) if a != 2 else 0  # -q - 1 at a prime q
     want = multiplicative_table(500, ppv).tolist()
     for lo in range(1, 30):
-        got = streamed(multiplicative_windows(lo, 500 - lo, ppv, (-1, -1, ())))
+        got = streamed(multiplicative_windows(lo, 500 - lo, ppv, (-1, -1, None)))
         assert got == want[lo : 501 - lo]
-    # the linear form at the large primes, with an exception patched by ppv
-    sig = lambda p, a: 7 if (p, a) == (31, 1) else _sigma_pp(p, a)
+    # the linear form at the large primes with a membership term, here 1 at 31 alone
+    sig = lambda p, a: _sigma_pp(p, a) + ((p, a) == (31, 1))
+    member = lambda q: q == 31
     want = [0] + [eval_multiplicative(sig, n) for n in range(1, 501)]
-    assert streamed(multiplicative_windows(3, 500, sig, (1, 1, {31, 997}))) == want[3:]
+    for lo in (1, 3, 62):
+        assert streamed(multiplicative_windows(lo, 500, sig, (1, 1, member))) == want[lo:]
 
 
 @pytest.mark.parametrize("key", sorted(SETS))
 def test_rule_based_tables_take_the_linear_form_of_rho(key, monkeypatch):
-    """rho_table and mu_set_table read rho_S(q) = c0 and mu_S(q) = c0 - 1 at
-    the primes q > sqrt N without an override, as one array: the tables are
-    byte-identical to the sieve that asks every prime, and the prime-power
-    values are asked only at the primes to sqrt N and the override primes."""
+    """rho_table and mu_set_table read rho_S(q) and mu_S(q) = rho_S(q) - 1
+    at the primes q > sqrt N from SSet.rho_primes, as one array: the tables
+    are byte-identical to the sieve that asks every prime, and the
+    prime-power values are asked only at the primes to sqrt N, override
+    primes above it included."""
     S, N = SETS[key], 5000
     want = [multiplicative_table(N, f) for f in (S.mult.rho_prime_power, S.mult.mu_prime_power)]
     asked = set()
@@ -215,33 +264,51 @@ def test_rule_based_tables_take_the_linear_form_of_rho(key, monkeypatch):
     monkeypatch.setattr(MultiplicativeSSet, "rho_prime_power", counted)
     for got, w in zip((rho_table(S, N), mobius.mu_set_table(S, N)), want):
         assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), key
-    r = math.isqrt(N)
-    assert {p for p in asked if p > r} == {p for p in S.mult.overrides if r < p <= N}
+    assert asked and max(asked) <= math.isqrt(N)
+    if key == "high":  # overrides at 101 and 4999, both above sqrt N
+        assert {101, 4999} <= {p for p in S.mult.overrides if p > math.isqrt(N)}
+
+
+def test_rule_based_rho_primes_patch_the_overrides():
+    q = arith.prime_array(5000)[15:]  # the primes from 53 on
+    got = HIGH_OVERRIDES.rho_primes(q)
+    assert got.dtype == bool
+    assert got.tolist() == [rho(HIGH_OVERRIDES, int(p)) for p in q]
+    assert got[q == 101].tolist() == [0] == got[q == 4999].tolist() and got.sum() == len(q) - 2
 
 
 def test_windows_take_each_value_once_before_the_first_window():
-    calls = []
+    calls, reads = [], []
 
     def ppv(p, a):
         calls.append((p, a))
         return p + a
 
-    windows = multiplicative_windows(10, 400, ppv, (1, 1, {23, 29}))
+    def member(q):  # p + 1 = q + 0 + 1 at each large prime
+        reads.append(q.tolist())
+        return np.ones(len(q), dtype=np.int64)
+
+    windows = multiplicative_windows(10, 400, ppv, (1, 0, member))
     small = [(p, a) for p in (2, 3, 5, 7, 11, 13, 17, 19) for a in range(1, 9) if p ** a <= 400]
-    assert calls == small + [(23, 1), (29, 1)]
-    assert len(streamed(windows)) == 391 and len(calls) == len(small) + 2
+    assert calls == small
+    assert reads == [[p for p in range(23, 401) if all(p % d for d in range(2, 20))]]
+    got = streamed(windows)
+    assert len(calls) == len(small) and len(reads) == 1
+    assert got == [eval_multiplicative(lambda p, a: p + a, n) for n in range(10, 401)]
 
 
 def test_linear_values_are_guarded_before_any_window():
     # the array arithmetic c1 q + c0 would wrap int64 past 2^63
     with pytest.raises(LimitError):
-        multiplicative_windows(1, 10**4, _sigma_pp, (2**60, 0, ()))
-    # fits int64, but products of such values would not
-    with pytest.raises(LimitError):
-        multiplicative_windows(1, 10**4, _sigma_pp, (10**9, 0, ()))
-    # an exception's own value is guarded too
-    with pytest.raises(LimitError):
-        multiplicative_windows(1, 10**4, lambda p, a: 2**70 if p == 101 else 1, (0, 1, {101}))
+        multiplicative_windows(1, 10**4, _sigma_pp, (2**60, 0, None))
+    # fits int64, but products of such values would not: the growth pass
+    # over the large-prime values catches it, with a membership term too
+    for member in (None, parse_sset("Q2").rho_primes):
+        with pytest.raises(LimitError):
+            multiplicative_windows(1, 10**4, _sigma_pp, (10**9, 0, member))
+    # a table-backed set's membership term refuses primes past its bound
+    with pytest.raises(LimitError, match="unknown past bound 5000"):
+        multiplicative_windows(1, 10**4, _sigma_pp, (1, -1, L2_5000.rho_primes))
 
 
 def test_stream_memory_is_the_window_not_the_range():

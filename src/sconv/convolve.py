@@ -30,7 +30,7 @@ from .arith import (
     multiplicative_table,
 )
 from .errors import ConsistencyError, LimitError
-from .sets import SSet, _require_associative, rho_table, s_divisors
+from .sets import SSet, _require_associative, rho, rho_table, s_divisors, witness_text
 
 DEFAULT_SEED = 8191  # seed for reproducible random-function property checks
 
@@ -56,9 +56,6 @@ class ArithFunc:
 
     def __repr__(self):
         return f"ArithFunc({self.name})"
-
-    def __add__(self, other: "ArithFunc") -> "ArithFunc":
-        return ArithFunc(lambda n: self(n) + other(n), name=f"({self.name}+{other.name})")
 
     @classmethod
     def from_table(cls, values, name: str = "table") -> "ArithFunc":
@@ -269,7 +266,12 @@ def _least_excluded_member(S: SSet) -> int | None:
 
 
 def indicator(m: int) -> ArithFunc:
-    return ArithFunc(lambda n: 1 if n == m else 0, name=f"ind_{m}")
+    return ArithFunc(lambda n: 1 if n == m else 0, name=f"ind_{witness_text(m)}")
+
+
+def _one_term(S: SSet, n: int, d: int, fd, ge):
+    """(f * g)(n) when f vanishes off d (or g off n/d), from fd = f(d), ge = g(n/d)."""
+    return fd * ge if rho(S, math.gcd(d, n // d)) else 0
 
 
 def zero_divisor_pair(S: SSet) -> ZeroDivisorPair | None:
@@ -277,16 +279,16 @@ def zero_divisor_pair(S: SSet) -> ZeroDivisorPair | None:
 
     The full set N is the only S whose convolution has no zero divisors;
     every other S excludes some m, and ind_m * ind_m vanishes identically:
-    ind_m(d) ind_m(n/d) is nonzero only at d = m, n = m^2, so the one value
-    at m^2 is verified by direct convolution (its gcd queries stop at m, in
-    range of a table-backed S).
+    ind_m(d) ind_m(n/d) is nonzero only at d = m, n = m^2, so the check reads
+    that one term, rho_S(m), not the S-divisors of m^2 (m = 2^20000 on Q20000).
     """
     m = _least_excluded_member(S)
     if m is None:
         return None
     f = indicator(m)
-    if s_convolve_at(S, f, f, m * m) != 0:
-        raise ConsistencyError(f"ind_{m} * ind_{m} over {S.spec!r} is nonzero at {m * m}")
+    if _one_term(S, m * m, m, f(m), f(m)) != 0:
+        raise ConsistencyError(f"{f.name} squared over {S.spec!r} is nonzero at"
+                               f" {witness_text(m * m)}")
     return ZeroDivisorPair(f=f, g=f, excluded=m, checked_at=m * m)
 
 
@@ -294,8 +296,9 @@ def associativity_violation_functions(trip: tuple[int, int, int]):
     """Concrete (f, g, h, n) with ((f*g)*h)(n) != (f*(g*h))(n), built from
     the witness triple (n, d, e) of a False is_associative verdict.
 
-    The indicators of e, d/e and n/d disagree at n: one bracketing picks up
-    rho((d, n/d)) rho((e, d/e)), the other rho((e, n/e)) rho((d/e, n/d)).
+    The indicators of e, d/e and n/d make each bracketing one term at n:
+    ((f*g)*h)(n) = rho((d, n/d)) (f*g)(d) = rho((d, n/d)) rho((e, d/e)), and
+    (f*(g*h))(n) = rho((e, n/e)) (g*h)(n/e) = rho((e, n/e)) rho((d/e, n/d)).
     """
     n, d, e = trip
     return (indicator(e), indicator(d // e), indicator(n // d), n)

@@ -381,7 +381,10 @@ def parse_sset(text: str) -> SSet:
         if bad < len(body):
             line = body[body.rfind(b"\n", 0, bad) + 1 :].split(b"\n", 1)[0].strip()
             raise ParseError(f"set file {path!r}: bad member line {line.decode(errors='replace')!r}")
-        return make_general_sset(body.split(), int(b), spec=text)
+        members = np.fromstring(body, dtype=np.int64, sep=" ")  # saturates past int64,
+        if members.max(initial=0) == (1 << 63) - 1:  # so its top is parsed again exactly
+            members = body.split()
+        return make_general_sset(members, int(b), spec=text)
     raise ParseError(f"unrecognized set expression {text!r}")
 
 

@@ -523,6 +523,19 @@ def test_file_set_parse_errors(capsys, tmp_path, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("top", [2**63, 10**30])
+def test_file_set_members_past_int64_are_refused(capsys, tmp_path, top):
+    # numpy's text parser saturates at 2^63 - 1, which is then parsed again exactly
+    path = tmp_path / "set.txt"
+    path.write_text(f"bound {10**40}\n1\n{2**63 - 1}\n")
+    assert parse_sset(f"FILE:{path}").general.members.tolist() == [1, 2**63 - 1]
+    path.write_text(f"bound {10**40}\n1\n{top}\n2\n")
+    with pytest.raises(ParseError, match="^set members must fit int64"):
+        parse_sset(f"FILE:{path}")
+    assert main(["classify", "--sset", f"FILE:{path}"]) == 2
+    assert capsys.readouterr().err.startswith("error: set members must fit int64")
+
+
 def test_classify_full_set(capsys):
     code, out = run(capsys, ["classify", "--sset", "N"])
     assert code == 0
@@ -606,9 +619,28 @@ def test_verify_size_cap(capsys):
     assert code == 2
 
 
+def deep_kfree_rows(n, d, e):
+    """The algebra rows of Q{k} at --n 100, whose witness triple is (n, d, e)
+    and whose least excluded member is d."""
+    return (1, [
+        ("commutative", True, "f*g = g*f to 100"),
+        ("distributive", True, "f*(g+h) = f*g + f*h to 100"),
+        ("identity_element", True, "f*delta = f to 100"),
+        ("associative", False, f"violated at n={n} by indicator functions: "
+         f"((f*g)*h)({n})=0 != (f*(g*h))({n})=1, witness triple ({n}, {d}, {e})"),
+        ("zero_divisors", True,
+         f"indicator of {d} squares to zero (checked exactly at n={n}: its one candidate term)"),
+        ("mult_preserved", True, "f*g multiplicative on coprime products <= 100"),
+    ])
+
+
 # (check, ok, detail) rows, pinned: L2 passes every suite, Q2 fails
-# associativity with a detail that holds commas, so CSV quotes it
+# associativity with a detail that holds commas, so CSV quotes it; the deep
+# k-free sets put their witness n at 2^4000 (1205 digits) and at 2^40000,
+# past the int-to-str digit limit, where it is printed factored
 VERIFY_GOLDEN = {
+    ("Q2000", "algebra", 100): deep_kfree_rows(2**4000, 2**2000, 2**1999),
+    ("Q20000", "algebra", 100): deep_kfree_rows("2^40000", "2^20000", "2^19999"),
     ("L2", "all", 400): (0, [
         ("mobius_sum", True, "sum of mu_S over divisors equals rho_S to 400"),
         ("mu_bound", True, "|mu_S| <= tau to 400"),
@@ -705,7 +737,8 @@ VERIFY_FAILURES = {
         with_rows(IDENTITY_ROWS, mobius_sum="first failure (6, 99, 0)",
                   mu_bound="first failure at n=6", phi_forms="first failure at n=6")),
     # calls of s_convolve_table in the algebra suite: 1 f*g, 2 g*f, 3 f*(g+h),
-    # 4 f*h, 5 f*delta (distributive and associative read prefixes of call 1)
+    # 4 f*h, 5 f*delta, 6 g*h, 7 (f*g)*h, 8 f*(g*h), 9 the mult_preserved
+    # product (distributive and associative read prefixes of call 1)
     "commutative": (
         ("s_convolve_table", 40, {"call": 2}), "algebra", "400",
         [("commutative", False, "first failure at n=40")]),
@@ -715,6 +748,10 @@ VERIFY_FAILURES = {
     "identity_element": (
         ("s_convolve_table", 1, {"call": 5}), "algebra", "400",
         [("identity_element", False, "first failure at n=1")]),
+    # g*h at 50 reaches f*(g*h) at 50 through its term d = 1 (f(1) != 0)
+    "associative": (
+        ("s_convolve_table", 50, {"call": 6}), "algebra", "400",
+        [("associative", False, "first failure at n=50")]),
     "inverse_at_8": (
         ("s_inverse", 8, {}), "inversion", "400",
         [("inverse_of_I", False, "first failure at n=8"),
@@ -732,6 +769,19 @@ VERIFY_FAILURES = {
         [("inverse_of_I", False, "first failure at n=1"),
          ("inverse_random_unit", False, "first failure at n=1")]),
 }
+
+
+def test_verify_witness_row_reads_membership_at_its_terms_only(capsys, tmp_path):
+    # odd numbers and 2^4 times them, to 50: the witness n = 2^13 has gcds up
+    # to 2^6 = 64 among its S-divisor pairs, past the bound, but each
+    # bracketing's one term reads gcds of at most 2^5
+    path = tmp_path / "set.txt"
+    path.write_text("bound 50\n" + "".join(f"{m}\n" for m in [*range(1, 51, 2), 16, 48]))
+    code, out = run(capsys, ["verify", "--sset", f"FILE:{path}", "--suite", "algebra",
+                             "--n", "100"])
+    assert code == 1
+    assert ("FAIL associative: violated at n=8192 by indicator functions: ((f*g)*h)(8192)=1"
+            " != (f*(g*h))(8192)=0, witness triple (8192, 512, 32)\n") in out
 
 
 @pytest.mark.parametrize("case", sorted(VERIFY_FAILURES))

@@ -372,6 +372,7 @@ def test_indicator():
     f = indicator(6)
     vals = [f(n) for n in range(1, 13)]
     assert vals == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert (f.name, indicator(2**20000).name) == ("ind_6", "ind_2^20000")  # past 4300 digits
 
 
 def split_failure(S, N: int):

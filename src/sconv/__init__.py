@@ -35,9 +35,9 @@ _EXPORTS = {
              "is_multiplicative", "make_general_sset", "make_mult_sset", "parse_sset",
              "rho", "rho_table", "s_divisors"),
     "convolve": ("DEFAULT_SEED", "NAMED_FUNCTIONS", "ArithFunc", "ZeroDivisorPair",
-                 "associativity_violation_functions", "indicator", "random_arith_func",
-                 "random_multiplicative_func", "s_convolve", "s_convolve_at",
-                 "s_convolve_table", "s_inverse", "zero_divisor_pair"),
+                 "associativity_violation_functions", "indicator", "normalized_unit",
+                 "random_arith_func", "random_multiplicative_func", "s_convolve",
+                 "s_convolve_at", "s_convolve_table", "s_inverse", "zero_divisor_pair"),
     "mobius": ("MuKStatistics", "ZetaEvaluation", "inverse_of_I", "mu_k_at",
                "mu_k_prime_power", "mu_k_statistics", "mu_set_at", "mu_set_table",
                "mu_table", "verify_mobius_identity", "zeta_S", "zeta_S_derivative"),

@@ -356,25 +356,30 @@ def _window_sieve(hi: int, ppv, linear=None):
 def dirichlet_sweep(f: np.ndarray, g: np.ndarray, N: int, member=None) -> np.ndarray:
     """Table h[0..N] with h[n] = sum over d e = n, gcd(d, e) in S, of f[d] g[e].
 
-    f and g cover 0..N (index 0 ignored); member is a bool mask of S on
-    0..r = isqrt(N), and None admits every pair (the Dirichlet product).
-    Every pair d e <= N has min(d, e) <= r (the hyperbola split): one slice
-    add per d <= r over all e, then one per e <= r over the d > r. int64
-    when f and g are and max|f| max|g| 2r < 2^63 (an entry sums at most
-    tau(n) <= 2 isqrt(n) products), else object arrays of exact numbers.
+    f and g cover 0..N (index 0 ignored), or a shorter prefix with zeros past
+    its end (delta as [0, 1]); member is a bool mask of S on 0..r = isqrt(N),
+    and None admits every pair (the Dirichlet product). Every pair d e <= N
+    has min(d, e) <= r (the hyperbola split): one slice add per nonzero
+    f[d], d <= r, over all e, then one per nonzero g[e], e <= r, over the
+    d > r. int8, bool and int64 inputs are read in place, each slice widened
+    as it is multiplied, into an int64 h when max|f| max|g| 2r < 2^63 (an
+    entry sums at most tau(n) <= 2 isqrt(n) products); otherwise, or when
+    an input holds objects, h holds exact Python numbers.
     """
     r = math.isqrt(N)
     exact = f.dtype == object or g.dtype == object
     dtype = object if exact or _abs_max(f, N) * _abs_max(g, N) * 2 * r >= 1 << 63 else np.int64
-    f, g = f.astype(dtype, copy=False), g.astype(dtype, copy=False)
-    fv, gv = f[: r + 1].tolist(), g[: r + 1].tolist()
+    nf, ng = min(len(f) - 1, N), min(len(g) - 1, N)  # f and g vanish past these
     out = np.zeros(N + 1, dtype=dtype)
-    for d in range(1, r + 1):  # e = 1 .. N // d at out[d::d]
-        if fv[d]:
-            out[d::d] += fv[d] * _admitted(member, d, g, 1, N // d + 1)
-    for e in range(1, r + 1):  # d = r + 1 .. N // e at out[(r + 1) e::e]
-        if gv[e] and N // e > r:
-            out[(r + 1) * e :: e] += _admitted(member, e, f, r + 1, N // e + 1) * gv[e]
+    for d, v in enumerate(f[1 : r + 1].tolist(), 1):  # e = 1 .. N // d at out[d::d]
+        top = min(N // d, ng)
+        if v and top:
+            _push(out[d : d * top + 1 : d], v, g[1 : top + 1], _admitted(member, d, 1, top + 1))
+    for e, v in enumerate(g[1 : r + 1].tolist(), 1):  # d = r + 1 .. N // e at out[(r + 1) e::e]
+        top = min(N // e, nf)
+        if v and top > r:
+            _push(out[(r + 1) * e : top * e + 1 : e], v, f[r + 1 : top + 1],
+                  _admitted(member, e, r + 1, top + 1))
     return out
 
 
@@ -383,14 +388,23 @@ def _abs_max(a: np.ndarray, N: int) -> int:
     return max(int(a[1 : N + 1].max(initial=0)), -int(a[1 : N + 1].min(initial=0)))
 
 
-def _admitted(member, k: int, vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """vals[lo:hi] with entry j zeroed where gcd(k, j) is not in S (member
-    None keeps all). The mask has period k in j: one gather of k entries,
-    tiled (np.resize would concatenate a tuple of (hi - lo) / k copies)."""
-    part = vals[lo:hi]
+def _push(view: np.ndarray, v, part: np.ndarray, mask) -> None:
+    """view += v * part in place, at the entries mask admits (None: all).
+    The multiply widens part to view's dtype; with v = 1, part is added as
+    it is, with no product at all."""
+    if v != 1:
+        part = np.multiply(part, v, dtype=view.dtype)
+    np.add(view, part, out=view, where=True if mask is None else mask)
+
+
+def _admitted(member, k: int, lo: int, hi: int):
+    """Mask of the j in [lo, hi) with gcd(k, j) in S, or None when every j
+    is (member None admits all). The mask has period k in j: one gather of
+    k entries, tiled (np.resize would concatenate a tuple of (hi - lo) / k
+    copies)."""
     if member is None:
-        return part
+        return None
     pat = member[np.gcd(k, np.arange(lo, lo + min(k, hi - lo)))]
     if pat.all():
-        return part
-    return np.where(np.tile(pat, -(-(hi - lo) // len(pat)))[: hi - lo], part, 0)
+        return None
+    return np.tile(pat, -(-(hi - lo) // len(pat)))[: hi - lo]

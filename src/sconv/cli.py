@@ -322,6 +322,9 @@ def _not_delta(conv: np.ndarray) -> np.ndarray:
 
 
 def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
+    """The identity rows. Each N-table is freed once its row is compared:
+    phi_forms, the last row, is computed right after the others that read
+    mu_S, so that mu_S goes before the tau and sigma tables are built."""
     from .mobius import mu_set_table, verify_mobius_identity
 
     ms = mu_set_table(S, N)
@@ -331,14 +334,17 @@ def _suite_identities(S: SSet, N: int) -> list[tuple[str, bool, str]]:
             else f"first failure {v.witness}")]
     out.append(_agree("mu_bound", np.abs(ms) > multiplicative_table(N, _tau_pp),
                       f"|mu_S| <= tau to {N}"))
+    p2 = dirichlet_sweep(ms, np.arange(N + 1, dtype=np.int64), N)  # mu_S * E
+    del ms  # p1 = rho_S * phi, self-checked vs direct
+    phi_row = _agree("phi_forms", phi_S_table(S, N) != p2, f"mu_S*E and rho_S*phi agree to {N}")
+    del p2
     t1, t2 = tau_S_table(S, N), tau_S_table_via_rho(S, N)
     out.append(_agree("tau_identity", t1 != t2, f"both square-divisor forms match to {N}",
                       lambda n: f": {int(t1[n])} vs {int(t2[n])}"))
+    del t1, t2
     out.append(_agree("sigma_identity", sigma_S_table(S, N) != sigma_S_table_via_rho(S, N),
                       f"both square-divisor forms match to {N}"))
-    p1 = phi_S_table(S, N)  # rho_S * phi, self-checked vs direct
-    p2 = dirichlet_sweep(ms, np.arange(N + 1, dtype=np.int64), N)  # mu_S * E
-    out.append(_agree("phi_forms", p1 != p2, f"mu_S*E and rho_S*phi agree to {N}"))
+    out.append(phi_row)
     return out
 
 
@@ -354,22 +360,24 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
         zero_divisor_pair,
     )
 
+    nd = min(N, 2000)  # f*g + f*h adds exactly in int64: both are at most 81 tau(n)
     rng = random.Random(DEFAULT_SEED)
     f = random_arith_func(rng, N)
     g = random_arith_func(rng, N)
-    h = random_arith_func(rng, N)
+    # drawn to N, as the draws after it continue the same stream, but read only to nd
+    h = ArithFunc.from_table(random_arith_func(rng, N).array(nd).copy())
 
     fg = s_convolve_table(S, f, g, N)
     out = [_agree("commutative", fg != s_convolve_table(S, g, f, N), f"f*g = g*f to {N}")]
 
-    nd = min(N, 2000)  # f*g + f*h adds exactly in int64: both are at most 81 tau(n)
     fg = fg[: nd + 1].copy()  # its prefixes are f*g to nd and na; the copy frees the N-table
     lhs = s_convolve_table(S, f, ArithFunc.from_table(g.array(nd) + h.array(nd)), nd)
     out.append(_agree("distributive", lhs != fg + s_convolve_table(S, f, h, nd),
                       f"f*(g+h) = f*g + f*h to {nd}"))
 
-    fd = s_convolve_table(S, f, ArithFunc.named("delta"), N)
+    fd = s_convolve_table(S, f, ArithFunc.named("delta"), N)  # delta read on its support, [0, 1]
     out.append(_agree("identity_element", fd != f.array(N), f"f*delta = f to {N}"))
+    del fd
 
     na = min(N, 200)
     av = is_associative(S)
@@ -410,7 +418,18 @@ def _suite_algebra(S: SSet, N: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_inversion(S: SSet, N: int) -> list[tuple[str, bool, str]]:
-    from .convolve import DEFAULT_SEED, ArithFunc, random_arith_func, s_convolve_table, s_inverse
+    """Both rows invert a function with f(1) = 1, so s_inverse runs on
+    integers alone: I, and the integral f2 of a seeded unit f, for which
+    f2^(-1) * f2 = delta holds exactly when f^(-1) * f = delta does (see
+    convolve.normalized_unit)."""
+    from .convolve import (
+        DEFAULT_SEED,
+        ArithFunc,
+        normalized_unit,
+        random_arith_func,
+        s_convolve_table,
+        s_inverse,
+    )
 
     nb = min(N, 4096)
     try:
@@ -422,8 +441,8 @@ def _suite_inversion(S: SSet, N: int) -> list[tuple[str, bool, str]]:
 
     rng = random.Random(DEFAULT_SEED + 1)
     nr = min(N, 512)
-    f = random_arith_func(rng, nr, unit=True)
-    conv = s_convolve_table(S, ArithFunc.from_table(s_inverse(S, f, nr)), f, nr)
+    f2 = normalized_unit(random_arith_func(rng, nr, unit=True), nr)
+    conv = s_convolve_table(S, ArithFunc.from_table(s_inverse(S, f2, nr)), f2, nr)
     out.append(_agree("inverse_random_unit", _not_delta(conv),
                       f"f^(-1) * f = delta to {nr} for a seeded unit"))
     return out

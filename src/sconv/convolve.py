@@ -13,21 +13,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .arith import (
+    _abs_max,
     _admitted,
     _mu_pp,
     _phi_pp,
     _sigma_pp,
     _sigma_star_pp,
     _tau_pp,
+    _push,
     _tau_star_pp,
     dirichlet_sweep,
     eval_multiplicative,
     multiplicative_table,
+    prime_array,
 )
 from .errors import ConsistencyError, LimitError
 from .sets import SSet, _require_associative, rho, rho_table, s_divisors, witness_text
@@ -39,14 +41,17 @@ class ArithFunc:
     """An arithmetical function: a plain evaluator n -> value.
 
     Values are exact Python ints (or Fractions for inverses). A function
-    may also carry array(N), its int64 table on 0..N, which the bulk sweeps
-    read in place of N pointwise calls.
+    may also carry array(N), its integer table on 0..N (int64, or int8 for
+    random_arith_func), which the bulk sweeps read in place of N pointwise
+    calls, and support, an n past which it vanishes (delta: 1), so that a
+    sweep reads it only to there.
     """
 
-    def __init__(self, fn, name: str = "f", array=None):
+    def __init__(self, fn, name: str = "f", array=None, support=None):
         self._fn = fn
         self._values = None  # a from_table function's ndarray or list
-        self._array = array  # N -> int64 table on 0..N, or None
+        self._array = array  # N -> integer table on 0..N, or None
+        self.support = support
         self.name = name
 
     def __call__(self, n: int):
@@ -62,10 +67,10 @@ class ArithFunc:
         """From a 1-indexed dense table (values[0] unused).
 
         A pointwise call reads one entry as a Python scalar, in place
-        (ndarray.item), so an int64 table yields Python ints and pointwise
+        (ndarray.item), so an integer table yields Python ints and pointwise
         arithmetic on them cannot wrap; table() lists only the prefix it
-        returns. An int64 ndarray is kept, not copied, as a read-only view
-        for array(), which the sweeps read.
+        returns. A signed-integer ndarray (int8 to int64) is kept, not
+        copied, as a read-only view for array(), which the sweeps read.
         """
         func = cls(None, name=name)
         func._values = vals = values if isinstance(values, np.ndarray) else list(values)
@@ -77,7 +82,7 @@ class ArithFunc:
             return read(n)
 
         func._fn = lookup
-        if isinstance(vals, np.ndarray) and vals.dtype == np.int64:
+        if isinstance(vals, np.ndarray) and vals.dtype.kind == "i":
             view = vals.view()
             view.flags.writeable = False
 
@@ -109,7 +114,7 @@ class ArithFunc:
         return [0] + [self(n) for n in range(1, N + 1)]
 
     def array(self, N: int) -> np.ndarray | None:
-        """The int64 table on 0..N (index 0 unused), or None when the
+        """The integer table on 0..N (index 0 unused), or None when the
         function carries none."""
         return None if self._array is None else self._array(N)
 
@@ -119,7 +124,7 @@ _NAMED = {
                            array=lambda N: (np.arange(N + 1) > 0).astype(np.int64)),
     "E": lambda: ArithFunc(lambda n: n, name="E",
                            array=lambda N: np.arange(N + 1, dtype=np.int64)),
-    "delta": lambda: ArithFunc(lambda n: 1 if n == 1 else 0, name="delta",
+    "delta": lambda: ArithFunc(lambda n: 1 if n == 1 else 0, name="delta", support=1,
                                array=lambda N: (np.arange(N + 1) == 1).astype(np.int64)),
     "mu": lambda: ArithFunc.from_prime_powers(_mu_pp, name="mu"),
     "tau": lambda: ArithFunc.from_prime_powers(_tau_pp, name="tau"),
@@ -145,13 +150,15 @@ def s_convolve_table(S: SSet, f: ArithFunc, g: ArithFunc, N: int) -> np.ndarray:
 
     One arith.dirichlet_sweep, with S read from a table to isqrt(N) (every
     gcd(d, e) with d e <= N is at most that). A function that carries an
-    int64 array goes in as that array; any other is tabulated pointwise and
-    goes in as int64 when every value is a Python int in int64 range, else
-    as exact objects (the sweep then runs both on objects).
+    integer array goes in as that array, read in place; any other is
+    tabulated pointwise and goes in as int64 when every value is a Python
+    int in int64 range, else as exact objects (the sweep then runs on
+    objects). A function with a support goes in only to there.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return dirichlet_sweep(_sweep_table(f, N), _sweep_table(g, N), N, _membership(S, N))
+    fa, ga = (_sweep_table(h, N if h.support is None else min(N, h.support)) for h in (f, g))
+    return dirichlet_sweep(fa, ga, N, _membership(S, N))
 
 
 def _membership(S: SSet, N: int) -> np.ndarray:
@@ -160,10 +167,10 @@ def _membership(S: SSet, N: int) -> np.ndarray:
 
 
 def _sweep_table(f: ArithFunc, N: int) -> np.ndarray:
-    """f on 0..N for dirichlet_sweep: its own int64 array when it carries
-    one, else its pointwise table as int64 when every value is a Python int
-    that fits, else as objects (np.array would infer float64 for an int
-    past int64)."""
+    """f on 0..N for dirichlet_sweep: its own integer array when it
+    carries one, else its pointwise table as int64 when every value is a
+    Python int that fits, else as objects (np.array would infer float64 for
+    an int past int64)."""
     arr = f.array(N)
     if arr is not None:
         return arr
@@ -187,45 +194,131 @@ def s_inverse(S: SSet, f: ArithFunc, N: int) -> list:
     Needs f(1) != 0 and an associative convolution (1 in S and every prime
     rule upward-closed), else it refuses: inverses are two-sided, since the
     convolution commutes, but (f*g)^-1 = f^-1 * g^-1 needs associativity.
-    Exact: Python ints when f(1) is +-1 and f is integral, Fractions
-    otherwise, with whole Fractions turned into ints.
+    f takes integer or Fraction values; the result is exact, a Python int
+    wherever the value is whole and a Fraction elsewhere, which happens
+    only when f(1) != +-1 or f is not integral.
 
-        g(1) = 1/f(1),   g(n) = -(1/f(1)) * sum_{d S-divisor of n, d < n} g(d) f(n/d)
-
-    A push sieve over the blocks [L, 2L): the terms of g(n) come from
-    d <= n/2 < L, so once every earlier block has pushed g(d) f(e) to
-    g[d e], the block's entries are final; the block then pushes its own
-    pairs, one numpy pass per d or per e, whichever side is shorter.
+    Computed on integers alone: f^-1(n) = D f2^-1(n) / c^(Omega(n) + 1) for
+    the integral f2 of normalized_unit, with D and c as there, and a
+    Fraction is built only where that division leaves a remainder.
     """
+    _require_unit(f, N)
+    _require_associative(S)
+    fa, D = _integral_table(f, N)
+    c = int(fa[1])
+    g = _unit_inverse(S, _unit_scaled(fa, c, N), N)
+    if c == 1 and D == 1:
+        return g.tolist()
+    from fractions import Fraction
+
+    den = [c ** (k + 1) for k in range(N.bit_length())]  # Omega(n) <= log2 n
+    out = [0]
+    for v, k in zip(g[1:].tolist(), _big_omega(N)[1:].tolist()):
+        q, r = divmod(v * D, den[k])
+        out.append(Fraction(v * D, den[k]) if r else q)
+    return out
+
+
+def normalized_unit(f: ArithFunc, N: int) -> ArithFunc:
+    """f2 on 0..N, the integral function with f2(1) = 1 and
+    f2(n) = F(n) c^(Omega(n) - 1) for n >= 2, where F = D f, D is the least
+    common denominator of f's values (1 for an integer-valued f) and
+    c = F(1) != 0.
+
+    lambda(n) = c^Omega(n) is completely multiplicative, so
+    lambda (u * v) = (lambda u) * (lambda v) for every S, and lambda F = c f2
+    gives F^-1 = f2^-1 / (c lambda). So f^-1 * f = delta holds exactly when
+    f2^-1 * f2 = delta, a check in integers alone, since f2(1) = 1.
+    """
+    _require_unit(f, N)
+    fa, _ = _integral_table(f, N)
+    return ArithFunc.from_table(_unit_scaled(fa, int(fa[1]), N), name=f"{f.name}_unit")
+
+
+def _require_unit(f: ArithFunc, N: int) -> None:
     if N < 1:
         raise ValueError("N must be >= 1")
-    f1 = f(1)
-    if f1 == 0:
+    if f(1) == 0:
         raise ValueError("f(1) = 0 has no convolution inverse")
-    _require_associative(S)
-    inv1 = int(f1) if f1 in (1, -1) else Fraction(1) / Fraction(f1)
-    fv = f.table(N)
-    fa = np.array(fv, dtype=object)
+
+
+def _integral_table(f: ArithFunc, N: int) -> tuple[np.ndarray, int]:
+    """(F, D) with f = F / D on 0..N: F an integer array, or Python ints as
+    objects, and D >= 1 the least common denominator of f's values."""
+    fa = _sweep_table(f, N)
+    if fa.dtype != object:
+        return fa, 1
+    vals = fa.tolist()
+    D = math.lcm(*(v.denominator for v in vals))
+    return np.array([int(v * D) for v in vals], dtype=object), D
+
+
+def _big_omega(N: int) -> np.ndarray:
+    """Omega(n), the prime factors of n with multiplicity, on 0..N (int8)."""
+    om = np.zeros(N + 1, dtype=np.int8)
+    for p in prime_array(N).tolist():
+        q = p
+        while q <= N:
+            om[q::q] += 1
+            q *= p
+    return om
+
+
+def _unit_scaled(fa: np.ndarray, c: int, N: int) -> np.ndarray:
+    """normalized_unit's f2 from the integer table fa with fa[1] = c: fa
+    itself when c = 1, else int64 when max|fa| |c|^(log2 N - 1) < 2^63 and
+    Python ints past that."""
+    if c == 1:
+        return fa
+    om = _big_omega(N)
+    top = max(int(om.max()) - 1, 0)  # the largest Omega(n) - 1
+    exact = fa.dtype == object or _abs_max(fa, N) * abs(c) ** top >= 1 << 63
+    pw = np.array([c**k for k in range(top + 1)], dtype=object if exact else np.int64)
+    f2 = np.multiply(fa, pw[np.maximum(om, 1) - 1], dtype=pw.dtype)
+    f2[1] = 1
+    return f2
+
+
+def _unit_inverse(S: SSet, f2: np.ndarray, N: int) -> np.ndarray:
+    """g = f2^-1 on 0..N for an integer table f2 with f2[1] = 1:
+
+        g(1) = 1,   g(n) = -sum_{d S-divisor of n, d < n} g(d) f2(n/d)
+
+    A push sieve over the blocks [L, 2L): the terms of g(n) come from
+    d <= n/2 < L, so once every earlier block has pushed g(d) f2(e) to
+    g[d e], the block's entries are final; the block then pushes its own
+    pairs, one numpy pass per d or per e, whichever side is shorter. g is
+    int64 while M max|f2| 2 isqrt(N) < 2^63, M the largest |g(d)| pushed so
+    far (an entry sums fewer than tau(n) <= 2 isqrt(N) pushes), and holds
+    Python ints from the first block past that guard.
+    """
+    bound = _abs_max(f2, N) * 2 * math.isqrt(N)
     member = _membership(S, N)
-    g = np.zeros(N + 1, dtype=object)  # the pushed sums until a block is final
-    g[1] = inv1
+    fv = f2.tolist()
+    g = np.zeros(N + 1, dtype=object if f2.dtype == object else np.int64)
+    g[1], M = 1, 1
     L = 1
     while L <= N:
         hi = min(2 * L, N + 1)
+        block = g[L:hi]
         if L > 1:
-            g[L:hi] = -inv1 * g[L:hi]
+            np.negative(block, out=block)
+        if g.dtype != object:
+            M = max(M, int(block.max()), -int(block.min()))
+            if M * bound >= 1 << 63:
+                f2, g = f2.astype(object), g.astype(object)
         if hi - L <= N // L - 1:  # fewer d in the block than e >= 2
-            for d in range(L, hi):
-                if g[d] and N // d >= 2:  # e = 2 .. N // d at g[2d::d]
-                    g[2 * d :: d] += g[d] * _admitted(member, d, fa, 2, N // d + 1)
+            for d, v in enumerate(g[L:hi].tolist(), L):
+                if v and N // d >= 2:  # e = 2 .. N // d at g[2d::d]
+                    _push(g[2 * d :: d], v, f2[2 : N // d + 1], _admitted(member, d, 2, N // d + 1))
         else:
             for e in range(2, N // L + 1):  # d = L .. min(hi - 1, N // e)
                 if fv[e]:
                     top = min(hi - 1, N // e)
-                    g[L * e : top * e + 1 : e] += _admitted(member, e, g, L, top + 1) * fv[e]
+                    _push(g[L * e : top * e + 1 : e], fv[e], g[L : top + 1],
+                          _admitted(member, e, L, top + 1))
         L *= 2
-    return [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-            for v in g.tolist()]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +403,11 @@ def associativity_violation_functions(trip: tuple[int, int, int]):
 def random_arith_func(rng: random.Random, N: int, unit: bool = False,
                       name: str = "rand") -> ArithFunc:
     """Random integer-valued table function with values uniform on [-9, 9],
-    drawn in bulk from rng and backed by an int64 array.
+    drawn in bulk from rng and backed by an int8 array.
 
     unit=True forces f(1) != 0 so the function is invertible.
     """
-    vals = np.zeros(N + 1, dtype=np.int64)
+    vals = np.zeros(N + 1, dtype=np.int8)
     vals[1:] = _uniform_digits(rng, N)
     if unit and N >= 1:
         while vals[1] == 0:
@@ -325,7 +418,7 @@ def random_arith_func(rng: random.Random, N: int, unit: bool = False,
 def _uniform_digits(rng: random.Random, count: int) -> np.ndarray:
     """count values uniform on [-9, 9], from rng.randbytes: a byte b < 247 =
     13 * 19 gives b % 19 - 9, a larger byte is dropped and drawn again."""
-    out = np.empty(count, dtype=np.int64)
+    out = np.empty(count, dtype=np.int8)
     done = 0
     while done < count:
         need = count - done

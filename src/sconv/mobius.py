@@ -671,7 +671,7 @@ def zeta_S_derivative(S: SSet, z: float, tol: float = 1e-9) -> Ball:
 def verify_mobius_identity(S: SSet, N: int, mu: np.ndarray) -> Verdict:
     """Check sum_{d | n} mu_S(d) = rho_S(n) for every n <= N, with mu the
     caller's mu_set_table(S, N)."""
-    lhs = dirichlet_sweep(mu, np.ones(N + 1, dtype=np.int64), N)
+    lhs = dirichlet_sweep(mu, np.ones(N + 1, dtype=np.int8), N)
     rs = rho_table(S, N)
     bad = np.flatnonzero(lhs[1:] != rs[1:])
     if len(bad):

@@ -324,11 +324,16 @@ def make_mult_sset(default_rule: ExponentRule, overrides: dict[int, ExponentRule
 
 def make_general_sset(members, bound: int, spec: str | None = None) -> SSet:
     """Table-backed set of the given members (ints, or decimal str or bytes)
-    with membership known to bound; spec defaults to the F{...} form."""
+    with membership known to bound; spec defaults to the F{...} form. A
+    signed-integer ndarray is taken whole; any other iterable is read one
+    member at a time."""
     if bound < 1:
         raise ParseError("bound must be >= 1")
     try:
-        a = np.sort(np.fromiter(members, dtype=np.int64))
+        if isinstance(members, np.ndarray) and members.dtype.kind == "i":
+            a = np.sort(np.asarray(members, dtype=np.int64))
+        else:
+            a = np.sort(np.fromiter(members, dtype=np.int64))
     except OverflowError as exc:
         raise ParseError(f"set members must fit int64: {exc}") from exc
     a = np.delete(a, np.flatnonzero(a[1:] == a[:-1]))

@@ -296,6 +296,33 @@ def test_dirichlet_sweep_matches_brute():
                 assert h.tolist() == brute_sweep(f, g, N, member), (N, dtype, member)
 
 
+def test_dirichlet_sweep_reads_narrow_and_short_tables():
+    # int8 and bool tables are read in place and widened slice by slice, so
+    # 127 * 127 does not wrap in int8; a table shorter than N + 1 vanishes
+    # past its end, on either side and with or without a mask
+    rng = random.Random(11)
+    for N in SWEEP_NS:
+        r = math.isqrt(N)
+        member = np.array([rng.random() < 0.6 for _ in range(r + 1)])
+        f = [0] + [rng.choice((0, 1, -1, 9, 127, -128)) for _ in range(N)]
+        g = [0] + [rng.randint(-9, 9) for _ in range(N)]
+        b = [False] + [rng.random() < 0.5 for _ in range(N)]
+        for m in (None, member):
+            want = brute_sweep(f, g, N, m)
+            for fa in (np.array(f, dtype=np.int8), np.array(f, dtype=np.int64)):
+                for ga in (np.array(g, dtype=np.int8), np.array(g, dtype=np.int64)):
+                    h = dirichlet_sweep(fa, ga, N, m)
+                    assert h.dtype == np.int64 and h.tolist() == want, (N, fa.dtype, ga.dtype)
+            h = dirichlet_sweep(np.array(f, dtype=np.int8), np.array(b), N, m)
+            assert h.tolist() == brute_sweep(f, [int(x) for x in b], N, m)
+            for top in sorted({0, 1, 2, r, r + 1, N // 2}):
+                short, padded = g[: top + 1], g[: top + 1] + [0] * (N - top)
+                h = dirichlet_sweep(np.array(f, dtype=np.int8), np.array(short), N, m)
+                assert h.tolist() == brute_sweep(f, padded, N, m), (N, top)
+                h = dirichlet_sweep(np.array(short), np.array(f, dtype=np.int8), N, m)
+                assert h.tolist() == brute_sweep(padded, f, N, m), (N, top)
+
+
 def test_dirichlet_sweep_int64_guard_boundary():
     # N = 4 sums at most 2 isqrt(4) = 4 products per entry: the guard is
     # max|f| max|g| 4 < 2^63, so 2^61 - 1 stays int64 and 2^61 does not

@@ -7,12 +7,14 @@ Everything random is seeded.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sconv import convolve
 from sconv.arith import divisors
+from sconv.cli import main
 from sconv.convolve import (
     DEFAULT_SEED,
     NAMED_FUNCTIONS,
@@ -26,6 +28,7 @@ from sconv.convolve import (
     s_convolve_at,
     s_convolve_table,
     s_divisors,
+    normalized_unit,
     s_inverse,
     zero_divisor_pair,
 )
@@ -315,6 +318,86 @@ def test_inverse_refuses_non_associative_set():
     assert "(16, 4, 2)" in str(ei.value)
 
 
+def brute_s_inverse(S, f, N):
+    """The defining recursion in Fractions over s_divisors: g(1) = 1/f(1),
+    g(n) = -(1/f(1)) * sum of g(d) f(n/d) over the S-divisors d < n."""
+    g = [0, Fraction(1, f(1))]
+    for n in range(2, N + 1):
+        g.append(-sum(g[d] * f(n // d) for d in s_divisors(S, n) if d < n) / f(1))
+    return g
+
+
+def unit_with(c, N, seed):
+    """A seeded function with values on [-9, 9] but f(1) = c."""
+    vals = random_arith_func(random.Random(seed), N).array(N).astype(np.int64)
+    vals[1] = c
+    return ArithFunc.from_table(vals, f"unit{c}")
+
+
+@pytest.mark.parametrize("c", [1, -1, 2, 5, -7])
+def test_inverse_matches_fraction_recursion(tmp_path, c):
+    path = tmp_path / "l2.txt"
+    l2 = np.flatnonzero(rho_table(parse_sset("L2"), 1000)).tolist()
+    path.write_text("bound 1000\n" + "".join(f"{m}\n" for m in l2))
+    N = 600
+    f = unit_with(c, N, DEFAULT_SEED + c)
+    for spec in ("N", "1", "L2", "P{2,3}", f"FILE:{path}"):
+        S = parse_sset(spec)
+        got, want = s_inverse(S, f, N), brute_s_inverse(S, f, N)
+        assert got == want, (spec, c)
+        # a Python int wherever the value is whole, a Fraction elsewhere
+        assert [type(v) for v in got] == [int if v.denominator == 1 else Fraction for v in want]
+
+
+def test_inverse_past_int64_runs_on_python_ints():
+    # f(1) = 10^6: f2(512) = f(512) c^8 and the inverse of f2 pass 2^162
+    S, N = parse_sset("N"), 512
+    f = unit_with(10**6, N, DEFAULT_SEED)
+    f2 = normalized_unit(f, N)
+    assert f2(1) == 1 and f2.array(N) is None  # Python ints from the start
+    assert max(abs(v).bit_length() for v in f2.table(N)) == 163
+    assert max(abs(v).bit_length() for v in s_inverse(S, f2, N)) == 163
+    assert s_inverse(S, f, N) == brute_s_inverse(S, f, N)
+
+
+def test_inverse_guard_moves_to_python_ints_mid_sieve():
+    # f fits int64, but the pushes of g(2) = -f(2) ~ 2^40 pass the guard
+    S, N = parse_sset("L2"), 200
+    f = ArithFunc.from_table(np.array([0, 1] + [2**40 + n for n in range(2, N + 1)]))
+    assert f.array(N).dtype == np.int64
+    got = s_inverse(S, f, N)
+    assert max(abs(v) for v in got) >= 1 << 63
+    assert got == brute_s_inverse(S, f, N)
+
+
+def test_inverse_of_fraction_values():
+    S, N = parse_sset("L2"), 100
+    f = ArithFunc.from_table([0, Fraction(3, 2)] + [Fraction(n % 7 - 3, n % 4 + 1)
+                                                    for n in range(2, N + 1)])
+    assert s_inverse(S, f, N) == brute_s_inverse(S, f, N)
+    f2 = normalized_unit(f, N)  # of 12 f, 12 the least common denominator
+    assert f2(1) == 1 and f2(2) == 12 * f(2) and f2(4) == 12 * f(4) * 18
+
+
+def test_random_unit_row_catches_an_off_by_one_f2(monkeypatch, capsys):
+    # the sieve inverts f2 with f2(97) off by one; the row convolves with the true f2
+    real, calls = convolve._unit_inverse, []
+
+    def off_by_one(S, f2, N):
+        calls.append(N)
+        if len(calls) == 2:  # the seeded unit's f2; the first call inverts I
+            f2 = f2.copy()
+            f2[97] += 1
+        return real(S, f2, N)
+
+    monkeypatch.setattr(convolve, "_unit_inverse", off_by_one)
+    assert main(["verify", "--sset", "L2", "--suite", "inversion", "--n", "512"]) == 1
+    out = capsys.readouterr().out
+    assert calls == [512, 512]
+    assert "ok   inverse_of_I: " in out
+    assert "FAIL inverse_random_unit: first failure at n=97\n" in out
+
+
 # ---------------------------------------------------------------------------
 # zero divisors and multiplicativity preservation
 
@@ -460,7 +543,7 @@ def test_least_excluded_member_of_table_sets():
 def test_random_arith_func_bulk_draw():
     f = random_arith_func(random.Random(DEFAULT_SEED), 10**4)
     a = f.array(10**4)
-    assert a.dtype == np.int64 and a[0] == 0
+    assert a.dtype == np.int8 and a[0] == 0
     assert np.array_equal(a, random_arith_func(random.Random(DEFAULT_SEED), 10**4).array(10**4))
     assert -9 <= a[1:].min() and a[1:].max() <= 9
     assert set(a[1:].tolist()) == set(range(-9, 10))  # all 19 values

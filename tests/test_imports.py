@@ -46,6 +46,8 @@ def test_import_sconv_loads_arith_errors_and_numpy():
     ("eval --sset Q2 --fn sigma --range 1..2000", "sconv.mobius sconv.convolve sconv.asymptotics"),
     ("eval --sset L2 --fn mu --range 1..2000", "sconv.asymptotics"),
     ("verify --sset L2 --n 300", "sconv.asymptotics"),
+    # the inversion suite runs on integers alone
+    ("verify --sset L2 --suite all", "fractions decimal"),
 ])
 def test_command_loads_only_what_it_runs(command, absent):
     mods = loaded(RUN_CLI, *command.split())

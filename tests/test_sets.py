@@ -190,6 +190,29 @@ def test_table_set_members_are_one_sorted_array():
             make_general_sset(members, bound)
 
 
+MEMBER_KINDS = {"ndarray": lambda v: np.array(v, dtype=np.int64),
+                "generator": lambda v: (m for m in v), "set": set}
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBER_KINDS))
+def test_table_set_members_of_each_input_kind(kind):
+    members = MEMBER_KINDS[kind]([6, 1, 2, 6, 1, 2**63 - 1])
+    S = make_general_sset(members, 2**63)
+    assert S.general.members.dtype == np.int64
+    assert S.general.members.tolist() == [1, 2, 6, 2**63 - 1]
+    assert S.spec == f"F{{1,2,6,{2**63 - 1}}}"
+    if kind == "ndarray":  # the caller's array is neither sorted nor frozen
+        assert members.tolist() == [6, 1, 2, 6, 1, 2**63 - 1] and members.flags.writeable
+
+
+@pytest.mark.parametrize("members", [
+    np.array([1, 2**63], dtype=np.uint64), np.array([1, 2**63], dtype=object),
+    (m for m in (1, 2**63)), {1, 2**63}], ids=["uint64", "object", "generator", "set"])
+def test_table_set_member_past_int64_is_refused(members):
+    with pytest.raises(ParseError, match="set members must fit int64"):
+        make_general_sset(members, 2**64)
+
+
 # ---------------------------------------------------------------------------
 # structure verdicts
 
